@@ -7,14 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <random>
 
 #include "bench/gbench_report.hh"
-#include "coredsl/sema.hh"
-#include "driver/isax_catalog.hh"
-#include "hir/astlower.hh"
-#include "lil/lil.hh"
+#include "driver/longnail.hh"
 #include "sched/scheduler.hh"
 
 using namespace longnail;
@@ -22,36 +18,34 @@ using namespace longnail::sched;
 
 namespace {
 
-std::unique_ptr<lil::LilModule>
-compileIsax(const std::string &name)
-{
-    const auto *entry = catalog::findIsax(name);
-    DiagnosticEngine diags;
-    coredsl::Sema sema(diags, coredsl::builtinSourceProvider());
-    auto isa = sema.analyze(entry->source, entry->target);
-    auto hir_mod = hir::lowerToHir(*isa, diags);
-    auto lil_mod = lil::lowerToLil(*hir_mod, diags);
-    // Keep the ISA alive by leaking it for the benchmark's lifetime.
-    (void)isa.release();
-    (void)hir_mod.release();
-    return lil_mod;
-}
-
 void
 scheduleIsaxBench(benchmark::State &state, const std::string &isax,
+                  const std::string &core_name, unsigned opt_level,
                   bool use_ilp)
 {
-    auto lil_mod = compileIsax(isax);
-    const lil::LilGraph *graph = lil_mod->graphs.front().get();
+    // The LIL as the driver schedules it, after the -O pass pipeline.
+    driver::CompileOptions options;
+    options.coreName = core_name;
+    options.optLevel = opt_level;
+    driver::CompiledIsax compiled =
+        driver::compileCatalogIsax(isax, options);
+    if (!compiled.ok()) {
+        state.SkipWithError(compiled.errors.c_str());
+        return;
+    }
+    const lil::LilGraph *graph = compiled.lilModule->graphs.front().get();
     TechLibrary tech(TimingMode::Uniform);
-    const auto &core = scaiev::Datasheet::forCore("VexRiscv");
+    const auto &core = scaiev::Datasheet::forCore(core_name);
+    uint64_t work_units = 0;
     for (auto _ : state) {
         BuiltProblem built = buildProblem(*graph, core, tech);
         computeChainBreakers(built.problem);
-        std::string err = use_ilp ? scheduleOptimal(built.problem)
-                                  : scheduleAsap(built.problem);
+        std::string err =
+            use_ilp ? scheduleOptimal(built.problem, 0, &work_units)
+                    : scheduleAsap(built.problem);
         benchmark::DoNotOptimize(err);
     }
+    state.counters["lp_work_units"] = double(work_units);
     state.SetLabel(std::to_string(
         buildProblem(*graph, core, tech).problem.numOperations()) +
         " ops");
@@ -91,12 +85,29 @@ BM_IlpSyntheticDag(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK_CAPTURE(scheduleIsaxBench, dotp_ilp, "dotp", true);
-BENCHMARK_CAPTURE(scheduleIsaxBench, dotp_asap, "dotp", false);
-BENCHMARK_CAPTURE(scheduleIsaxBench, sparkle_ilp, "sparkle", true);
-BENCHMARK_CAPTURE(scheduleIsaxBench, sparkle_asap, "sparkle", false);
-BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp, "sqrt_tightly", true);
-BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_asap, "sqrt_tightly", false);
+BENCHMARK_CAPTURE(scheduleIsaxBench, dotp_ilp, "dotp", "VexRiscv", 0,
+                  true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, dotp_asap, "dotp", "VexRiscv", 0,
+                  false);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sparkle_ilp, "sparkle", "VexRiscv",
+                  0, true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sparkle_asap, "sparkle", "VexRiscv",
+                  0, false);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp, "sqrt_tightly", "VexRiscv",
+                  0, true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_asap, "sqrt_tightly",
+                  "VexRiscv", 0, false);
+// The catalog's slowest LPs: sqrt on the two cores whose schedules
+// have the most shortest-path cost levels, before and after the -O1
+// pass pipeline.
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp_ORCA_O0, "sqrt_tightly",
+                  "ORCA", 0, true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp_ORCA_O1, "sqrt_tightly",
+                  "ORCA", 1, true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp_PicoRV32_O0, "sqrt_tightly",
+                  "PicoRV32", 0, true);
+BENCHMARK_CAPTURE(scheduleIsaxBench, sqrt_ilp_PicoRV32_O1, "sqrt_tightly",
+                  "PicoRV32", 1, true);
 BENCHMARK(BM_IlpSyntheticDag)->Arg(100)->Arg(400)->Arg(1600);
 
 LONGNAIL_BENCHMARK_MAIN("scheduler_perf")

@@ -463,16 +463,16 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
                 int(worstQuality(result.report.chosenScheduler)))
             result.report.chosenScheduler = quality_name;
         sched::sinkZeroDelayOps(built.problem);
-        std::string verify_err = built.problem.verify();
+        sched::Violation violation = built.problem.findViolation();
         // Chains whose single-operation delay exceeds the cycle time
         // cannot be broken (Sec. 5.4); they reduce fmax in the ASIC
         // analysis but are not compile errors. The relaxed fallback
         // scheduler trades chain breaking for feasibility the same way.
-        if (!verify_err.empty() &&
-            verify_err.find("cycle time") == std::string::npos &&
-            verify_err.find("chaining") == std::string::npos)
+        if (violation &&
+            violation.kind != sched::Violation::Kind::CycleTime &&
+            violation.kind != sched::Violation::Kind::Chaining)
             LN_PANIC("invalid schedule for ", graph->name, ": ",
-                     verify_err);
+                     violation.message);
         // The scheduling rewrites (chain breaking, zero-delay-op
         // sinking) must leave the LIL graph itself untouched; re-run
         // the IR verifier here under LONGNAIL_VERIFY_IR to close the

@@ -13,9 +13,24 @@
  * same optima CBC would for the ILP (see DESIGN.md).
  *
  * Implementation: LP duality turns the problem into an uncapacitated
- * min-cost flow with node supplies, solved by successive shortest
- * paths; the optimal primal values are recovered from the potentials
- * of the final residual network.
+ * min-cost flow with node supplies, solved by the primal-dual method:
+ *
+ *  1. The feasibility check (or an accepted warm start) yields a
+ *     feasible point t; the node potentials pi = -t make every reduced
+ *     cost non-negative from the start.
+ *  2. Each phase runs one Dijkstra over the reduced costs (a bucket
+ *     queue: they span a few stages) and raises the potentials by the
+ *     distances, capped at the sink's, so every shortest source-sink
+ *     path consists of zero-reduced-cost arcs.
+ *  3. Depth-first search pushes flow along those admissible arcs until
+ *     none leads to the sink; then the next phase starts. There is one
+ *     phase per distinct shortest-path cost, not one per augmentation.
+ *
+ * The optimal primal values are recovered as shortest distances over
+ * the final residual network from a virtual root. Every optimal flow
+ * leaves the same set of feasible residual potentials (complementary
+ * slackness), so the values do not depend on which optimal flow, or
+ * which order of constraints, the search happened to take.
  */
 
 #ifndef LONGNAIL_SCHED_LPSOLVER_HH
@@ -67,7 +82,11 @@ struct LPResult
     Status status = Status::Infeasible;
     std::vector<int> values;
     int64_t objective = 0;
-    /** Deterministic work units spent (queue pops / edge relaxations). */
+    /**
+     * Deterministic work units spent: one per Bellman-Ford feasibility
+     * round (or one for validating a warm start), one per node settled
+     * by a phase's Dijkstra, and one per arc scanned while augmenting.
+     */
     uint64_t workUnits = 0;
     /**
      * A (generally non-optimal) point satisfying every constraint and
@@ -82,7 +101,8 @@ struct LPResult
 
 /**
  * Solve @p lp exactly. @p work_limit bounds the solver's deterministic
- * work counter (0 = unlimited); when the limit is hit the result status
+ * work counter (0 = unlimited), checked after the feasibility check
+ * and after every phase; when the limit is exceeded the result status
  * is BudgetExhausted and no values are produced, letting callers fall
  * back to a heuristic scheduler instead of waiting on a pathological
  * instance.

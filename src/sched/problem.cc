@@ -64,15 +64,17 @@ Problem::checkInput() const
     return "";
 }
 
-std::string
-Problem::verify() const
+Violation
+Problem::findViolation() const
 {
     for (const auto &op : operations_) {
         if (!op.startTime)
-            return "operation '" + op.name + "' is unscheduled";
+            return {Violation::Kind::Unscheduled,
+                    "operation '" + op.name + "' is unscheduled"};
         if (*op.startTime < 0)
-            return "operation '" + op.name +
-                   "' has a negative start time";
+            return {Violation::Kind::Unscheduled,
+                    "operation '" + op.name +
+                        "' has a negative start time"};
     }
     for (const auto &dep : dependences_) {
         const Operation &from = operations_[dep.from];
@@ -84,10 +86,10 @@ Problem::verify() const
             os << "precedence violated: '" << from.name << "' finishes "
                << "at " << finish << " but '" << to.name
                << "' starts at " << *to.startTime;
-            return os.str();
+            return {Violation::Kind::Precedence, os.str()};
         }
     }
-    return "";
+    return {};
 }
 
 double
@@ -151,11 +153,11 @@ ChainingProblem::computeStartTimesInCycle()
     }
 }
 
-std::string
-ChainingProblem::verify() const
+Violation
+ChainingProblem::findViolation() const
 {
-    std::string base = Problem::verify();
-    if (!base.empty())
+    Violation base = Problem::findViolation();
+    if (base)
         return base;
     for (const auto &dep : chainBreakers_) {
         const Operation &from = operations_[dep.from];
@@ -163,38 +165,42 @@ ChainingProblem::verify() const
         int min_start = *from.startTime +
                         int(operatorTypeOf(from).latency) + 1;
         if (min_start > *to.startTime)
-            return "chain breaker violated between '" + from.name +
-                   "' and '" + to.name + "'";
+            return {Violation::Kind::ChainBreaker,
+                    "chain breaker violated between '" + from.name +
+                        "' and '" + to.name + "'"};
     }
     if (cycleTime_ <= 0.0)
-        return "";
+        return {};
     // Table 2, ChainingProblem row.
     for (const auto &dep : dependences_) {
         const Operation &from = operations_[dep.from];
         const Operation &to = operations_[dep.to];
         const OperatorType &from_type = operatorTypeOf(from);
         if (!from.startTimeInCycle || !to.startTimeInCycle)
-            return "startTimeInCycle missing";
+            return {Violation::Kind::Unscheduled,
+                    "startTimeInCycle missing"};
         if (from_type.latency == 0 && *from.startTime == *to.startTime &&
             *from.startTimeInCycle + from_type.outgoingDelay >
                 *to.startTimeInCycle + 1e-9)
-            return "chaining violated between '" + from.name + "' and '" +
-                   to.name + "'";
+            return {Violation::Kind::Chaining,
+                    "chaining violated between '" + from.name +
+                        "' and '" + to.name + "'"};
         if (from_type.latency > 0 &&
             *from.startTime + int(from_type.latency) == *to.startTime &&
             from_type.outgoingDelay > *to.startTimeInCycle + 1e-9)
-            return "chaining violated after multi-cycle '" + from.name +
-                   "'";
+            return {Violation::Kind::Chaining,
+                    "chaining violated after multi-cycle '" + from.name +
+                        "'"};
     }
     for (const auto &op : operations_) {
         const OperatorType &type = operatorTypeOf(op);
         if (op.startTimeInCycle &&
             *op.startTimeInCycle + type.outgoingDelay >
                 cycleTime_ + 1e-9)
-            return "operation '" + op.name +
-                   "' exceeds the cycle time";
+            return {Violation::Kind::CycleTime,
+                    "operation '" + op.name + "' exceeds the cycle time"};
     }
-    return "";
+    return {};
 }
 
 std::string
@@ -214,11 +220,11 @@ LongnailProblem::checkInput() const
     return "";
 }
 
-std::string
-LongnailProblem::verify() const
+Violation
+LongnailProblem::findViolation() const
 {
-    std::string base = ChainingProblem::verify();
-    if (!base.empty())
+    Violation base = ChainingProblem::findViolation();
+    if (base)
         return base;
     // Table 2, LongnailProblem row.
     for (const auto &op : operations_) {
@@ -234,10 +240,10 @@ LongnailProblem::verify() const
             else
                 os << type.latest;
             os << "]";
-            return os.str();
+            return {Violation::Kind::Window, os.str()};
         }
     }
-    return "";
+    return {};
 }
 
 } // namespace sched

@@ -60,6 +60,26 @@ struct Dependence
     unsigned to = 0;
 };
 
+/** The first broken solution constraint a verifier found. */
+struct Violation
+{
+    enum class Kind
+    {
+        None,
+        Unscheduled,  ///< a start time (or time in cycle) is missing
+        Precedence,   ///< a dependence latency (Problem row)
+        ChainBreaker, ///< a C5 chain breaker's one-step distance
+        Chaining,     ///< same-cycle delay propagation (ChainingProblem)
+        CycleTime,    ///< an operation's delay exceeds the cycle time
+        Window,       ///< an interface window (LongnailProblem row)
+    };
+
+    Kind kind = Kind::None;
+    std::string message;
+
+    explicit operator bool() const { return kind != Kind::None; }
+};
+
 /**
  * Base problem: acyclic scheduling with operator latencies
  * (corresponds to circt::scheduling::Problem).
@@ -102,8 +122,12 @@ class Problem
     /**
      * Solution constraints (Table 2, Problem row): every operation
      * scheduled, and i.ST + i.LOT.latency <= j.ST per dependence.
+     * @return the first violation, or a Kind::None one.
      */
-    virtual std::string verify() const;
+    virtual Violation findViolation() const;
+
+    /** findViolation()'s message: empty when the solution is valid. */
+    std::string verify() const { return findViolation().message; }
 
     /** Objective value of Fig. 7: sum of start times and lifetimes. */
     double objectiveValue() const;
@@ -145,7 +169,7 @@ class ChainingProblem : public Problem
      */
     void computeStartTimesInCycle();
 
-    std::string verify() const override;
+    Violation findViolation() const override;
 
   protected:
     double cycleTime_ = 0.0; ///< 0 disables chaining checks
@@ -160,7 +184,7 @@ class LongnailProblem : public ChainingProblem
 {
   public:
     std::string checkInput() const override;
-    std::string verify() const override;
+    Violation findViolation() const override;
 };
 
 } // namespace sched

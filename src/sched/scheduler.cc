@@ -196,8 +196,9 @@ buildScheduleLP(const LongnailProblem &problem, bool with_chain_breakers)
 void
 countLPSolve(const LPResult &result)
 {
-    // LP "iterations" are the solver's deterministic work units (queue
-    // pops / edge relaxations); see src/sched/lpsolver.hh.
+    // LP "iterations" are the solver's deterministic work units
+    // (Bellman-Ford rounds, Dijkstra pops, arcs scanned while
+    // augmenting); see LPResult::workUnits in src/sched/lpsolver.hh.
     obs::count("sched.lp_solves");
     obs::count("sched.lp_iterations", result.workUnits);
     obs::observe("sched.lp_iterations_per_solve",
@@ -383,8 +384,8 @@ scheduleWithFallback(LongnailProblem &problem,
     // The fallback chain fires: make each step observable (the chain
     // used to degrade silently; see ISSUE 3). When the optimal attempt
     // got as far as proving feasibility (e.g. it exhausted its budget
-    // in the simplex phase), its feasible point warm-starts the ASAP
-    // re-solves below -- the LP route produces the identical least
+    // in the min-cost-flow phases), its feasible point warm-starts the
+    // ASAP re-solves below -- the LP route produces the identical least
     // fixpoint, just without re-running the Bellman-Ford feasibility
     // pass. The list scheduler stays on as safety net.
     const std::vector<int> *warm_ptr = warm.empty() ? nullptr : &warm;

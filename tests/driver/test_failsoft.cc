@@ -11,6 +11,7 @@
 
 #include "driver/isax_catalog.hh"
 #include "driver/longnail.hh"
+#include "obs/obs.hh"
 #include "support/failpoint.hh"
 
 using namespace longnail;
@@ -124,6 +125,33 @@ TEST_F(FailsoftTest, LpBudgetExhaustionFallsBackToAsap)
               sched::ScheduleQuality::Fallback);
     EXPECT_NE(compiled.units[0].fallbackReason.find("budget"),
               std::string::npos);
+}
+
+TEST_F(FailsoftTest, LpBudgetExhaustedAfterFeasibilityWarmStartsAsap)
+{
+    // A limit one unit short of the full solve: the feasibility check
+    // fits, the min-cost-flow phases do not. The feasible point the
+    // exhausted attempt proved must then warm-start the ASAP re-solve.
+    CompiledIsax unlimited = compileCatalogIsax("dotp");
+    ASSERT_TRUE(unlimited.ok()) << unlimited.errors;
+    ASSERT_EQ(unlimited.units.size(), 1u);
+    uint64_t full_solve = unlimited.units[0].lpWorkUnits;
+    ASSERT_GT(full_solve, 2u);
+
+    obs::ScopedEnable on;
+    CompileOptions options;
+    options.schedBudget.lpWorkLimit = full_solve - 1;
+    CompiledIsax compiled = compileCatalogIsax("dotp", options);
+    ASSERT_TRUE(compiled.ok()) << compiled.errors;
+    ASSERT_EQ(compiled.units.size(), 1u);
+    EXPECT_EQ(compiled.units[0].quality,
+              sched::ScheduleQuality::Fallback);
+    EXPECT_NE(compiled.units[0].fallbackReason.find("budget"),
+              std::string::npos);
+    EXPECT_GT(compiled.units[0].lpWorkUnits, full_solve - 1);
+    const auto &counters = compiled.report.counters;
+    ASSERT_TRUE(counters.count("sched.lp_warm_start_hits"));
+    EXPECT_GT(counters.at("sched.lp_warm_start_hits"), 0u);
 }
 
 /**

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
 #include <random>
 
 #include "sched/lpsolver.hh"
@@ -46,6 +49,172 @@ bruteForce(const DifferenceLP &lp, int horizon)
     };
     recurse(0);
     return best;
+}
+
+/**
+ * Reference solver: the plain successive-shortest-paths formulation
+ * of the same min-cost-flow dual -- one SPFA per augmentation -- with
+ * the primal recovered by Bellman-Ford from a virtual root. Slow but
+ * simple; its values are the ones the production solver must match.
+ */
+LPResult
+successiveShortestPaths(const DifferenceLP &lp)
+{
+    constexpr int64_t inf = int64_t(1) << 50;
+    struct Edge
+    {
+        unsigned to;
+        int64_t residual;
+        int64_t cost;
+    };
+    unsigned n = lp.numVars();
+    unsigned ref = n, source = n + 1, sink = n + 2;
+    std::vector<Edge> edges;
+    std::vector<std::vector<unsigned>> adj(n + 3);
+    auto add_edge = [&](unsigned from, unsigned to, int64_t cap,
+                        int64_t cost) {
+        adj[from].push_back(edges.size());
+        edges.push_back({to, cap, cost});
+        adj[to].push_back(edges.size());
+        edges.push_back({from, 0, -cost});
+    };
+    for (const auto &c : lp.constraints)
+        add_edge(c.i, c.j, inf, -int64_t(c.c));
+    for (unsigned i = 0; i < n; ++i) {
+        add_edge(ref, i, inf, -int64_t(lp.lower[i]));
+        if (lp.upper[i] != DifferenceLP::unbounded)
+            add_edge(i, ref, inf, int64_t(lp.upper[i]));
+    }
+    size_t num_structural = edges.size();
+    int64_t supply = 0, ref_weight = 0;
+    auto add_balance = [&](unsigned node, int64_t w) {
+        if (w > 0)
+            add_edge(node, sink, w, 0);
+        if (w < 0) {
+            add_edge(source, node, -w, 0);
+            supply -= w;
+        }
+    };
+    for (unsigned i = 0; i < n; ++i) {
+        add_balance(i, lp.weights[i]);
+        ref_weight -= lp.weights[i];
+    }
+    add_balance(ref, ref_weight);
+
+    // Primal potentials from a virtual root: Bellman-Ford over the
+    // residual structural edges. Fails on a negative cycle.
+    auto root_potentials = [&](std::vector<int64_t> &dist) {
+        dist.assign(n + 1, 0);
+        for (unsigned round = 0; round <= n + 1; ++round) {
+            bool changed = false;
+            for (size_t e = 0; e < num_structural; ++e) {
+                unsigned u = edges[e ^ 1].to, v = edges[e].to;
+                if (edges[e].residual > 0 &&
+                    dist[u] + edges[e].cost < dist[v]) {
+                    dist[v] = dist[u] + edges[e].cost;
+                    changed = true;
+                }
+            }
+            if (!changed)
+                return true;
+        }
+        return false;
+    };
+
+    LPResult result;
+    std::vector<int64_t> root_dist;
+    if (!root_potentials(root_dist))
+        return result; // Infeasible
+    while (supply > 0) {
+        std::vector<int64_t> dist(n + 3, inf);
+        std::vector<unsigned> prev(n + 3, ~0u);
+        std::vector<bool> queued(n + 3, false);
+        std::deque<unsigned> queue{source};
+        dist[source] = 0;
+        while (!queue.empty()) {
+            unsigned u = queue.front();
+            queue.pop_front();
+            queued[u] = false;
+            for (unsigned e : adj[u]) {
+                unsigned v = edges[e].to;
+                if (edges[e].residual <= 0 ||
+                    dist[u] + edges[e].cost >= dist[v])
+                    continue;
+                dist[v] = dist[u] + edges[e].cost;
+                prev[v] = e;
+                if (!queued[v]) {
+                    queue.push_back(v);
+                    queued[v] = true;
+                }
+            }
+        }
+        if (dist[sink] == inf) {
+            result.status = LPResult::Status::Unbounded;
+            return result;
+        }
+        int64_t bottleneck = supply;
+        for (unsigned v = sink; v != source; v = edges[prev[v] ^ 1].to)
+            bottleneck = std::min(bottleneck, edges[prev[v]].residual);
+        for (unsigned v = sink; v != source; v = edges[prev[v] ^ 1].to) {
+            edges[prev[v]].residual -= bottleneck;
+            edges[prev[v] ^ 1].residual += bottleneck;
+        }
+        supply -= bottleneck;
+    }
+    root_potentials(root_dist);
+    result.status = LPResult::Status::Optimal;
+    result.values.resize(n);
+    for (unsigned i = 0; i < n; ++i) {
+        result.values[i] = int(root_dist[ref] - root_dist[i]);
+        result.objective += lp.weights[i] * result.values[i];
+    }
+    return result;
+}
+
+/**
+ * A scheduler-shaped instance: a layered DAG of @p n operations with
+ * latency edges, a few chain breakers (latency + 1), interface windows
+ * on some operations (some open-ended, as for the late-variant
+ * interfaces), and the Fig. 7 weights after lifetime substitution
+ * scaled as scheduleOptimal() does: (1 + indeg - outdeg) * 1024 - 1.
+ */
+DifferenceLP
+schedulerShapedLP(unsigned n, std::mt19937 &rng)
+{
+    DifferenceLP lp(n);
+    unsigned layers = 3 + rng() % 12;
+    std::vector<unsigned> layer(n);
+    for (unsigned i = 0; i < n; ++i)
+        layer[i] = i * layers / n;
+    std::vector<int64_t> w(n, 1);
+    for (unsigned j = 1; j < n; ++j) {
+        unsigned preds = layer[j] == 0 ? 0 : 1 + rng() % 3;
+        for (unsigned k = 0; k < preds; ++k) {
+            // A predecessor from an earlier layer.
+            unsigned i = rng() % j;
+            if (layer[i] == layer[j])
+                continue;
+            bool breaker = rng() % 8 == 0;
+            lp.addConstraint(i, j, int(rng() % 3) + (breaker ? 1 : 0));
+            ++w[j];
+            --w[i];
+        }
+    }
+    // Interface windows around the ASAP start time (constraints point
+    // forward in index order), so every instance stays feasible.
+    std::vector<int> asap(n, 0);
+    for (const auto &c : lp.constraints)
+        asap[c.j] = std::max(asap[c.j], asap[c.i] + c.c);
+    for (unsigned i = 0; i < n; ++i) {
+        if (rng() % 6 != 0)
+            continue;
+        lp.lower[i] = std::max(0, asap[i] - int(rng() % 3));
+        lp.upper[i] = rng() % 3 == 0 ? DifferenceLP::unbounded
+                                      : asap[i] + int(rng() % 4);
+    }
+    for (unsigned i = 0; i < n; ++i)
+        lp.weights[i] = w[i] * 1024 - 1;
+    return lp;
 }
 
 } // namespace
@@ -167,3 +336,108 @@ TEST_P(LpRandomProperty, MatchesBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpRandomProperty,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u));
+
+TEST_P(LpRandomProperty, SmallInstancesMatchReferenceValues)
+{
+    // The brute-force instances again, now comparing every value
+    // against the reference solver, not just the objective.
+    std::mt19937 rng(100 + GetParam());
+    for (int instance = 0; instance < 60; ++instance) {
+        unsigned n = 2 + rng() % 4;
+        DifferenceLP lp(n);
+        for (unsigned i = 0; i < n; ++i) {
+            lp.weights[i] = int(rng() % 7) - 3;
+            lp.lower[i] = rng() % 3;
+            lp.upper[i] = lp.lower[i] + 1 + rng() % 5;
+        }
+        unsigned edges = rng() % (n * 2);
+        for (unsigned e = 0; e < edges; ++e) {
+            unsigned i = rng() % (n - 1);
+            unsigned j = i + 1 + rng() % (n - 1 - i);
+            lp.addConstraint(i, j, int(rng() % 4));
+        }
+        LPResult got = solveDifferenceLP(lp);
+        LPResult want = successiveShortestPaths(lp);
+        ASSERT_EQ(got.status, want.status) << "instance " << instance;
+        EXPECT_EQ(got.values, want.values) << "instance " << instance;
+        EXPECT_EQ(got.objective, want.objective) << "instance " << instance;
+    }
+}
+
+class LpSchedulerShaped : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(LpSchedulerShaped, ValuesMatchReferenceSolver)
+{
+    std::mt19937 rng(7000 + GetParam());
+    for (int instance = 0; instance < 8; ++instance) {
+        unsigned n = 50 + rng() % 251; // 50..300 operations
+        DifferenceLP lp = schedulerShapedLP(n, rng);
+        LPResult got = solveDifferenceLP(lp);
+        LPResult want = successiveShortestPaths(lp);
+        ASSERT_EQ(want.status, LPResult::Status::Optimal);
+        ASSERT_EQ(got.status, LPResult::Status::Optimal)
+            << "instance " << instance << ", n = " << n;
+        EXPECT_EQ(got.values, want.values)
+            << "instance " << instance << ", n = " << n;
+        EXPECT_EQ(got.objective, want.objective);
+
+        // Re-solving from the reference optimum as a warm start reaches
+        // the same values from different initial potentials.
+        LPResult warm = solveDifferenceLP(lp, 0, &want.values);
+        EXPECT_TRUE(warm.warmStarted);
+        EXPECT_EQ(warm.values, want.values) << "instance " << instance;
+    }
+}
+
+TEST_P(LpSchedulerShaped, ValuesIndependentOfConstraintOrder)
+{
+    std::mt19937 rng(9000 + GetParam());
+    for (int instance = 0; instance < 8; ++instance) {
+        DifferenceLP lp = schedulerShapedLP(50 + rng() % 251, rng);
+        LPResult first = solveDifferenceLP(lp);
+        std::shuffle(lp.constraints.begin(), lp.constraints.end(), rng);
+        LPResult shuffled = solveDifferenceLP(lp);
+        ASSERT_EQ(first.status, LPResult::Status::Optimal);
+        ASSERT_EQ(shuffled.status, LPResult::Status::Optimal);
+        EXPECT_EQ(first.values, shuffled.values) << "instance " << instance;
+    }
+}
+
+TEST_P(LpSchedulerShaped, ValuesScaleWithConstants)
+{
+    // Scaling every constant of a difference system scales its
+    // canonical optimum; the scaled reduced costs run far past the
+    // small-key buckets of the solver's priority queue.
+    constexpr int scale = 3000;
+    std::mt19937 rng(11000 + GetParam());
+    DifferenceLP lp = schedulerShapedLP(50 + rng() % 100, rng);
+    LPResult base = solveDifferenceLP(lp);
+    for (auto &c : lp.constraints)
+        c.c *= scale;
+    for (unsigned i = 0; i < lp.numVars(); ++i) {
+        lp.lower[i] *= scale;
+        if (lp.upper[i] != DifferenceLP::unbounded)
+            lp.upper[i] *= scale;
+    }
+    LPResult scaled = solveDifferenceLP(lp);
+    ASSERT_EQ(base.status, LPResult::Status::Optimal);
+    ASSERT_EQ(scaled.status, LPResult::Status::Optimal);
+    for (int &v : base.values)
+        v *= scale;
+    EXPECT_EQ(scaled.values, base.values);
+    EXPECT_EQ(scaled.values, successiveShortestPaths(lp).values);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LpSchedulerShaped,
+                         ::testing::Values(0u, 1u, 2u, 3u, 4u));
+
+TEST(LpSolver, UnboundedWhenWeightPullsPastOpenWindow)
+{
+    // Maximizing an unbounded start time has no optimum.
+    DifferenceLP lp(2);
+    lp.weights = {0, -1};
+    lp.addConstraint(0, 1, 1);
+    EXPECT_EQ(solveDifferenceLP(lp).status, LPResult::Status::Unbounded);
+}

@@ -70,8 +70,10 @@ TEST(Problem, VerifyCatchesPrecedenceViolation)
     p.operation(a).startTime = 0;
     p.operation(b).startTime = 1; // needs >= 2
     EXPECT_NE(p.verify(), "");
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::Precedence);
     p.operation(b).startTime = 2;
     EXPECT_EQ(p.verify(), "");
+    EXPECT_FALSE(p.findViolation());
 }
 
 TEST(Problem, CheckInputDetectsCycle)
@@ -92,10 +94,66 @@ TEST(Problem, LongnailWindowVerification)
     unsigned a = p.addOperation({"a", type, {}, {}});
     p.operation(a).startTime = 1;
     EXPECT_NE(p.verify(), "");
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::Window);
     p.operation(a).startTime = 4;
     EXPECT_EQ(p.verify(), "");
     p.operation(a).startTime = 5;
     EXPECT_NE(p.verify(), "");
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::Window);
+}
+
+TEST(Problem, ViolationKindsOfChainingProblem)
+{
+    ChainingProblem p;
+    p.setCycleTime(1.0);
+    unsigned slow = p.addOperatorType({"slow", 0, 0.0, 1.5, 0,
+                                       noUpperBound});
+    unsigned fast = p.addOperatorType({"fast", 0, 0.0, 0.6, 0,
+                                       noUpperBound});
+    unsigned a = p.addOperation({"a", fast, {}, {}});
+    unsigned b = p.addOperation({"b", fast, {}, {}});
+    p.addDependence(a, b);
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::Unscheduled);
+
+    // Chained in one cycle: 0.6 + 0.6 > 1.0.
+    p.operation(a).startTime = 0;
+    p.operation(b).startTime = 0;
+    p.computeStartTimesInCycle();
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::CycleTime);
+
+    // A chain breaker demands one step between a and b.
+    p.addChainBreaker(a, b);
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::ChainBreaker);
+    p.operation(b).startTime = 1;
+    p.computeStartTimesInCycle();
+    EXPECT_FALSE(p.findViolation()) << p.verify();
+
+    // A single operation slower than the cycle cannot be broken.
+    unsigned c = p.addOperation({"c", slow, {}, {}});
+    p.operation(c).startTime = 0;
+    p.computeStartTimesInCycle();
+    Violation v = p.findViolation();
+    EXPECT_EQ(v.kind, Violation::Kind::CycleTime);
+    EXPECT_EQ(v.message, p.verify());
+}
+
+TEST(Problem, ViolationKindOfBrokenChaining)
+{
+    // b is chained after a in the same cycle but claims to start
+    // before a's output is ready.
+    ChainingProblem p;
+    p.setCycleTime(2.0);
+    unsigned type = p.addOperatorType({"op", 0, 0.0, 0.6, 0,
+                                       noUpperBound});
+    unsigned a = p.addOperation({"a", type, {}, {}});
+    unsigned b = p.addOperation({"b", type, {}, {}});
+    p.addDependence(a, b);
+    p.operation(a).startTime = 0;
+    p.operation(b).startTime = 0;
+    p.computeStartTimesInCycle();
+    EXPECT_FALSE(p.findViolation()) << p.verify();
+    p.operation(b).startTimeInCycle = 0.0;
+    EXPECT_EQ(p.findViolation().kind, Violation::Kind::Chaining);
 }
 
 TEST(Problem, ObjectiveSumsStartTimesAndLifetimes)
