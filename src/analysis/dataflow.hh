@@ -26,10 +26,13 @@
 #ifndef LONGNAIL_ANALYSIS_DATAFLOW_HH
 #define LONGNAIL_ANALYSIS_DATAFLOW_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -99,6 +102,13 @@ class Lattice
 /**
  * Runs a lattice to fixpoint over one graph (including spawn
  * subgraphs) and returns the final per-value states.
+ *
+ * Each run numbers the values once: results in op order first, then
+ * values that are only used (defined outside the collected ops). The
+ * states, def-use and use-def edges and the worklist are dense arrays
+ * over those numbers. The worklist drains the lowest queued op first
+ * forward and the highest first backward, so evaluation order (and
+ * with it every result) is deterministic.
  */
 template <typename State>
 class SparseDataflow
@@ -113,129 +123,226 @@ class SparseDataflow
     {
         ops_.clear();
         collect(graph);
-        return direction_ == Direction::Forward ? runForward()
-                                                : runBackward();
+        number();
+        states_.assign(values_.size(), std::nullopt);
+        if (direction_ == Direction::Forward)
+            runForward();
+        else
+            runBackward();
+        return exportStates();
     }
 
   private:
-    std::map<const ir::Value *, State>
-    runForward()
+    /**
+     * Worklist of op indices drained in a fixed order: lowest index first
+     * for forward runs, highest first for backward runs. A bitset with a
+     * cursor on the lowest (or highest) word that may hold a set bit.
+     */
+    class Worklist
     {
-        // Map each value to the op indices using it, so only affected
-        // transfers re-run after a state change.
-        std::map<const ir::Value *, std::vector<size_t>> users;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            for (const ir::Value *v : ops_[i]->operands())
-                users[v].push_back(i);
-
-        std::map<const ir::Value *, State> states;
-        auto stateOf = [&](const ir::Value *v) -> State {
-            auto it = states.find(v);
-            if (it != states.end())
-                return it->second;
-            return lattice_.top(*v);
-        };
-
-        // Ordered worklist keeps evaluation deterministic. Ops are
-        // seeded in graph order, so the first pass sees operand states
-        // already computed (def-before-use).
-        std::set<size_t> worklist;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            worklist.insert(i);
-
-        while (!worklist.empty()) {
-            size_t idx = *worklist.begin();
-            worklist.erase(worklist.begin());
-            const ir::Operation &op = *ops_[idx];
-
-            std::vector<State> operand_states;
-            operand_states.reserve(op.numOperands());
-            for (const ir::Value *v : op.operands())
-                operand_states.push_back(stateOf(v));
-
-            std::vector<State> results =
-                lattice_.transfer(op, operand_states);
-            for (unsigned r = 0;
-                 r < op.numResults() && r < results.size(); ++r) {
-                const ir::Value *v = op.result(r);
-                State merged = results[r];
-                auto it = states.find(v);
-                if (it != states.end()) {
-                    // Monotone update: never move back up the lattice.
-                    merged = lattice_.join(it->second, merged);
-                    if (lattice_.equal(it->second, merged))
-                        continue;
-                    it->second = merged;
-                } else {
-                    states.emplace(v, merged);
-                }
-                for (size_t user : users[v])
-                    worklist.insert(user);
-            }
+      public:
+        /** Start with every index in [0, @p size) queued. */
+        void
+        fill(size_t size)
+        {
+            words_.assign((size + 63) / 64, ~uint64_t(0));
+            if (size % 64)
+                words_.back() = (uint64_t(1) << (size % 64)) - 1;
+            lo_ = 0;
+            hi_ = words_.size();
         }
-        return states;
+
+        void
+        insert(size_t index)
+        {
+            size_t w = index / 64;
+            words_[w] |= uint64_t(1) << (index % 64);
+            lo_ = std::min(lo_, w);
+            hi_ = std::max(hi_, w + 1);
+        }
+
+        /** Pop the lowest queued index; false when empty. */
+        bool
+        popMin(size_t &index)
+        {
+            while (lo_ < words_.size() && !words_[lo_])
+                ++lo_;
+            if (lo_ == words_.size())
+                return false;
+            unsigned bit = unsigned(std::countr_zero(words_[lo_]));
+            words_[lo_] &= words_[lo_] - 1;
+            index = lo_ * 64 + bit;
+            return true;
+        }
+
+        /** Pop the highest queued index; false when empty. */
+        bool
+        popMax(size_t &index)
+        {
+            while (hi_ > 0 && !words_[hi_ - 1])
+                --hi_;
+            if (hi_ == 0)
+                return false;
+            uint64_t &word = words_[hi_ - 1];
+            unsigned bit = 63 - unsigned(std::countl_zero(word));
+            word &= ~(uint64_t(1) << bit);
+            index = (hi_ - 1) * 64 + bit;
+            return true;
+        }
+
+      private:
+        std::vector<uint64_t> words_;
+        size_t lo_ = 0; ///< no set bit in words below lo_
+        size_t hi_ = 0; ///< no set bit in words at or above hi_
+    };
+
+    static constexpr uint32_t noDef = UINT32_MAX;
+
+    /** Number the values and build the operand/result/use/def arrays. */
+    void
+    number()
+    {
+        values_.clear();
+        defOp_.clear();
+        resultBegin_.assign(1, 0);
+        std::unordered_map<const ir::Value *, uint32_t> index;
+        for (size_t i = 0; i < ops_.size(); ++i) {
+            for (unsigned r = 0; r < ops_[i]->numResults(); ++r) {
+                index.emplace(ops_[i]->result(r), uint32_t(values_.size()));
+                values_.push_back(ops_[i]->result(r));
+                defOp_.push_back(uint32_t(i));
+            }
+            resultBegin_.push_back(uint32_t(values_.size()));
+        }
+        operands_.clear();
+        operandBegin_.assign(1, 0);
+        for (const ir::Operation *op : ops_) {
+            for (const ir::Value *v : op->operands()) {
+                auto [it, inserted] =
+                    index.emplace(v, uint32_t(values_.size()));
+                if (inserted) {
+                    values_.push_back(v);
+                    defOp_.push_back(noDef);
+                }
+                operands_.push_back(it->second);
+            }
+            operandBegin_.push_back(uint32_t(operands_.size()));
+        }
+        if (direction_ != Direction::Forward)
+            return;
+        // Users of each value, in op order (CSR layout).
+        userBegin_.assign(values_.size() + 1, 0);
+        for (uint32_t v : operands_)
+            ++userBegin_[v + 1];
+        for (size_t v = 0; v < values_.size(); ++v)
+            userBegin_[v + 1] += userBegin_[v];
+        users_.resize(operands_.size());
+        std::vector<uint32_t> next(userBegin_.begin(),
+                                   userBegin_.end() - 1);
+        for (size_t i = 0; i < ops_.size(); ++i)
+            for (uint32_t e = operandBegin_[i]; e < operandBegin_[i + 1];
+                 ++e)
+                users_[next[operands_[e]]++] = uint32_t(i);
     }
 
-    std::map<const ir::Value *, State>
+    void
+    stateInto(uint32_t v, std::vector<State> &out) const
+    {
+        if (states_[v])
+            out.push_back(*states_[v]);
+        else
+            out.push_back(lattice_.top(*values_[v]));
+    }
+
+    void
+    runForward()
+    {
+        // Ops are seeded in graph order, so the first pass sees operand
+        // states already computed (def-before-use).
+        Worklist worklist;
+        worklist.fill(ops_.size());
+        size_t idx = 0;
+        while (worklist.popMin(idx)) {
+            const ir::Operation &op = *ops_[idx];
+            scratch_.clear();
+            for (uint32_t e = operandBegin_[idx];
+                 e < operandBegin_[idx + 1]; ++e)
+                stateInto(operands_[e], scratch_);
+
+            std::vector<State> results = lattice_.transfer(op, scratch_);
+            uint32_t first = resultBegin_[idx];
+            size_t n = std::min<size_t>(resultBegin_[idx + 1] - first,
+                                        results.size());
+            for (size_t r = 0; r < n; ++r) {
+                std::optional<State> &state = states_[first + r];
+                if (state) {
+                    // Monotone update: never move back up the lattice.
+                    State merged = lattice_.join(*state, results[r]);
+                    if (lattice_.equal(*state, merged))
+                        continue;
+                    *state = std::move(merged);
+                } else {
+                    state = std::move(results[r]);
+                }
+                for (uint32_t u = userBegin_[first + r];
+                     u < userBegin_[first + r + 1]; ++u)
+                    worklist.insert(users_[u]);
+            }
+        }
+    }
+
+    void
     runBackward()
     {
-        // Map each value to the index of its defining op, so a changed
-        // operand demand re-queues exactly the transfer that can
-        // propagate it further up the use-def chain.
-        std::map<const ir::Value *, size_t> def;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            for (unsigned r = 0; r < ops_[i]->numResults(); ++r)
-                def[ops_[i]->result(r)] = i;
-
-        std::map<const ir::Value *, State> states;
-        auto stateOf = [&](const ir::Value *v) -> State {
-            auto it = states.find(v);
-            if (it != states.end())
-                return it->second;
-            return lattice_.top(*v);
-        };
-
         // Drain back-to-front: uses are visited before defs, so the
         // first sweep already sees each result's full demand
         // (use-before-def in reverse program order).
-        std::set<size_t> worklist;
-        for (size_t i = 0; i < ops_.size(); ++i)
-            worklist.insert(i);
-
-        while (!worklist.empty()) {
-            auto last = std::prev(worklist.end());
-            size_t idx = *last;
-            worklist.erase(last);
+        Worklist worklist;
+        worklist.fill(ops_.size());
+        size_t idx = 0;
+        while (worklist.popMax(idx)) {
             const ir::Operation &op = *ops_[idx];
-
-            std::vector<State> result_states;
-            result_states.reserve(op.numResults());
-            for (unsigned r = 0; r < op.numResults(); ++r)
-                result_states.push_back(stateOf(op.result(r)));
+            scratch_.clear();
+            for (uint32_t v = resultBegin_[idx]; v < resultBegin_[idx + 1];
+                 ++v)
+                stateInto(v, scratch_);
 
             std::vector<State> demands =
-                lattice_.transferBackward(op, result_states);
-            for (unsigned i = 0;
-                 i < op.numOperands() && i < demands.size(); ++i) {
-                const ir::Value *v = op.operand(i);
-                State merged = demands[i];
-                auto it = states.find(v);
-                if (it != states.end()) {
-                    merged = lattice_.join(it->second, merged);
-                    if (lattice_.equal(it->second, merged))
+                lattice_.transferBackward(op, scratch_);
+            uint32_t first = operandBegin_[idx];
+            size_t n = std::min<size_t>(operandBegin_[idx + 1] - first,
+                                        demands.size());
+            for (size_t i = 0; i < n; ++i) {
+                uint32_t v = operands_[first + i];
+                std::optional<State> &state = states_[v];
+                if (state) {
+                    State merged = lattice_.join(*state, demands[i]);
+                    if (lattice_.equal(*state, merged))
                         continue;
-                    it->second = merged;
+                    *state = std::move(merged);
                 } else {
-                    if (lattice_.equal(merged, lattice_.top(*v)))
+                    if (lattice_.equal(demands[i],
+                                       lattice_.top(*values_[v])))
                         continue;
-                    states.emplace(v, merged);
+                    state = std::move(demands[i]);
                 }
-                auto d = def.find(v);
-                if (d != def.end())
-                    worklist.insert(d->second);
+                // Re-queue the transfer that can propagate the changed
+                // demand further up the use-def chain.
+                if (defOp_[v] != noDef)
+                    worklist.insert(defOp_[v]);
             }
         }
-        return states;
+    }
+
+    /** The computed states keyed by value. */
+    std::map<const ir::Value *, State>
+    exportStates()
+    {
+        std::map<const ir::Value *, State> out;
+        for (uint32_t v = 0; v < values_.size(); ++v)
+            if (states_[v])
+                out.emplace(values_[v], std::move(*states_[v]));
+        return out;
     }
 
     void
@@ -251,6 +358,24 @@ class SparseDataflow
     const Lattice<State> &lattice_;
     Direction direction_;
     std::vector<const ir::Operation *> ops_;
+    /** Value number -> value; results first, in op order. */
+    std::vector<const ir::Value *> values_;
+    /** Value number -> defining op index, or noDef. */
+    std::vector<uint32_t> defOp_;
+    /** Op i's results are the value numbers [resultBegin_[i],
+     * resultBegin_[i + 1]). */
+    std::vector<uint32_t> resultBegin_;
+    /** Op i's operand value numbers are operands_[operandBegin_[i] ..
+     * operandBegin_[i + 1]). */
+    std::vector<uint32_t> operands_;
+    std::vector<uint32_t> operandBegin_;
+    /** Forward runs: value v's users are users_[userBegin_[v] ..
+     * userBegin_[v + 1]). */
+    std::vector<uint32_t> users_;
+    std::vector<uint32_t> userBegin_;
+    std::vector<std::optional<State>> states_;
+    /** Operand (forward) or result (backward) states of one transfer. */
+    std::vector<State> scratch_;
 };
 
 /** The classic forward engine, now a thin wrapper over SparseDataflow. */

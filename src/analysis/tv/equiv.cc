@@ -412,13 +412,17 @@ cosimInput(const lil::LilGraph &graph,
             state.kind != coredsl::StateInfo::Kind::Register)
             continue;
         std::vector<ApInt> contents;
-        for (uint64_t i = 0; i < state.numElements; ++i)
-            contents.push_back(
-                ApInt(state.elementType.width,
-                      trial == 0 ? 0
-                      : trial == 1
-                          ? ~0ull
-                          : (uint64_t(rng()) << 32 | rng())));
+        for (uint64_t i = 0; i < state.numElements; ++i) {
+            uint64_t bits = trial == 0 ? 0 : ~0ull;
+            if (trial > 1) {
+                // One draw per statement: C++ leaves the order of two
+                // calls in one expression unspecified. High word first.
+                uint64_t high = rng();
+                uint64_t low = rng();
+                bits = high << 32 | low;
+            }
+            contents.push_back(ApInt(state.elementType.width, bits));
+        }
         input.custRegs[state.name] = contents;
     }
     return input;

@@ -18,6 +18,24 @@ replaceAllUses(ir::Graph &graph, ir::Value *from, ir::Value *to)
     }
 }
 
+void
+remapOperands(ir::Operation &op, const ValueMap &map)
+{
+    for (unsigned i = 0; i < op.numOperands(); ++i)
+        if (auto it = map.find(op.operand(i)); it != map.end())
+            op.setOperand(i, it->second);
+}
+
+void
+remapUses(ir::Graph &graph, const ValueMap &map)
+{
+    for (const auto &op : graph.ops()) {
+        remapOperands(*op, map);
+        if (op->subgraph())
+            remapUses(*op->subgraph(), map);
+    }
+}
+
 namespace {
 
 void

@@ -4,9 +4,12 @@
  * LIL graph. The structural key follows the same discipline as the
  * hash-consed term DAG (src/analysis/tv/terms.cc): kind, attributes,
  * operand identity — with the operands of commutative kinds sorted —
- * and the result width. A single in-order sweep with immediate
- * replacement reaches the value-numbering fixpoint on the straight-line
- * graphs LIL produces, so the pass is idempotent by construction.
+ * and the result width. A single in-order sweep reaches the
+ * value-numbering fixpoint on the straight-line graphs LIL produces,
+ * so the pass is idempotent by construction: each op's operands are
+ * remapped to their leaders as the sweep reaches it, so later keys see
+ * the leaders' ids, and one final walk rewrites the uses inside spawn
+ * subgraphs. The pass is linear in the graph size.
  */
 
 #include <algorithm>
@@ -85,9 +88,14 @@ runCse(lil::LilGraph &graph)
 {
     unsigned rewrites = 0;
     std::map<std::string, ir::Value *> leaders;
+    // Duplicate -> leader. A leader is never itself a duplicate, so one
+    // lookup resolves any value.
+    detail::ValueMap replaced;
     auto used = detail::usedValues(graph.graph);
 
     for (const auto &op : graph.graph.ops()) {
+        if (!replaced.empty())
+            detail::remapOperands(*op, replaced);
         if (op->numResults() != 1 || op->subgraph() ||
             !detail::isCombKind(op->kind()) ||
             !ir::isPureComputation(op->kind()))
@@ -102,11 +110,17 @@ runCse(lil::LilGraph &graph)
         auto [it, inserted] = leaders.emplace(key, op->result());
         if (inserted)
             continue;
-        // Immediate replacement: later ops keying on this result see
-        // the leader's id, so chains collapse in one sweep.
-        detail::replaceAllUses(graph.graph, op->result(), it->second);
+        // Later ops keying on this result see the leader's id once the
+        // sweep remaps them, so chains collapse in one sweep.
+        replaced.emplace(op->result(), it->second);
         ++rewrites;
     }
+    // Top-level uses follow their defs, so the sweep remapped them all;
+    // only the spawn subgraphs are left.
+    if (!replaced.empty())
+        for (const auto &op : graph.graph.ops())
+            if (op->subgraph())
+                detail::remapUses(*op->subgraph(), replaced);
     return rewrites;
 }
 

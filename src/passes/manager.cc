@@ -8,7 +8,8 @@
  * they compile as lowered. Each pass application gets a
  * trace span, a passes.<name>.rewrites counter, a LONGNAIL_VERIFY_IR
  * re-verification, and — under --validate — a signature check that
- * re-proves the transform (docs/pass-pipeline.md).
+ * re-proves the transform against a baseline captured once per graph
+ * (docs/pass-pipeline.md).
  */
 
 #include <memory>
@@ -72,16 +73,18 @@ runPipeline(lil::LilModule &mod, const PipelineOptions &options,
             ++res.spawnOptimized;
         }
         uint64_t graph_rewrites = 0;
+        // One baseline per graph: each accepted check carries it
+        // forward (SignatureChecker::check), so applications that
+        // rewrite nothing cost no capture.
+        GraphCapture baseline;
+        if (checker)
+            baseline = checker->capture(graph);
 
         for (unsigned iter = 0; iter < options.maxIterations; ++iter) {
             unsigned sweep_rewrites = 0;
             for (const PassEntry &pass : pipelineOrder) {
                 obs::TraceSpan span(std::string("pass.") + pass.name);
                 span.arg("graph", graph.name);
-
-                GraphCapture before;
-                if (checker)
-                    before = checker->capture(graph);
 
                 unsigned n = pass.run(graph);
                 if (n)
@@ -96,7 +99,7 @@ runPipeline(lil::LilModule &mod, const PipelineOptions &options,
                     continue;
 
                 std::string detail;
-                switch (checker->check(graph, before, detail)) {
+                switch (checker->check(graph, baseline, detail)) {
                   case SignatureChecker::Outcome::Proved:
                     ++res.proved;
                     break;

@@ -18,11 +18,13 @@
  *
  * When validation is enabled, the pass manager captures the graph's
  * observable signature — the guarded rd/pc/mem/custom-register
- * effects, mirroring lil::interpret() — as canonical terms before
- * each pass, and compares after: term-equal signatures are a symbolic
- * proof; otherwise the golden interpreter re-runs a deterministic
- * input battery, and any divergence refutes the pass (LN4501) and
- * aborts the compile.
+ * effects, mirroring lil::interpret() — as canonical terms once per
+ * graph, and compares after each pass that rewrote something:
+ * term-equal signatures are a symbolic proof; otherwise the golden
+ * interpreter re-runs a deterministic input battery against the
+ * stored pre-pipeline results, and any divergence refutes the pass
+ * (LN4501) and aborts the compile. An accepted pass's signature
+ * becomes the baseline for the next check (passes/sigcheck.hh).
  */
 
 #ifndef LONGNAIL_PASSES_PASSES_HH

@@ -8,14 +8,23 @@
  * with their last-enabled-wins mux chains, the memory-read address
  * strobe and the per-register custom-state writes — captured as
  * canonical terms in a shared tv::TermBuilder. The checker captures
- * the signature (plus a battery of concrete interpreter runs) before
- * a pass mutates the graph, rebuilds it afterwards, and decides:
+ * the signature (plus a battery of concrete interpreter runs) once per
+ * graph, before the first pass runs. After each pass that rewrote
+ * something it rebuilds the signature and decides:
  *
  *   Proved       every signature component reduced to the same term
  *   CosimAgreed  terms differ, but the interpreter battery agrees on
  *                every trial (symbolic gap, no behavioral evidence)
  *   Refuted      some trial diverges: the pass changed architecture-
  *                visible behavior (reported as LN4501)
+ *
+ * An accepted check makes the post-pass signature the next baseline
+ * and keeps the stored trial results. They stay valid: the trial
+ * inputs come from a fixed seed, and an accepted graph either proved
+ * its signature equal or matched the stored results on exactly these
+ * trials in every compared field. So every later check, co-simulation
+ * included, compares against the graph as it was before the first
+ * pass.
  */
 
 #ifndef LONGNAIL_PASSES_SIGCHECK_HH
@@ -51,7 +60,9 @@ struct Signature
     std::map<std::string, EffectSig> cust;
 };
 
-/** Everything recorded about a graph before a pass ran. */
+/** The validation baseline of one graph: the signature of its last
+ * accepted state, and the trial inputs with the results the graph
+ * produced before the first pass. */
 struct GraphCapture
 {
     Signature sig;
@@ -72,13 +83,17 @@ class SignatureChecker
     /** @p isa may be null (no custom-register state is populated). */
     SignatureChecker(const coredsl::ElaboratedIsa *isa, unsigned trials);
 
+    /** Capture @p graph's baseline; once per graph, before any pass. */
     GraphCapture capture(const lil::LilGraph &graph);
 
     /**
-     * Compare @p graph (post-pass) against @p before. On Refuted,
-     * @p detail describes the first divergence for the LN4501 text.
+     * Compare @p graph (post-pass) against @p baseline. On Proved or
+     * CosimAgreed the post-pass signature becomes the baseline's
+     * signature. On Refuted, @p detail describes the first divergence
+     * for the LN4501 text; its before= values are the pre-pipeline
+     * graph's results.
      */
-    Outcome check(const lil::LilGraph &graph, const GraphCapture &before,
+    Outcome check(const lil::LilGraph &graph, GraphCapture &baseline,
                   std::string &detail);
 
   private:

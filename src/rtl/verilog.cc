@@ -102,6 +102,23 @@ class Emitter
                value.toStringUnsigned(16);
     }
 
+    /**
+     * "(b == W'd0) ? W'd0 : " in front of a division or remainder, so a
+     * zero divisor yields 0 as in rtl::Simulator, simjit and TV instead
+     * of X. The signed forms take a signed zero: an unsigned branch
+     * would make the whole conditional, and with it the $signed
+     * division, unsigned.
+     */
+    std::string
+    divByZeroGuard(const Node &node, bool is_signed)
+    {
+        NetId divisor = node.operands[1];
+        return "(" + names_[divisor] + " == " +
+               std::to_string(module_.widthOf(divisor)) + "'d0) ? " +
+               std::to_string(module_.widthOf(node.result)) +
+               (is_signed ? "'sd0 : " : "'d0 : ");
+    }
+
     void
     emitBody()
     {
@@ -128,13 +145,19 @@ class Emitter
           case NodeKind::Add: assign(in(0) + " + " + in(1)); break;
           case NodeKind::Sub: assign(in(0) + " - " + in(1)); break;
           case NodeKind::Mul: assign(in(0) + " * " + in(1)); break;
-          case NodeKind::DivU: assign(in(0) + " / " + in(1)); break;
-          case NodeKind::DivS:
-            assign("$signed(" + in(0) + ") / $signed(" + in(1) + ")");
+          case NodeKind::DivU:
+            assign(divByZeroGuard(node, false) + in(0) + " / " + in(1));
             break;
-          case NodeKind::ModU: assign(in(0) + " % " + in(1)); break;
+          case NodeKind::DivS:
+            assign(divByZeroGuard(node, true) + "$signed(" + in(0) +
+                   ") / $signed(" + in(1) + ")");
+            break;
+          case NodeKind::ModU:
+            assign(divByZeroGuard(node, false) + in(0) + " % " + in(1));
+            break;
           case NodeKind::ModS:
-            assign("$signed(" + in(0) + ") % $signed(" + in(1) + ")");
+            assign(divByZeroGuard(node, true) + "$signed(" + in(0) +
+                   ") % $signed(" + in(1) + ")");
             break;
           case NodeKind::And: assign(in(0) + " & " + in(1)); break;
           case NodeKind::Or: assign(in(0) + " | " + in(1)); break;

@@ -3,8 +3,9 @@
  * Tests for the -O1 pass pipeline (docs/pass-pipeline.md): individual
  * rewrite correctness on hand-built graphs, per-pass idempotence over
  * the whole benchmark catalog, the catalog proving symbolically at -O1
- * under --validate, and the seeded-miscompile failpoint being refuted
- * by the signature checker (LN4501).
+ * under --validate, the signature checker's once-per-graph baseline,
+ * and the seeded-miscompile failpoint being refuted by the signature
+ * checker (LN4501).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "driver/longnail.hh"
 #include "ir/ir.hh"
 #include "passes/passes.hh"
+#include "passes/sigcheck.hh"
 #include "support/failpoint.hh"
 
 using namespace longnail;
@@ -129,6 +131,50 @@ TEST(Cse, MergesDuplicateAndCommutedOps)
     EXPECT_EQ(passes::runCse(lg), 1u);
     // xor(s, s) is now simplify's x^x = 0.
     EXPECT_GT(passes::runSimplify(lg), 0u);
+}
+
+TEST(Cse, RewritesDuplicateUsedOnlyInsideSpawn)
+{
+    lil::LilGraph lg;
+    Graph &g = lg.graph;
+    Value *a = input(g)->result();
+    Value *b = g.append(OpKind::LilReadRs2, {}, {WireType(32)})->result();
+    Value *s1 = g.append(OpKind::CombAdd, {a, b}, {WireType(32)})->result();
+    Value *s2 = g.append(OpKind::CombAdd, {a, b}, {WireType(32)})->result();
+    writeRd(g, s1);
+    Operation *spawn = g.appendWithSubgraph(OpKind::CoredslSpawn);
+    Value *one = combConstant(*spawn->subgraph(), 1, 1)->result();
+    Operation *inner = spawn->subgraph()->append(OpKind::LilWriteRd,
+                                                 {s2, one}, {});
+
+    EXPECT_EQ(passes::runCse(lg), 1u);
+    EXPECT_EQ(inner->operand(0), s1);
+    EXPECT_EQ(g.verify(), "");
+    EXPECT_EQ(passes::runCse(lg), 0u);
+}
+
+TEST(Cse, CollapsesLongDuplicateChainInOneRun)
+{
+    // Two identical 2000-op chains: every op of the second one is a
+    // duplicate once its operand has been remapped to the first chain.
+    constexpr unsigned length = 2000;
+    lil::LilGraph lg;
+    Graph &g = lg.graph;
+    Value *x = input(g)->result();
+    Value *step = combConstant(g, 32, 3)->result();
+    Value *chains[2] = {x, x};
+    for (Value *&tail : chains)
+        for (unsigned i = 0; i < length; ++i)
+            tail = g.append(OpKind::CombAdd, {tail, step}, {WireType(32)})
+                       ->result();
+    Operation *join =
+        g.append(OpKind::CombXor, {chains[0], chains[1]}, {WireType(32)});
+    writeRd(g, join->result());
+
+    EXPECT_EQ(passes::runCse(lg), length);
+    EXPECT_EQ(join->operand(0), chains[0]);
+    EXPECT_EQ(join->operand(1), chains[0]);
+    EXPECT_EQ(passes::runCse(lg), 0u);
 }
 
 // --- narrow ----------------------------------------------------------------
@@ -310,6 +356,55 @@ TEST(Verified, O1ShrinksTheCatalogLilModules)
         after += compiled.report.lilOpsOptimized;
     }
     EXPECT_LT(after, before);
+}
+
+// --- carried validation baseline -------------------------------------------
+
+TEST(SignatureBaseline, OneCaptureServesEveryCheck)
+{
+    // rd = rs1 + rs2, re-checked after four successive rewrites against
+    // a single capture of the original graph.
+    lil::LilGraph lg;
+    lg.name = "sum";
+    Graph &g = lg.graph;
+    Value *a = input(g)->result();
+    Value *b = g.append(OpKind::LilReadRs2, {}, {WireType(32)})->result();
+    Operation *sum = g.append(OpKind::CombAdd, {a, b}, {WireType(32)});
+    writeRd(g, sum->result());
+
+    passes::SignatureChecker checker(nullptr, 6);
+    passes::GraphCapture baseline = checker.capture(lg);
+    std::string detail;
+
+    // Commuted operands: the canonical terms are equal.
+    sum->morph(OpKind::CombAdd, {b, a});
+    EXPECT_EQ(checker.check(lg, baseline, detail),
+              passes::SignatureChecker::Outcome::Proved);
+
+    // a + b == (a | b) + (a & b): sound, but not a term identity.
+    Operation *ior =
+        g.insertBefore(sum, OpKind::CombOr, {a, b}, {WireType(32)});
+    Operation *iand =
+        g.insertBefore(sum, OpKind::CombAnd, {a, b}, {WireType(32)});
+    sum->morph(OpKind::CombAdd, {ior->result(), iand->result()});
+    EXPECT_EQ(checker.check(lg, baseline, detail),
+              passes::SignatureChecker::Outcome::CosimAgreed);
+
+    // The accepted signature is the new baseline, so commuting the
+    // rewritten add proves against it.
+    sum->morph(OpKind::CombAdd, {iand->result(), ior->result()});
+    EXPECT_EQ(checker.check(lg, baseline, detail),
+              passes::SignatureChecker::Outcome::Proved);
+
+    // a - b is wrong from the all-ones trial on, where the original
+    // graph wrote 0xffffffff + 0xffffffff = 0xfffffffe.
+    sum->morph(OpKind::CombSub, {a, b});
+    EXPECT_EQ(checker.check(lg, baseline, detail),
+              passes::SignatureChecker::Outcome::Refuted);
+    EXPECT_NE(detail.find("(trial 1)"), std::string::npos) << detail;
+    EXPECT_NE(detail.find("WrRD: before=0xfffffffe after=0x0"),
+              std::string::npos)
+        << detail;
 }
 
 // --- seeded miscompile -----------------------------------------------------

@@ -180,6 +180,46 @@ TEST(Verilog, EmitsStructure)
     EXPECT_NE(verilog.find("endmodule"), std::string::npos);
 }
 
+TEST(Verilog, DivisionByZeroYieldsZero)
+{
+    // rtl::Simulator, simjit and TV define x / 0 and x % 0 as 0; bare
+    // SV operators would yield X.
+    Module m("divmod");
+    NetId a = m.addInput("a", 16);
+    NetId b = m.addInput("b", 16);
+    const std::pair<NodeKind, const char *> nodes[] = {
+        {NodeKind::DivU, "qu"},
+        {NodeKind::DivS, "qs"},
+        {NodeKind::ModU, "ru"},
+        {NodeKind::ModS, "rs"},
+    };
+    for (const auto &[kind, name] : nodes) {
+        NetId net = m.addNode(kind, 16, {a, b});
+        m.nameNet(net, name);
+        m.addOutput(name, net);
+    }
+    ASSERT_EQ(m.verify(), "");
+
+    std::string verilog = emitVerilog(m);
+    for (const char *line : {
+             "assign qu_w = (b == 16'd0) ? 16'd0 : a / b;",
+             "assign qs_w = (b == 16'd0) ? 16'sd0 : "
+             "$signed(a) / $signed(b);",
+             "assign ru_w = (b == 16'd0) ? 16'd0 : a % b;",
+             "assign rs_w = (b == 16'd0) ? 16'sd0 : "
+             "$signed(a) % $signed(b);",
+         })
+        EXPECT_NE(verilog.find(line), std::string::npos)
+            << line << "\n" << verilog;
+
+    Simulator sim(m);
+    sim.setInput("a", ApInt(16, 1234));
+    sim.setInput("b", ApInt(16, 0));
+    sim.evalComb();
+    for (const char *out : {"qu", "qs", "ru", "rs"})
+        EXPECT_TRUE(sim.output(out).isZero()) << out;
+}
+
 TEST(Verilog, RomEmitsCase)
 {
     Module m("rom");
