@@ -12,8 +12,14 @@
  * Bus calibration: the paper's platform is uncached; with 2 iBus fetch
  * wait states and 6 dBus load wait states the baseline lands exactly on
  * the paper's 18 cycles/element (see EXPERIMENTS.md).
+ *
+ * It also records the core model's own throughput (simulated Mcycles
+ * per wall-clock second of Core::run) for both programs at the largest
+ * n, so the cost of cycle-level simulation is tracked too.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -60,9 +66,15 @@ isaxProgram(unsigned n)
 )";
 }
 
-uint64_t
-runProgram(const CompiledIsax *isax, const std::string &source,
-           unsigned n, uint32_t *sum_out)
+struct ProgramRun
+{
+    uint64_t cycles = 0;
+    uint32_t sum = 0;          ///< s0 at the end
+    double mcyclesPerS = 0.0;  ///< simulated Mcycles per second of run()
+};
+
+ProgramRun
+runProgram(const CompiledIsax *isax, const std::string &source, unsigned n)
 {
     cores::CoreTiming timing;
     timing.fetchWaitStates = 2;
@@ -75,7 +87,7 @@ runProgram(const CompiledIsax *isax, const std::string &source,
     if (!program.ok) {
         std::fprintf(stderr, "assembly failed: %s\n",
                      program.error.c_str());
-        return 0;
+        return {};
     }
 
     cores::Core core(scaiev::Datasheet::forCore("VexRiscv"), timing);
@@ -84,11 +96,31 @@ runProgram(const CompiledIsax *isax, const std::string &source,
     core.loadProgram(program.words, 0);
     for (unsigned i = 0; i < n; ++i)
         core.memory().writeWord(arrayBase + i * 4, i * 7 + 3);
+    auto start = std::chrono::steady_clock::now();
     cores::RunStats stats = core.run(10'000'000);
-    *sum_out = core.reg(8); // s0
+    std::chrono::duration<double, std::micro> us =
+        std::chrono::steady_clock::now() - start;
     if (!stats.halted)
         std::fprintf(stderr, "program did not halt!\n");
-    return stats.cycles;
+    ProgramRun run;
+    run.cycles = stats.cycles;
+    run.sum = core.reg(8); // s0
+    run.mcyclesPerS = us.count() > 0 ? double(stats.cycles) / us.count() : 0;
+    return run;
+}
+
+/** Median simulated Mcycles/s over @p reps runs: one run of a few
+ * thousand cycles takes only milliseconds. */
+double
+medianMcyclesPerS(const CompiledIsax *isax, const std::string &source,
+                  unsigned n, int reps = 21)
+{
+    std::vector<double> samples;
+    for (int i = 0; i < reps; ++i)
+        samples.push_back(runProgram(isax, source, n).mcyclesPerS);
+    std::nth_element(samples.begin(), samples.begin() + reps / 2,
+                     samples.end());
+    return samples[size_t(reps / 2)];
 }
 
 } // namespace
@@ -115,21 +147,18 @@ main()
     std::vector<unsigned> sizes = {8, 16, 32, 64, 128, 256};
     std::vector<std::pair<unsigned, uint64_t>> base_points, isax_points;
     for (unsigned n : sizes) {
-        uint32_t base_sum = 0, isax_sum = 0;
-        uint64_t base_cycles =
-            runProgram(nullptr, baselineProgram(n), n, &base_sum);
-        uint64_t isax_cycles =
-            runProgram(&compiled, isaxProgram(n), n, &isax_sum);
-        if (base_sum != isax_sum)
+        ProgramRun base = runProgram(nullptr, baselineProgram(n), n);
+        ProgramRun isax = runProgram(&compiled, isaxProgram(n), n);
+        if (base.sum != isax.sum)
             std::fprintf(stderr,
                          "MISMATCH at n=%u: base=%u isax=%u\n", n,
-                         base_sum, isax_sum);
-        base_points.emplace_back(n, base_cycles);
-        isax_points.emplace_back(n, isax_cycles);
+                         base.sum, isax.sum);
+        base_points.emplace_back(n, base.cycles);
+        isax_points.emplace_back(n, isax.cycles);
         std::printf("%6u %12llu %12llu %8.2fx | %10u %10u %8.2fx\n", n,
-                    (unsigned long long)base_cycles,
-                    (unsigned long long)isax_cycles,
-                    double(base_cycles) / double(isax_cycles),
+                    (unsigned long long)base.cycles,
+                    (unsigned long long)isax.cycles,
+                    double(base.cycles) / double(isax.cycles),
                     18 * n + 50, 11 * n + 50,
                     double(18 * n + 50) / double(11 * n + 50));
     }
@@ -150,10 +179,22 @@ main()
     std::printf("asymptotic speedup: %.2fx (paper: %.2fx)\n", ba / ia,
                 18.0 / 11.0);
 
+    unsigned largest = sizes.back();
+    double base_mcps =
+        medianMcyclesPerS(nullptr, baselineProgram(largest), largest);
+    double isax_mcps =
+        medianMcyclesPerS(&compiled, isaxProgram(largest), largest);
+    std::printf("core simulation at n=%u: baseline %.2f Mcycles/s, "
+                "autoinc+zol %.2f Mcycles/s\n",
+                largest, base_mcps, isax_mcps);
+
     bench::ReportWriter report("sec55");
     report.add("baseline", "cycles_per_element", ba, "cycles");
     report.add("autoinc_zol", "cycles_per_element", ia, "cycles");
     report.add("autoinc_zol", "asymptotic_speedup", ba / ia, "ratio");
+    report.add("baseline", "sim_mcycles_per_s", base_mcps, "Mcycles/s");
+    report.add("autoinc_zol", "sim_mcycles_per_s", isax_mcps,
+               "Mcycles/s");
 
     // Area cost of the speedup (the paper quotes ~16% for ~60% gain).
     std::vector<const hwgen::GeneratedModule *> modules;

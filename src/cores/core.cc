@@ -1,6 +1,7 @@
 #include "cores/core.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/metrics.hh"
 #include "support/logging.hh"
@@ -11,6 +12,61 @@ namespace cores {
 using hwgen::GeneratedModule;
 using hwgen::InterfacePort;
 using scaiev::SubInterface;
+
+namespace {
+
+/** The module's program when the compiled engine is the default, else
+ * null (interpret). Decided once per module, at attach time. */
+std::shared_ptr<const rtl::simjit::Program>
+programForDefaultEngine(const GeneratedModule &mod)
+{
+    if (rtl::defaultSimEngine() != rtl::SimEngine::Compiled)
+        return nullptr;
+    return rtl::simjit::Program::compile(mod.module);
+}
+
+std::unique_ptr<rtl::Simulator>
+newSimulator(const GeneratedModule &mod,
+             const std::shared_ptr<const rtl::simjit::Program> &program)
+{
+    if (program)
+        return std::make_unique<rtl::Simulator>(mod.module, program);
+    return std::make_unique<rtl::Simulator>(mod.module,
+                                            rtl::SimEngine::Interp);
+}
+
+rtl::NetId
+inputNet(const GeneratedModule &mod, const std::string &name)
+{
+    std::optional<rtl::NetId> net = mod.module.findInput(name);
+    if (!net)
+        LN_PANIC("module '", mod.name, "' has no input '", name, "'");
+    return *net;
+}
+
+rtl::NetId
+outputNet(const GeneratedModule &mod, const std::string &name)
+{
+    std::optional<rtl::NetId> net = mod.module.findOutput(name);
+    if (!net)
+        LN_PANIC("module '", mod.name, "' has no output '", name, "'");
+    return *net;
+}
+
+/** Drive a RdCustReg data input from the register element its address
+ * output selects (element 0 without one; 0 when out of range). */
+void
+readCustomReg(rtl::Simulator &sim, const std::vector<ApInt> &storage,
+              rtl::NetId data, rtl::NetId addr)
+{
+    uint64_t index = addr == rtl::invalidNet ? 0 : sim.netU64(addr);
+    if (index < storage.size())
+        sim.setInput(data, storage[index]);
+    else
+        sim.setInput(data, uint64_t(0));
+}
+
+} // namespace
 
 Core::Core(const scaiev::Datasheet &sheet, CoreTiming timing)
     : sheet_(sheet), timing_(timing)
@@ -24,17 +80,62 @@ Core::Core(const scaiev::Datasheet &sheet, CoreTiming timing)
     slots_.resize(numStages_);
 }
 
-std::unique_ptr<rtl::Simulator>
-Core::makeSim(const GeneratedModule &mod)
+std::vector<Core::PortNets>
+Core::resolvePorts(const GeneratedModule &mod)
 {
-    if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled) {
-        auto &program = programs_[&mod];
-        if (!program)
-            program = rtl::simjit::Program::compile(mod.module);
-        return std::make_unique<rtl::Simulator>(mod.module, program);
+    auto storage = [&](const std::string &reg) {
+        auto it = customRegs_.find(reg);
+        if (it == customRegs_.end())
+            LN_PANIC("module '", mod.name,
+                     "' uses unknown custom register '", reg, "'");
+        return &it->second;
+    };
+    auto optional_output = [&](const std::string &name) {
+        return name.empty() ? rtl::invalidNet : outputNet(mod, name);
+    };
+    std::vector<PortNets> ports;
+    for (const InterfacePort &port : mod.ports) {
+        PortNets r;
+        r.iface = port.iface;
+        r.stage = port.stage;
+        switch (port.iface) {
+          case SubInterface::RdInstr:
+          case SubInterface::RdRS1:
+          case SubInterface::RdRS2:
+          case SubInterface::RdPC:
+            r.data = inputNet(mod, port.dataPort);
+            break;
+          case SubInterface::RdCustReg:
+            r.data = inputNet(mod, port.dataPort);
+            r.addr = optional_output(port.addrPort);
+            r.reg = storage(port.reg);
+            break;
+          case SubInterface::RdMem:
+            r.data = inputNet(mod, port.dataPort);
+            r.addr = outputNet(mod, port.addrPort);
+            r.valid = outputNet(mod, port.validPort);
+            break;
+          case SubInterface::WrMem:
+            r.addr = outputNet(mod, port.addrPort);
+            [[fallthrough]];
+          case SubInterface::WrRD:
+          case SubInterface::WrPC:
+            r.data = outputNet(mod, port.dataPort);
+            r.valid = outputNet(mod, port.validPort);
+            break;
+          case SubInterface::WrCustRegAddr:
+            r.addr = optional_output(port.addrPort);
+            r.reg = storage(port.reg);
+            break;
+          case SubInterface::WrCustRegData:
+            r.data = outputNet(mod, port.dataPort);
+            r.valid = outputNet(mod, port.validPort);
+            r.reg = storage(port.reg);
+            break;
+        }
+        ports.push_back(r);
     }
-    return std::make_unique<rtl::Simulator>(mod.module,
-                                            rtl::SimEngine::Interp);
+    return ports;
 }
 
 void
@@ -46,35 +147,61 @@ Core::attachIsax(std::shared_ptr<IsaxBundle> bundle)
     }
     for (const auto &always : bundle->alwaysBlocks) {
         AlwaysUnit unit;
-        unit.module = &always;
-        unit.sim = makeSim(always);
+        unit.sim = newSimulator(always, programForDefaultEngine(always));
         unit.sim->reset();
+        unit.ports = resolvePorts(always);
         alwaysUnits_.push_back(std::move(unit));
     }
-    // Attach-time precomputation for the per-cycle hot paths: the
-    // custom registers each instruction touches, and (on the compiled
-    // engine) one shared bytecode program per module.
-    for (auto &unit : bundle->instructions) {
-        auto &regs = unitCustomRegs_[&unit];
-        regs.clear();
-        for (const auto &port : unit.module.ports) {
-            if ((port.iface == SubInterface::RdCustReg ||
-                 port.iface == SubInterface::WrCustRegData) &&
-                std::find(regs.begin(), regs.end(), port.reg) ==
-                    regs.end())
-                regs.push_back(port.reg);
+    // Everything the per-cycle path needs of an instruction's module is
+    // derived here, once: port nets, register storage, stage buckets.
+    for (const auto &unit : bundle->instructions) {
+        const GeneratedModule &gm = unit.module;
+        auto mod = std::make_unique<InstrModule>();
+        mod->unit = &unit;
+        mod->program = programForDefaultEngine(gm);
+        for (const std::string &name : gm.stallInputs)
+            if (!name.empty())
+                mod->stallInputs.push_back(inputNet(gm, name));
+        // Stages 0..lastStage run; ports outside them never fire.
+        mod->stagePorts.resize(size_t(std::max(gm.lastStage, 0)) + 1);
+        for (const PortNets &port : resolvePorts(gm)) {
+            if (port.stage >= 0 && port.stage <= gm.lastStage)
+                mod->stagePorts[size_t(port.stage)].push_back(port);
+            if (port.iface != SubInterface::RdCustReg &&
+                port.iface != SubInterface::WrCustRegData)
+                continue;
+            if (std::find(mod->customRegs.begin(), mod->customRegs.end(),
+                          port.reg) == mod->customRegs.end())
+                mod->customRegs.push_back(port.reg);
+            if (port.iface == SubInterface::WrCustRegData)
+                mod->customRegWrites.emplace_back(port.reg, port.stage);
         }
-        if (rtl::defaultSimEngine() == rtl::SimEngine::Compiled) {
-            auto &program = programs_[&unit.module];
-            if (!program)
-                program =
-                    rtl::simjit::Program::compile(unit.module.module);
-        }
+        mod->readsRs1 = gm.findPort(SubInterface::RdRS1) != nullptr;
+        mod->readsRs2 = gm.findPort(SubInterface::RdRS2) != nullptr;
+        mod->writesRd = gm.findPort(SubInterface::WrRD) != nullptr;
+        for (const auto &port : gm.ports)
+            if (port.stage > int(wbStage_) && port.fromSpawn)
+                mod->spawnsPastWriteback = true;
+        instrModules_.push_back(std::move(mod));
     }
     // New instructions can change what a fetched word decodes to.
     for (auto &entry : decodeCache_)
         entry.valid = false;
     bundles_.push_back(std::move(bundle));
+}
+
+std::unique_ptr<rtl::Simulator>
+Core::takeSimulator(InstrModule &mod)
+{
+    std::unique_ptr<rtl::Simulator> sim;
+    if (mod.idleSims.empty()) {
+        sim = newSimulator(mod.unit->module, mod.program);
+    } else {
+        sim = std::move(mod.idleSims.back());
+        mod.idleSims.pop_back();
+    }
+    sim->reset();
+    return sim;
 }
 
 void
@@ -106,18 +233,14 @@ Core::setCustomReg(const std::string &name, uint64_t index,
     slot = value.zextOrTrunc(slot.width());
 }
 
-IsaxInstrUnit *
+Core::InstrModule *
 Core::matchIsax(uint32_t word) const
 {
     // Static arbitration priority: first attached, first matched
     // (Sec. 3.3).
-    for (const auto &bundle : bundles_) {
-        for (auto &unit :
-             const_cast<IsaxBundle &>(*bundle).instructions) {
-            if ((word & unit.mask) == unit.match)
-                return &unit;
-        }
-    }
+    for (const auto &mod : instrModules_)
+        if ((word & mod->unit->mask) == mod->unit->match)
+            return mod.get();
     return nullptr;
 }
 
@@ -211,24 +334,20 @@ Core::processWriteback()
             exec.resultReady = false;
         }
         // Decide how the remaining module stages execute.
-        const GeneratedModule &mod = exec.unit->module;
-        if (!exec.finished && exec.stage <= mod.lastStage) {
-            bool spawn_remaining = false;
-            for (const auto &port : mod.ports)
-                if (port.stage > int(wbStage_) && port.fromSpawn)
-                    spawn_remaining = true;
+        int last_stage = exec.mod->unit->module.lastStage;
+        if (!exec.finished && exec.stage <= last_stage) {
             // Either way the register stays owned by the ISAX until
             // its WrRD fires; readers stall via the scoreboard.
             if (exec.rdPending && exec.rd != 0)
                 rdScoreboard_[exec.rd] = exec.seq;
-            if (spawn_remaining) {
+            if (exec.mod->spawnsPastWriteback) {
                 // Decoupled execution: the instruction retires, the
                 // module keeps running in parallel.
                 exec.decoupled = true;
             } else {
                 // Tightly-coupled: stall the whole core until the
                 // module delivers its last result.
-                globalStall_ = unsigned(mod.lastStage - exec.stage);
+                globalStall_ = unsigned(last_stage - exec.stage);
             }
             detachedExecs_.push_back(slot.isax);
         }
@@ -331,14 +450,14 @@ Core::processDecode()
         for (unsigned s = decodeStage_ + 1; s < slots_.size(); ++s) {
             const Slot &older = slots_[s];
             if (older.valid && older.isax &&
-                older.isax->unit == slot.isax->unit &&
+                older.isax->mod == slot.isax->mod &&
                 !older.isax->finished) {
                 stallDecode_ = true;
                 return;
             }
         }
         for (const auto &exec : detachedExecs_) {
-            if (!exec->finished && exec->unit == slot.isax->unit) {
+            if (!exec->finished && exec->mod == slot.isax->mod) {
                 stallDecode_ = true;
                 return;
             }
@@ -346,14 +465,10 @@ Core::processDecode()
     }
 
     // Register operands (with forwarding / stall).
-    bool needs_rs1 = slot.isax
-                         ? slot.isax->unit->module.findPort(
-                               SubInterface::RdRS1) != nullptr
-                         : slot.d.readsRs1();
-    bool needs_rs2 = slot.isax
-                         ? slot.isax->unit->module.findPort(
-                               SubInterface::RdRS2) != nullptr
-                         : slot.d.readsRs2();
+    bool needs_rs1 =
+        slot.isax ? slot.isax->mod->readsRs1 : slot.d.readsRs1();
+    bool needs_rs2 =
+        slot.isax ? slot.isax->mod->readsRs2 : slot.d.readsRs2();
     if (needs_rs1 && !readOperand(slot.d.rs1, slot.seq, slot.rs1v)) {
         stallDecode_ = true;
         return;
@@ -384,7 +499,7 @@ Core::processDecode()
     // Custom-register RAW/WAW against older unfinished ISAXes writing
     // the same register.
     if (slot.isax) {
-        for (const std::string &reg : customRegsReadOrWritten(slot)) {
+        for (const std::vector<ApInt> *reg : slot.isax->mod->customRegs) {
             if (customRegHasPendingWrite(reg, slot.seq)) {
                 stallDecode_ = true;
                 return;
@@ -394,28 +509,16 @@ Core::processDecode()
     slot.operandsRead = true;
 }
 
-const std::vector<std::string> &
-Core::customRegsReadOrWritten(const Slot &slot) const
-{
-    static const std::vector<std::string> empty;
-    if (!slot.isax)
-        return empty;
-    auto it = unitCustomRegs_.find(slot.isax->unit);
-    return it != unitCustomRegs_.end() ? it->second : empty;
-}
-
 bool
-Core::customRegHasPendingWrite(const std::string &reg,
+Core::customRegHasPendingWrite(const std::vector<ApInt> *reg,
                                uint64_t reader_seq) const
 {
     auto pending = [&](const IsaxExec &exec) {
         if (exec.finished || exec.seq >= reader_seq)
             return false;
-        for (const auto &port : exec.unit->module.ports) {
-            if (port.iface == SubInterface::WrCustRegData &&
-                port.reg == reg && port.stage >= exec.stage)
+        for (const auto &[written, stage] : exec.mod->customRegWrites)
+            if (written == reg && stage >= exec.stage)
                 return true;
-        }
         return false;
     };
     for (unsigned s = 0; s < slots_.size(); ++s)
@@ -463,19 +566,15 @@ Core::processFetch()
     slot.d = cached.d;
     slot.isHalt = slot.d.opcode == Opcode::System;
     if (slot.d.opcode == Opcode::Custom) {
-        IsaxInstrUnit *unit = cached.isax;
-        if (unit) {
+        if (InstrModule *mod = cached.isax) {
             auto exec = std::make_shared<IsaxExec>();
-            exec->unit = unit;
-            exec->sim = makeSim(unit->module);
-            exec->sim->reset();
+            exec->mod = mod;
+            exec->sim = takeSimulator(*mod);
             exec->stage = 0;
             exec->seq = slot.seq;
-            const InterfacePort *wr =
-                unit->module.findPort(SubInterface::WrRD);
-            exec->rdPending = wr != nullptr;
+            exec->rdPending = mod->writesRd;
             exec->rd = slot.d.rd;
-            slot.isax = exec;
+            slot.isax = std::move(exec);
         }
         // Unmatched custom opcodes trap as illegal: halt.
         if (!slot.isax)
@@ -493,11 +592,9 @@ Core::processFetch()
 // ---------------------------------------------------------------------------
 
 void
-Core::stepOneExec(const std::shared_ptr<IsaxExec> &exec_ptr, Slot *slot,
-                  bool force_hold)
+Core::stepOneExec(IsaxExec &exec, Slot *slot, bool force_hold)
 {
-    IsaxExec &exec = *exec_ptr;
-    const GeneratedModule &mod = exec.unit->module;
+    const InstrModule &mod = *exec.mod;
     rtl::Simulator &sim = *exec.sim;
 
     bool hold;
@@ -520,56 +617,44 @@ Core::stepOneExec(const std::shared_ptr<IsaxExec> &exec_ptr, Slot *slot,
     exec.stalledThisCycle = hold;
 
     // Drive stall inputs uniformly (one instruction per module).
-    for (const std::string &name : mod.stallInputs)
-        if (!name.empty())
-            sim.setInput(name, uint64_t(hold ? 1 : 0));
+    for (rtl::NetId net : mod.stallInputs)
+        sim.setInput(net, uint64_t(hold ? 1 : 0));
 
     // Drive data inputs for ports in the current module stage.
-    for (const auto &port : mod.ports) {
-        if (port.stage != exec.stage)
-            continue;
+    const std::vector<PortNets> &ports = mod.stagePorts[size_t(exec.stage)];
+    for (const PortNets &port : ports) {
         switch (port.iface) {
           case SubInterface::RdInstr:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->instr : 0));
+            sim.setInput(port.data, uint64_t(slot ? slot->instr : 0));
             break;
           case SubInterface::RdRS1:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->rs1v : 0));
+            sim.setInput(port.data, uint64_t(slot ? slot->rs1v : 0));
             break;
           case SubInterface::RdRS2:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->rs2v : 0));
+            sim.setInput(port.data, uint64_t(slot ? slot->rs2v : 0));
             break;
           case SubInterface::RdPC:
-            sim.setInput(port.dataPort,
-                         uint64_t(slot ? slot->pc : 0));
+            sim.setInput(port.data, uint64_t(slot ? slot->pc : 0));
             break;
           default:
             break;
         }
     }
+    // The engine skips either evaluation when nothing it depends on
+    // changed (a hold cycle, a custom register read returning the same
+    // value).
     sim.evalComb();
     // Custom-register reads resolve combinationally.
-    for (const auto &port : mod.ports) {
-        if (port.iface != SubInterface::RdCustReg ||
-            port.stage != exec.stage)
-            continue;
-        auto &storage = customRegs_.at(port.reg);
-        uint64_t index = 0;
-        if (!port.addrPort.empty())
-            index = sim.outputU64(port.addrPort);
-        sim.setInput(port.dataPort, index < storage.size()
-                                        ? storage[index]
-                                        : ApInt(32, 0));
-    }
+    for (const PortNets &port : ports)
+        if (port.iface == SubInterface::RdCustReg)
+            readCustomReg(sim, *port.reg, port.data, port.addr);
     sim.evalComb();
 
     if (!hold) {
         sampleIsaxOutputs(slot, exec);
         sim.clockEdge();
         ++exec.stage;
-        if (exec.stage > mod.lastStage)
+        if (exec.stage > mod.unit->module.lastStage)
             exec.finished = true;
     }
 }
@@ -579,10 +664,10 @@ Core::stepIsaxExecs(bool force_hold_attached)
 {
     for (auto &slot : slots_)
         if (slot.valid && slot.isax && !slot.isax->finished)
-            stepOneExec(slot.isax, &slot, force_hold_attached);
+            stepOneExec(*slot.isax, &slot, force_hold_attached);
     for (auto &exec : detachedExecs_)
         if (!exec->finished)
-            stepOneExec(exec, nullptr, false);
+            stepOneExec(*exec, nullptr, false);
     std::erase_if(detachedExecs_,
                   [](const std::shared_ptr<IsaxExec> &exec) {
                       return exec->finished;
@@ -590,41 +675,63 @@ Core::stepIsaxExecs(bool force_hold_attached)
 }
 
 void
+Core::sampleCustomRegWrite(const rtl::Simulator &sim, const PortNets &port)
+{
+    if (port.iface == SubInterface::WrCustRegAddr) {
+        pendingIdxScratch_.emplace_back(
+            port.reg,
+            port.addr == rtl::invalidNet ? 0 : sim.netU64(port.addr));
+        return;
+    }
+    if (sim.netU64(port.valid) == 0)
+        return;
+    uint64_t index = 0;
+    for (const auto &[reg, idx] : pendingIdxScratch_)
+        if (reg == port.reg)
+            index = idx;
+    std::vector<ApInt> &storage = *port.reg;
+    if (index >= storage.size())
+        return;
+    const ApInt &value = sim.net(port.data);
+    ApInt &element = storage[index];
+    if (value.width() == element.width())
+        element = value;
+    else
+        element = value.zextOrTrunc(element.width());
+}
+
+void
 Core::sampleIsaxOutputs(Slot *slot, IsaxExec &exec)
 {
-    const GeneratedModule &mod = exec.unit->module;
     rtl::Simulator &sim = *exec.sim;
     pendingIdxScratch_.clear();
 
-    for (const auto &port : mod.ports) {
-        if (port.stage != exec.stage)
-            continue;
+    for (const PortNets &port : exec.mod->stagePorts[size_t(exec.stage)]) {
         switch (port.iface) {
           case SubInterface::RdMem: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(port.valid) == 0)
                 break;
-            uint32_t addr = uint32_t(sim.outputU64(port.addrPort));
+            uint32_t addr = uint32_t(sim.netU64(port.addr));
             uint32_t word = memory_.readWord(addr);
-            sim.setInput(port.dataPort, uint64_t(word));
+            sim.setInput(port.data, uint64_t(word));
             if (timing_.bus.loadWaitStates > 0)
                 exec.memWait = timing_.bus.loadWaitStates;
             break;
           }
           case SubInterface::WrMem: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(port.valid) == 0)
                 break;
-            uint32_t addr = uint32_t(sim.outputU64(port.addrPort));
-            uint32_t value = uint32_t(sim.outputU64(port.dataPort));
+            uint32_t addr = uint32_t(sim.netU64(port.addr));
+            uint32_t value = uint32_t(sim.netU64(port.data));
             memory_.writeWord(addr, value);
             if (timing_.bus.storeWaitStates > 0)
                 exec.memWait = timing_.bus.storeWaitStates;
             break;
           }
           case SubInterface::WrRD: {
-            bool enabled = sim.outputU64(port.validPort) != 0;
+            bool enabled = sim.netU64(port.valid) != 0;
             if (enabled) {
-                uint32_t value =
-                    uint32_t(sim.outputU64(port.dataPort));
+                uint32_t value = uint32_t(sim.netU64(port.data));
                 if (slot) {
                     // In-pipeline: forwardable immediately, committed
                     // to the register file in program order at WB.
@@ -648,98 +755,54 @@ Core::sampleIsaxOutputs(Slot *slot, IsaxExec &exec)
             break;
           }
           case SubInterface::WrPC: {
-            if (sim.outputU64(port.validPort) == 0)
+            if (sim.netU64(port.valid) == 0)
                 break;
-            uint32_t target = uint32_t(sim.outputU64(port.dataPort));
+            uint32_t target = uint32_t(sim.netU64(port.data));
             applyRedirect(target, exec.seq);
             break;
           }
           case SubInterface::WrCustRegAddr:
-            pendingIdxScratch_.emplace_back(
-                &port.reg, port.addrPort.empty()
-                               ? 0
-                               : sim.outputU64(port.addrPort));
+          case SubInterface::WrCustRegData:
+            sampleCustomRegWrite(sim, port);
             break;
-          case SubInterface::WrCustRegData: {
-            if (sim.outputU64(port.validPort) == 0)
-                break;
-            auto &storage = customRegs_.at(port.reg);
-            uint64_t index = 0;
-            for (const auto &[reg, idx] : pendingIdxScratch_)
-                if (*reg == port.reg)
-                    index = idx;
-            if (index < storage.size())
-                storage[index] = sim.output(port.dataPort)
-                                     .zextOrTrunc(
-                                         storage[index].width());
-            break;
-          }
           default:
             break;
         }
     }
-    (void)slot;
 }
 
 void
 Core::runAlwaysUnits()
 {
+    // Gated by fetch-valid: the always-block sees each fetched PC
+    // exactly once (cf. RdIValid in Table 1).
+    uint32_t pc_value = fetchedThisCycle_ ? fetchedPc_ : 0xffffffffu;
     for (auto &unit : alwaysUnits_) {
         rtl::Simulator &sim = *unit.sim;
-        for (const auto &port : unit.module->ports) {
-            if (port.iface == SubInterface::RdPC) {
-                // Gated by fetch-valid: the always-block sees each
-                // fetched PC exactly once (cf. RdIValid in Table 1).
-                uint32_t pc_value = fetchedThisCycle_ ? fetchedPc_
-                                                      : 0xffffffffu;
-                sim.setInput(port.dataPort, uint64_t(pc_value));
-            }
-        }
+        for (const PortNets &port : unit.ports)
+            if (port.iface == SubInterface::RdPC)
+                sim.setInput(port.data, uint64_t(pc_value));
         sim.evalComb();
-        for (const auto &port : unit.module->ports) {
-            if (port.iface != SubInterface::RdCustReg)
-                continue;
-            auto &storage = customRegs_.at(port.reg);
-            uint64_t index = 0;
-            if (!port.addrPort.empty())
-                index = sim.outputU64(port.addrPort);
-            sim.setInput(port.dataPort, index < storage.size()
-                                            ? storage[index]
-                                            : ApInt(32, 0));
-        }
+        for (const PortNets &port : unit.ports)
+            if (port.iface == SubInterface::RdCustReg)
+                readCustomReg(sim, *port.reg, port.data, port.addr);
         sim.evalComb();
 
         pendingIdxScratch_.clear();
-        for (const auto &port : unit.module->ports) {
+        for (const PortNets &port : unit.ports) {
             switch (port.iface) {
               case SubInterface::WrPC:
-                if (sim.outputU64(port.validPort) != 0) {
+                if (sim.netU64(port.valid) != 0) {
                     // Redirect the next fetch; the already fetched
                     // instruction proceeds (ZOL semantics).
-                    fetchPc_ = uint32_t(sim.outputU64(port.dataPort));
+                    fetchPc_ = uint32_t(sim.netU64(port.data));
                     fetchWait_ = 0;
                 }
                 break;
               case SubInterface::WrCustRegAddr:
-                pendingIdxScratch_.emplace_back(
-                    &port.reg, port.addrPort.empty()
-                                   ? 0
-                                   : sim.outputU64(port.addrPort));
+              case SubInterface::WrCustRegData:
+                sampleCustomRegWrite(sim, port);
                 break;
-              case SubInterface::WrCustRegData: {
-                if (sim.outputU64(port.validPort) == 0)
-                    break;
-                auto &storage = customRegs_.at(port.reg);
-                uint64_t index = 0;
-                for (const auto &[reg, idx] : pendingIdxScratch_)
-                    if (*reg == port.reg)
-                        index = idx;
-                if (index < storage.size())
-                    storage[index] =
-                        sim.output(port.dataPort)
-                            .zextOrTrunc(storage[index].width());
-                break;
-              }
               default:
                 break;
             }

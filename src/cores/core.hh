@@ -92,7 +92,8 @@ class Core
     explicit Core(const scaiev::Datasheet &sheet, CoreTiming timing = {});
 
     /** Attach a compiled ISAX; attach order fixes arbitration
-     * priority. */
+     * priority. Each module's simulation engine is the process-wide
+     * default at this point (rtl::defaultSimEngine()). */
     void attachIsax(std::shared_ptr<IsaxBundle> bundle);
 
     /** Copy a program into memory and point the PC at it. */
@@ -119,7 +120,73 @@ class Core
 
   private:
     // ------------------------------------------------------------------
-    struct IsaxExec; // an ISAX instruction in flight
+    /** One interface port of a generated module, resolved at attach
+     * time: net ids instead of port names, the custom register's
+     * storage instead of its name. */
+    struct PortNets
+    {
+        scaiev::SubInterface iface = scaiev::SubInterface::RdInstr;
+        int stage = 0;
+        rtl::NetId data = rtl::invalidNet;  ///< data input or output
+        rtl::NetId addr = rtl::invalidNet;  ///< address/index output
+        rtl::NetId valid = rtl::invalidNet; ///< valid/predicate output
+        std::vector<ApInt> *reg = nullptr;  ///< custom register storage
+    };
+
+    /** What the per-cycle path needs of one ISAX instruction's module,
+     * derived once by attachIsax(), plus the free list of simulators
+     * its executions borrow. */
+    struct InstrModule
+    {
+        const IsaxInstrUnit *unit = nullptr;
+        /** Shared by all simulators of the module; null when the
+         * interpreter was the default engine at attach time. */
+        std::shared_ptr<const rtl::simjit::Program> program;
+        std::vector<rtl::NetId> stallInputs;
+        std::vector<std::vector<PortNets>> stagePorts; ///< index = stage
+        /** Custom registers the instruction reads or writes. */
+        std::vector<const std::vector<ApInt> *> customRegs;
+        /** Register and stage of every WrCustRegData port. */
+        std::vector<std::pair<const std::vector<ApInt> *, int>>
+            customRegWrites;
+        bool readsRs1 = false;
+        bool readsRs2 = false;
+        bool writesRd = false;
+        /** Spawn ports after writeback: the execution decouples. */
+        bool spawnsPastWriteback = false;
+        /** Simulators of executions no longer alive, reset when taken;
+         * never more than executions were ever alive at once. */
+        std::vector<std::unique_ptr<rtl::Simulator>> idleSims;
+    };
+
+    /** A custom (ISAX) instruction execution driving its module. */
+    struct IsaxExec
+    {
+        InstrModule *mod = nullptr;
+        /** Taken from mod->idleSims at fetch and handed back when the
+         * execution is dropped (retired, squashed, or finished after
+         * detaching). */
+        std::unique_ptr<rtl::Simulator> sim;
+        int stage = -1;       ///< current module stage (time step)
+        bool stalledThisCycle = false;
+        bool rdPending = false; ///< WrRD not yet delivered
+        bool resultReady = false; ///< sampled, awaiting WB commit
+        uint32_t resultValue = 0;
+        unsigned rd = 0;
+        bool decoupled = false; ///< detached from the pipeline
+        bool finished = false;
+        unsigned memWait = 0;   ///< bus wait for an ISAX memory access
+        uint64_t seq = 0;
+
+        IsaxExec() = default;
+        IsaxExec(const IsaxExec &) = delete;
+        IsaxExec &operator=(const IsaxExec &) = delete;
+        ~IsaxExec()
+        {
+            if (sim)
+                mod->idleSims.push_back(std::move(sim));
+        }
+    };
 
     /** One pipeline slot (the instruction occupying a stage). */
     struct Slot
@@ -141,27 +208,10 @@ class Core
         std::shared_ptr<IsaxExec> isax; ///< non-null for ISAX instrs
     };
 
-    /** A custom (ISAX) instruction execution driving its module. */
-    struct IsaxExec
-    {
-        IsaxInstrUnit *unit = nullptr;
-        std::unique_ptr<rtl::Simulator> sim;
-        int stage = -1;       ///< current module stage (time step)
-        bool stalledThisCycle = false;
-        bool rdPending = false; ///< WrRD not yet delivered
-        bool resultReady = false; ///< sampled, awaiting WB commit
-        uint32_t resultValue = 0;
-        unsigned rd = 0;
-        bool decoupled = false; ///< detached from the pipeline
-        bool finished = false;
-        unsigned memWait = 0;   ///< bus wait for an ISAX memory access
-        uint64_t seq = 0;
-    };
-
     struct AlwaysUnit
     {
-        const hwgen::GeneratedModule *module = nullptr;
         std::unique_ptr<rtl::Simulator> sim;
+        std::vector<PortNets> ports; ///< in declaration order
     };
 
     // Stage processing (called once per cycle, last stage first).
@@ -173,27 +223,29 @@ class Core
     void advancePipeline();
     void runAlwaysUnits();
     void stepIsaxExecs(bool force_hold_attached);
-    void stepOneExec(const std::shared_ptr<IsaxExec> &exec, Slot *slot,
-                     bool force_hold);
+    void stepOneExec(IsaxExec &exec, Slot *slot, bool force_hold);
 
     bool readOperand(unsigned reg_index, uint64_t reader_seq,
                      uint32_t &value) const;
-    IsaxInstrUnit *matchIsax(uint32_t word) const;
+    InstrModule *matchIsax(uint32_t word) const;
 
     void sampleIsaxOutputs(Slot *slot, IsaxExec &exec);
+    /** WrCustRegAddr/WrCustRegData sampling, shared by instructions
+     * and always-blocks. */
+    void sampleCustomRegWrite(const rtl::Simulator &sim,
+                              const PortNets &port);
     void applyRedirect(uint32_t new_pc, uint64_t younger_than_seq);
 
     unsigned stageOf(const Slot *slot) const;
     bool slotWillAdvance(unsigned stage) const;
-    const std::vector<std::string> &customRegsReadOrWritten(
-        const Slot &slot) const;
-    bool customRegHasPendingWrite(const std::string &reg,
+    bool customRegHasPendingWrite(const std::vector<ApInt> *reg,
                                   uint64_t reader_seq) const;
-    /** Simulator for a generated module, honoring the process-wide
-     * engine default. The compiled engine shares one bytecode program
-     * per module across all dynamic executions. */
-    std::unique_ptr<rtl::Simulator> makeSim(
-        const hwgen::GeneratedModule &mod);
+    /** The module's ports, with names resolved to nets and registers
+     * to storage (attach time only). */
+    std::vector<PortNets> resolvePorts(const hwgen::GeneratedModule &mod);
+    /** A simulator for @p mod in its freshly constructed state, from
+     * the free list when one is idle. */
+    static std::unique_ptr<rtl::Simulator> takeSimulator(InstrModule &mod);
 
     // ------------------------------------------------------------------
     const scaiev::Datasheet &sheet_;
@@ -220,22 +272,19 @@ class Core
     /** Extra full-pipeline stall cycles (tightly-coupled / commit). */
     unsigned globalStall_ = 0;
 
+    // Declared before the in-flight state below: executions hand their
+    // simulators back to instrModules_ when they are destroyed.
+    std::vector<std::shared_ptr<IsaxBundle>> bundles_;
+    std::map<std::string, std::vector<ApInt>> customRegs_;
+    /** Attach order = arbitration priority (first attached wins). */
+    std::vector<std::unique_ptr<InstrModule>> instrModules_;
+    std::vector<AlwaysUnit> alwaysUnits_;
+
     std::vector<Slot> slots_; ///< index = stage
     std::vector<std::shared_ptr<IsaxExec>> detachedExecs_;
     /** GPR scoreboard for decoupled writes: reg -> owning seq. */
     std::map<unsigned, uint64_t> rdScoreboard_;
 
-    std::vector<std::shared_ptr<IsaxBundle>> bundles_;
-    std::vector<AlwaysUnit> alwaysUnits_;
-    std::map<std::string, std::vector<ApInt>> customRegs_;
-
-    /** Compiled simulation programs, one per generated module. */
-    std::map<const hwgen::GeneratedModule *,
-             std::shared_ptr<const rtl::simjit::Program>>
-        programs_;
-    /** Custom registers touched per ISAX instruction (attach-time). */
-    std::map<const IsaxInstrUnit *, std::vector<std::string>>
-        unitCustomRegs_;
     /** Direct-mapped fetch decode cache: decode() + matchIsax() are
      * pure functions of the instruction word and the attached
      * bundles, so memoize them (invalidated by attachIsax). */
@@ -244,12 +293,12 @@ class Core
         uint32_t word = 0;
         bool valid = false;
         DecodedInstr d;
-        IsaxInstrUnit *isax = nullptr;
+        InstrModule *isax = nullptr;
     };
     std::array<DecodeCacheEntry, 256> decodeCache_{};
     /** Reusable scratch for WrCustRegAddr/WrCustRegData pairing,
      * avoiding a per-cycle map allocation. */
-    std::vector<std::pair<const std::string *, uint64_t>>
+    std::vector<std::pair<const std::vector<ApInt> *, uint64_t>>
         pendingIdxScratch_;
 
     // Per-cycle stall flags computed during stage processing.

@@ -13,6 +13,8 @@
  *
  * Net values are defined after evalComb(); the engines are
  * bit-identical there for every net (tests/rtl/test_sim_diff.cc).
+ * reset() returns either engine to its freshly constructed state, so
+ * one Simulator can serve any number of executions of its module.
  */
 
 #ifndef LONGNAIL_RTL_SIM_HH
@@ -51,8 +53,8 @@ class Simulator
     explicit Simulator(const Module &module);
     Simulator(const Module &module, SimEngine engine);
     /** Compiled engine sharing an already-compiled program (the core
-     * models compile each ISAX module once and reuse it across all
-     * dynamic executions). The program must be for @p module. */
+     * models compile each ISAX module once and share it among that
+     * module's simulators). The program must be for @p module. */
     Simulator(const Module &module,
               std::shared_ptr<const simjit::Program> program);
     /** Flushes this instance's cycle count to the obs registry. */
@@ -63,7 +65,9 @@ class Simulator
         return machine_ ? SimEngine::Compiled : SimEngine::Interp;
     }
 
-    /** Reset all registers to their initial values. */
+    /** Back to the freshly constructed state: every register to its
+     * initial value, every input to 0. Other nets are undefined until
+     * the next evalComb(). */
     void reset();
 
     void setInput(const std::string &name, const ApInt &value);
@@ -73,7 +77,9 @@ class Simulator
 
     /**
      * Evaluate all combinational logic with the current inputs and
-     * register states. Safe to call repeatedly within a cycle.
+     * register states. Safe to call repeatedly within a cycle. On the
+     * compiled engine it is a no-op when nothing changed since the last
+     * call: no clockEdge(), no reset(), no setInput() of a new value.
      */
     void evalComb();
 

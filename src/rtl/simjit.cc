@@ -254,7 +254,8 @@ Program::compile(const Module &module)
 
         switch (node.kind) {
           case NodeKind::Input:
-            break; // driven externally, no code
+            p.inputs_.push_back(res); // driven externally, no code
+            break;
           case NodeKind::Constant:
             if (lane(res) == Lane::Narrow)
                 p.constN_.emplace_back(slot(res), node.value.toUint64());
@@ -612,6 +613,16 @@ Machine::reset()
         w2_[reg.slot] = reg.init;
     for (const auto &reg : prog_->regsW_)
         wide_[reg.slot] = reg.init;
+    for (NetId net : prog_->inputs_) {
+        const NetLoc &loc = prog_->loc_[net];
+        if (loc.lane == Lane::Narrow)
+            regs_[loc.slot] = 0;
+        else if (loc.lane == Lane::Wide2)
+            w2_[loc.slot] = 0;
+        else
+            wide_[loc.slot].setValue(0);
+    }
+    stale_ = true;
 }
 
 void
@@ -620,16 +631,22 @@ Machine::setInput(NetId net, const ApInt &value)
     const NetLoc &loc = prog_->loc_[net];
     unsigned width = prog_->module_->widthOf(net);
     if (loc.lane == Lane::Narrow) {
-        regs_[loc.slot] = value.toUint64() & maskOf(width);
+        uint64_t masked = value.toUint64() & maskOf(width);
+        stale_ |= regs_[loc.slot] != masked;
+        regs_[loc.slot] = masked;
     } else if (loc.lane == Lane::Wide2) {
+        u128 packed;
         if (value.width() == width) {
-            w2_[loc.slot] = make128(value.word(0), value.word(1));
+            packed = make128(value.word(0), value.word(1));
         } else {
             ApInt t = value.zextOrTrunc(width);
-            w2_[loc.slot] = make128(t.word(0), t.word(1));
+            packed = make128(t.word(0), t.word(1));
         }
+        stale_ |= w2_[loc.slot] != packed;
+        w2_[loc.slot] = packed;
     } else {
         wide_[loc.slot] = value.zextOrTrunc(width);
+        stale_ = true;
     }
 }
 
@@ -638,12 +655,17 @@ Machine::setInput(NetId net, uint64_t value)
 {
     const NetLoc &loc = prog_->loc_[net];
     unsigned width = prog_->module_->widthOf(net);
-    if (loc.lane == Lane::Narrow)
-        regs_[loc.slot] = value & maskOf(width);
-    else if (loc.lane == Lane::Wide2)
-        w2_[loc.slot] = value; // zero-extended; width > 64
-    else
+    if (loc.lane == Lane::Narrow) {
+        uint64_t masked = value & maskOf(width);
+        stale_ |= regs_[loc.slot] != masked;
+        regs_[loc.slot] = masked;
+    } else if (loc.lane == Lane::Wide2) {
+        stale_ |= w2_[loc.slot] != u128(value); // zero-extended; width > 64
+        w2_[loc.slot] = value;
+    } else {
         wide_[loc.slot] = ApInt(width, value);
+        stale_ = true;
+    }
 }
 
 // The dispatch loop. With GCC/Clang each opcode body jumps directly to
@@ -658,6 +680,9 @@ Machine::setInput(NetId net, uint64_t value)
 void
 Machine::evalComb()
 {
+    if (!stale_)
+        return;
+    stale_ = false;
     const Insn *ip = prog_->insns_.data();
     uint64_t *R = regs_.data();
     u128 *W = w2_.data();
@@ -1063,6 +1088,7 @@ Machine::clockEdge()
         w2_[p.regs2_[i].slot] = next2_[i];
     for (size_t i = 0; i < p.regsW_.size(); ++i)
         wide_[p.regsW_[i].slot] = nextW_[i];
+    stale_ = true;
 }
 
 uint64_t

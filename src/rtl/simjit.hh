@@ -18,10 +18,10 @@
  * common shapes (compare feeding a mux, shifts by a constant amount).
  *
  * The program is immutable after compilation and can be shared by many
- * Machine instances (the core models reuse one program across all
- * dynamic executions of an ISAX instruction). Behavior is bit-identical
- * to the interpreter for every net after evalComb(); the differential
- * fuzz suite (tests/rtl/test_sim_diff.cc) enforces this.
+ * Machine instances (the core models share one program among the
+ * machines of an ISAX instruction). Behavior is bit-identical to the
+ * interpreter for every net after evalComb(); the differential fuzz
+ * suite (tests/rtl/test_sim_diff.cc) enforces this.
  */
 
 #ifndef LONGNAIL_RTL_SIMJIT_HH
@@ -218,6 +218,7 @@ class Program
 
     const Module *module_ = nullptr;
     std::vector<Insn> insns_; ///< ends with Halt
+    std::vector<NetId> inputs_; ///< input nets, zeroed by reset()
     std::vector<NetLoc> loc_; ///< per net
     std::vector<uint32_t> lazyNode_; ///< per net: node index or ~0u
     uint32_t numNarrow_ = 0;
@@ -238,7 +239,16 @@ class Program
 /**
  * Execution state for one Program: the packed register file, the wide
  * lane, and the dispatch loop. One Machine per simulated module
- * instance; cheap to construct (no compilation).
+ * instance. Construction compiles nothing but is not free: it
+ * allocates the register files and one ApInt per net for netRef()
+ * (60-110 us for the 1218-net sqrt module on a 4-vCPU Xeon VM), so a
+ * caller simulating many executions of one module reuses a Machine
+ * through reset().
+ *
+ * evalComb() is change-driven: its result is a pure function of the
+ * inputs and the register state, so it runs the program only when one
+ * of them may have changed since the last run -- after clockEdge(),
+ * reset(), or a setInput() that stored a different value.
  */
 class Machine
 {
@@ -247,13 +257,19 @@ class Machine
 
     const Program &program() const { return *prog_; }
 
-    /** Reset registers to their init values. */
+    /** Back to the freshly constructed state: registers to their init
+     * values, inputs to 0. Other nets are undefined until the next
+     * evalComb(). */
     void reset();
 
+    /** Drive an input. Marks the machine stale when the masked value
+     * differs from the one the input holds (an ApInt-lane input always
+     * marks it). */
     void setInput(NetId net, const ApInt &value);
     void setInput(NetId net, uint64_t value);
 
-    /** Run the bytecode program once (= evaluate all comb logic). */
+    /** Run the bytecode program once (= evaluate all comb logic); a
+     * no-op when nothing changed since the last run. */
     void evalComb();
 
     /** Capture register data inputs (two-phase; chains are safe). */
@@ -284,6 +300,8 @@ class Machine
     std::vector<u128> next2_;
     std::vector<ApInt> nextW_;
     mutable std::vector<ApInt> mat_; ///< netRef materialization cache
+    /** Inputs or registers may have changed since the last evalComb(). */
+    bool stale_ = true;
 };
 
 } // namespace simjit

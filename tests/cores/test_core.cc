@@ -3,7 +3,8 @@
  * Tests for the cycle-level host-core models running base RV32I
  * programs: architectural agreement with the ISS on all four cores,
  * plus pipeline timing behaviors (hazard stalls, branch penalties,
- * memory wait states, FSM sequencing).
+ * memory wait states, FSM sequencing), and the recycling of ISAX
+ * module simulators between executions.
  */
 
 #include <gtest/gtest.h>
@@ -247,5 +248,66 @@ TEST(CoreTiming, JalrReturnsCorrectly)
         RunStats stats = runCore(core, p);
         ASSERT_TRUE(stats.halted) << core_name;
         EXPECT_EQ(core.reg(11), 42u) << core_name;
+    }
+}
+
+TEST(CoreIsax, RecycledSimulatorStartsFromResetState)
+{
+    // A one-stage ISAX whose result is a register read before its
+    // first write: it delivers the register's init value 7, then the
+    // clock edge loads the instruction word. The second execution
+    // reuses the first one's simulator (the nops retire the first
+    // before the second is fetched), so it delivers 7 again only if
+    // the reused simulator was reset.
+    IsaxInstrUnit unit;
+    unit.name = "latch";
+    unit.mask = 0x7f;
+    unit.match = 0x0b; // custom-0
+    hwgen::GeneratedModule &mod = unit.module;
+    mod.name = "latch";
+    mod.module = rtl::Module("latch");
+    rtl::NetId instr = mod.module.addInput("instr_word_0", 32);
+    rtl::NetId held =
+        mod.module.addRegister(instr, rtl::invalidNet, ApInt(32, 7));
+    mod.module.addOutput("wrrd_data_0", held);
+    mod.module.addOutput("wrrd_valid_0",
+                         mod.module.addConstant(ApInt(1, 1)));
+    hwgen::InterfacePort read;
+    read.iface = scaiev::SubInterface::RdInstr;
+    read.dataPort = "instr_word_0";
+    hwgen::InterfacePort write;
+    write.iface = scaiev::SubInterface::WrRD;
+    write.dataPort = "wrrd_data_0";
+    write.validPort = "wrrd_valid_0";
+    mod.ports = {read, write};
+    mod.stallInputs = {""};
+    auto bundle = std::make_shared<IsaxBundle>();
+    bundle->name = "latch";
+    bundle->instructions.push_back(std::move(unit));
+
+    rvasm::Program p = assemble(R"(
+        .word 0x0000058b   # latch a1
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        .word 0x0000060b   # latch a2
+        ecall
+    )");
+    for (const char *core_name : {"ORCA", "Piccolo", "PicoRV32",
+                                  "VexRiscv"}) {
+        Core core(Datasheet::forCore(core_name));
+        core.attachIsax(bundle);
+        core.loadProgram(p.words, 0);
+        RunStats stats = core.run();
+        ASSERT_TRUE(stats.halted) << core_name;
+        EXPECT_EQ(core.reg(11), 7u) << core_name;
+        EXPECT_EQ(core.reg(12), 7u) << core_name;
     }
 }

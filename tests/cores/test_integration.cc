@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "driver/longnail.hh"
 
 using namespace longnail;
@@ -486,3 +489,112 @@ TEST_P(RingbufIntegration, IndexedCustomRegisterFile)
 INSTANTIATE_TEST_SUITE_P(Cores, RingbufIntegration,
                          ::testing::Values("ORCA", "Piccolo", "PicoRV32",
                                            "VexRiscv"));
+
+// ---------------------------------------------------------------------------
+// Exact timing of the benchmark kernels: the Sec. 5.5 array sum under
+// the ZOL and its variant taking the sqrt of each element, on VexRiscv
+// with the Sec. 5.5 bus calibration (2 iBus, 6 dBus wait states). Any
+// change in how the core drives its ISAX modules (simulator reuse,
+// skipped evaluations, resolved ports) would move these counts.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr uint32_t kernelArrayBase = 0x4000;
+
+/** floor(sqrt(v)) by floating point plus exact correction, independent
+ * of the ISAX's digit-by-digit algorithm. */
+uint64_t
+referenceIsqrt(uint64_t v)
+{
+    using u128 = unsigned __int128;
+    uint64_t r = uint64_t(std::sqrt(double(v)));
+    while (r > 0 && u128(r) * r > v)
+        --r;
+    while (u128(r + 1) * (r + 1) <= v)
+        ++r;
+    return r;
+}
+
+struct KernelRun
+{
+    cores::RunStats stats;
+    uint32_t sum = 0;      ///< s0 after the run
+    uint32_t expected = 0; ///< the plain C++ reference
+};
+
+/** Sum @p elems random words (optionally their Q16.16 square roots) with
+ * lw_autoinc under a zero-overhead loop, with autoinc_zol and
+ * sqrt_tightly compiled at @p opt_level and both attached. */
+KernelRun
+runKernel(unsigned opt_level, unsigned elems, bool with_sqrt)
+{
+    CompileOptions options;
+    options.coreName = "VexRiscv";
+    options.optLevel = opt_level;
+    CompiledIsax autoinc_zol = compileCatalogIsax("autoinc_zol", options);
+    CompiledIsax sqrt = compileCatalogIsax("sqrt_tightly", options);
+    EXPECT_TRUE(autoinc_zol.ok()) << autoinc_zol.errors;
+    EXPECT_TRUE(sqrt.ok()) << sqrt.errors;
+
+    // END_PC = setup_zol + 2 * uimmS: the body is 2 or 3 instructions.
+    std::string source =
+        "    li a0, " + std::to_string(kernelArrayBase) + "\n" +
+        "    setup_autoinc a0\n    li s0, 0\n" +
+        "    setup_zol " + std::to_string(elems - 1) + ", " +
+        (with_sqrt ? "6" : "4") + "\n    lw_autoinc t0\n" +
+        (with_sqrt ? "    sqrt t0, t0\n" : "") +
+        "    add s0, s0, t0\n    ecall\n";
+    rvasm::Assembler as;
+    registerIsaxMnemonics(as, *autoinc_zol.isa);
+    registerIsaxMnemonics(as, *sqrt.isa);
+    rvasm::Program program = as.assemble(source, 0);
+    EXPECT_TRUE(program.ok) << program.error;
+
+    cores::CoreTiming timing;
+    timing.fetchWaitStates = 2;
+    timing.bus.loadWaitStates = 6;
+    cores::Core core(Datasheet::forCore("VexRiscv"), timing);
+    core.attachIsax(autoinc_zol.makeBundle());
+    core.attachIsax(sqrt.makeBundle());
+    core.loadProgram(program.words, 0);
+
+    KernelRun run;
+    std::mt19937 rng(elems);
+    for (unsigned i = 0; i < elems; ++i) {
+        uint32_t word = uint32_t(rng());
+        core.memory().writeWord(kernelArrayBase + 4 * i, word);
+        run.expected += with_sqrt
+                            ? uint32_t(referenceIsqrt(uint64_t(word) << 32))
+                            : word;
+    }
+    run.stats = core.run(10'000'000);
+    run.sum = core.reg(8); // s0
+    return run;
+}
+
+} // namespace
+
+TEST(KernelTiming, Sec55ArraySumCycleCountIsPinned)
+{
+    KernelRun run = runKernel(0, 4096, false);
+    ASSERT_TRUE(run.stats.halted);
+    EXPECT_EQ(run.sum, run.expected);
+    EXPECT_EQ(run.stats.cycles, 45076u);
+}
+
+TEST(KernelTiming, SqrtArraySumCycleCountIsPinnedAtO0)
+{
+    KernelRun run = runKernel(0, 1024, true);
+    ASSERT_TRUE(run.stats.halted);
+    EXPECT_EQ(run.sum, run.expected);
+    EXPECT_EQ(run.stats.cycles, 33812u);
+}
+
+TEST(KernelTiming, SqrtArraySumCycleCountIsPinnedAtO1)
+{
+    KernelRun run = runKernel(1, 1024, true);
+    ASSERT_TRUE(run.stats.halted);
+    EXPECT_EQ(run.sum, run.expected);
+    EXPECT_EQ(run.stats.cycles, 32788u);
+}

@@ -5,11 +5,15 @@
  * sparkle, sqrt, autoinc) run on the extended cycle-level cores and
  * compared against the ISS+LIL golden model. Exercises back-to-back
  * custom instructions, ISAX-to-base and base-to-ISAX data hazards,
- * decoupled overlap, and custom-register sequencing.
+ * decoupled overlap, and custom-register sequencing. Each core's
+ * streams also fold their cycle, stall and retired counts into a
+ * pinned digest, so a change to the core's timing cannot hide behind
+ * matching architectural state.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "driver/longnail.hh"
@@ -65,6 +69,30 @@ struct Fuzzer
     }
 };
 
+/** FNV-1a over the little-endian bytes of @p value. */
+uint64_t
+fnv1a(uint64_t hash, uint64_t value)
+{
+    for (unsigned byte = 0; byte < 8; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/** Digest of the ten streams' RunStats per core. */
+const std::map<std::string, uint64_t> &
+pinnedTimingDigests()
+{
+    static const std::map<std::string, uint64_t> digests = {
+        {"ORCA", 0x1dba9c7e0dd864bfull},
+        {"Piccolo", 0xf1aa21d98b53e386ull},
+        {"PicoRV32", 0x17bcd2c0211ef754ull},
+        {"VexRiscv", 0x907ce332980e368eull},
+    };
+    return digests;
+}
+
 } // namespace
 
 class IsaxFuzzTest : public ::testing::TestWithParam<const char *>
@@ -76,6 +104,7 @@ TEST_P(IsaxFuzzTest, InterleavedStreamsMatchGoldenModel)
     const std::string core_name = GetParam();
     Fuzzer fuzzer(core_name);
     std::mt19937 rng(0xC0FFEE);
+    uint64_t timing_digest = 0xcbf29ce484222325ull;
 
     for (int trial = 0; trial < 10; ++trial) {
         // Pick one ISAX per trial (the golden model handles one
@@ -128,16 +157,23 @@ TEST_P(IsaxFuzzTest, InterleavedStreamsMatchGoldenModel)
         cores::RunStats stats = core.run(500000);
         ASSERT_TRUE(stats.halted)
             << core_name << "/" << isax.name << " trial " << trial;
+        timing_digest = fnv1a(timing_digest, stats.cycles);
+        timing_digest = fnv1a(timing_digest, stats.stallCycles);
+        timing_digest = fnv1a(timing_digest, stats.instructions);
 
         for (unsigned r = 0; r < 16; ++r)
             ASSERT_EQ(core.reg(r), golden.reg(r))
                 << core_name << "/" << isax.name << " trial " << trial
                 << " x" << r;
-        for (const auto &reg : isax.makeBundle()->customRegs)
+        // Keep the bundle alive: the loop reads one of its members.
+        std::shared_ptr<cores::IsaxBundle> bundle = isax.makeBundle();
+        for (const auto &reg : bundle->customRegs)
             ASSERT_EQ(core.customReg(reg.name).toUint64(),
                       golden.customReg(reg.name).toUint64())
                 << core_name << "/" << isax.name << " " << reg.name;
     }
+    EXPECT_EQ(timing_digest, pinnedTimingDigests().at(core_name))
+        << core_name << ": timing digest 0x" << std::hex << timing_digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, IsaxFuzzTest,

@@ -6,7 +6,10 @@
  * register, every cycle — over the full benchmark catalog under random
  * stimulus, plus targeted edge cases (wide nets, ROM out-of-bounds,
  * division by zero, oversized shifts, enable registers, fused
- * compare/mux chains, register chains).
+ * compare/mux chains, register chains). Two further properties keep
+ * simulator reuse and skipped evaluations exact: a reset() simulator is
+ * indistinguishable from a freshly constructed one, and sparse,
+ * repeated or unchanged stimulus with holds still matches the oracle.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +39,25 @@ randomValue(std::mt19937_64 &rng, unsigned width)
     return value;
 }
 
+/** Compare every net of @p actual against @p expected (same module). */
+void
+expectSameNets(const Module &module, const Simulator &expected,
+               const Simulator &actual, unsigned cycle,
+               const std::string &what)
+{
+    for (NetId id = 0; id < NetId(module.numNets()); ++id) {
+        const ApInt &a = expected.net(id);
+        const ApInt &b = actual.net(id);
+        ASSERT_EQ(a.width(), b.width())
+            << what << ": net " << id << " cycle " << cycle;
+        ASSERT_TRUE(a == b)
+            << what << ": net " << id << " (" << module.netName(id)
+            << ") diverges at cycle " << cycle << " width " << a.width();
+        ASSERT_EQ(expected.netU64(id), actual.netU64(id))
+            << what << ": netU64 " << id << " cycle " << cycle;
+    }
+}
+
 /** Drive both engines with identical random stimulus and compare
  * every net after every evalComb(). */
 void
@@ -56,21 +78,117 @@ runDifferential(const Module &module, unsigned cycles, uint64_t seed,
         }
         oracle.evalComb();
         compiled.evalComb();
-        for (NetId id = 0; id < NetId(module.numNets()); ++id) {
-            const ApInt &a = oracle.net(id);
-            const ApInt &b = compiled.net(id);
-            ASSERT_EQ(a.width(), b.width())
-                << what << ": net " << id << " cycle " << cycle;
-            ASSERT_TRUE(a == b)
-                << what << ": net " << id << " ("
-                << module.netName(id) << ") diverges at cycle "
-                << cycle << " width " << a.width();
-            ASSERT_EQ(oracle.netU64(id), compiled.netU64(id))
-                << what << ": netU64 " << id << " cycle " << cycle;
-        }
+        expectSameNets(module, oracle, compiled, cycle, what);
+        if (::testing::Test::HasFatalFailure())
+            return;
         oracle.clockEdge();
         compiled.clockEdge();
     }
+}
+
+/** Run @p engine for 200 random cycles, reset(), and check that it
+ * behaves exactly like a freshly constructed simulator from then on:
+ * first with no input driven, then under identical random stimulus. */
+void
+runResetEqualsFresh(const Module &module, SimEngine engine, uint64_t seed,
+                    const std::string &what)
+{
+    std::mt19937_64 rng(seed);
+    Simulator reused(module, engine);
+    reused.reset();
+    for (unsigned cycle = 0; cycle < 200; ++cycle) {
+        for (const auto &[name, net] : module.inputs())
+            reused.setInput(net, randomValue(rng, module.widthOf(net)));
+        reused.tick();
+    }
+    reused.reset();
+
+    Simulator fresh(module, engine);
+    for (unsigned cycle = 0; cycle < 50; ++cycle) {
+        if (cycle > 0) {
+            for (const auto &[name, net] : module.inputs()) {
+                ApInt value = randomValue(rng, module.widthOf(net));
+                fresh.setInput(net, value);
+                reused.setInput(net, value);
+            }
+        }
+        fresh.evalComb();
+        reused.evalComb();
+        expectSameNets(module, fresh, reused, cycle, what);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        fresh.clockEdge();
+        reused.clockEdge();
+    }
+}
+
+/** Differential run under sparse stimulus: each cycle re-drives a
+ * random subset of the inputs (often none, sometimes with the value a
+ * port already holds, sometimes through the uint64_t overload with
+ * bits above the port width), evaluates one to three times, and
+ * sometimes holds instead of clocking. */
+void
+runSparseDifferential(const Module &module, unsigned cycles,
+                      uint64_t seed, const std::string &what)
+{
+    Simulator oracle(module, SimEngine::Interp);
+    Simulator compiled(module, SimEngine::Compiled);
+    std::mt19937_64 rng(seed);
+    std::vector<ApInt> held; // the value each input holds
+    for (const auto &[name, net] : module.inputs())
+        held.emplace_back(module.widthOf(net), 0);
+
+    for (unsigned cycle = 0; cycle < cycles; ++cycle) {
+        bool drive_any = rng() % 3 != 0;
+        for (size_t i = 0; drive_any && i < held.size(); ++i) {
+            NetId net = module.inputs()[i].second;
+            unsigned width = module.widthOf(net);
+            switch (rng() % 6) {
+              case 0: // a new value
+                held[i] = randomValue(rng, width);
+                oracle.setInput(net, held[i]);
+                compiled.setInput(net, held[i]);
+                break;
+              case 1: // the value already there
+                oracle.setInput(net, held[i]);
+                compiled.setInput(net, held[i]);
+                break;
+              case 2: { // raw 64-bit value, masked by the engines
+                uint64_t raw = rng() % 2 ? rng() : held[i].toUint64();
+                if (width < 64 && rng() % 2)
+                    raw |= ~uint64_t(0) << width;
+                held[i] = ApInt(width, raw);
+                oracle.setInput(net, raw);
+                compiled.setInput(net, raw);
+                break;
+              }
+              default: // not driven this cycle
+                break;
+            }
+        }
+        unsigned evals = 1 + unsigned(rng() % 3);
+        for (unsigned e = 0; e < evals; ++e) {
+            oracle.evalComb();
+            compiled.evalComb();
+            expectSameNets(module, oracle, compiled, cycle, what);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        if (rng() % 4 != 0) {
+            oracle.clockEdge();
+            compiled.clockEdge();
+        }
+    }
+}
+
+/** Every catalog ISAX's key. */
+std::vector<std::string>
+catalogNames()
+{
+    std::vector<std::string> names;
+    for (const auto &entry : catalog::allIsaxes())
+        names.push_back(entry.name);
+    return names;
 }
 
 } // namespace
@@ -104,6 +222,57 @@ INSTANTIATE_TEST_SUITE_P(
                       "autoinc_zol"),
     [](const ::testing::TestParamInfo<const char *> &info) {
         return std::string(info.param);
+    });
+
+// ---------------------------------------------------------------------
+// Reuse and skipped evaluation: every catalog module (VexRiscv, -O0).
+
+class SimReuseCatalogTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SimReuseCatalogTest, ResetEqualsFreshOnBothEngines)
+{
+    driver::CompileOptions options;
+    driver::CompiledIsax isax =
+        driver::compileCatalogIsax(GetParam(), options);
+    ASSERT_TRUE(isax.ok()) << isax.errors;
+    for (const auto &unit : isax.units) {
+        for (SimEngine engine : {SimEngine::Interp, SimEngine::Compiled}) {
+            std::string what =
+                GetParam() + "/" + unit.name + "/" + simEngineName(engine);
+            SCOPED_TRACE(what);
+            runResetEqualsFresh(unit.module.module, engine,
+                                0x7E5Eull ^
+                                    std::hash<std::string>{}(unit.name),
+                                what);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST_P(SimReuseCatalogTest, SparseStimulusMatchesInterpreter)
+{
+    driver::CompileOptions options;
+    driver::CompiledIsax isax =
+        driver::compileCatalogIsax(GetParam(), options);
+    ASSERT_TRUE(isax.ok()) << isax.errors;
+    for (const auto &unit : isax.units) {
+        SCOPED_TRACE(unit.name);
+        runSparseDifferential(unit.module.module, 600,
+                              0x5A15Eull ^
+                                  std::hash<std::string>{}(unit.name),
+                              GetParam() + "/" + unit.name);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, SimReuseCatalogTest, ::testing::ValuesIn(catalogNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
     });
 
 // ---------------------------------------------------------------------
@@ -222,6 +391,28 @@ TEST(SimDiffTest, ReplicateAndMultiConcat)
     NetId cat3 = m.addNode(NodeKind::Concat, 33, {rep, v, s});
     m.addOutput("sext", cat3);
     runDifferential(m, 300, 7, "bits");
+}
+
+TEST(SimDiffTest, SparseStimulusAndResetAcrossLanes)
+{
+    // One register per lane of the compiled engine: narrow (8 bit),
+    // packed 128 (100 bit) and ApInt (160 bit).
+    Module m("lanes");
+    NetId n = m.addInput("n", 8);
+    NetId en = m.addInput("en", 1);
+    NetId w2 = m.addInput("w2", 100);
+    NetId w = m.addInput("w", 160);
+    NetId rn = m.addRegister(n, en, ApInt(8, 0x5A));
+    NetId r2 = m.addRegister(w2, en, ApInt(100, 3));
+    NetId rw = m.addRegister(w, invalidNet, ApInt(160, 9));
+    m.addOutput("sum8", m.addNode(NodeKind::Add, 8, {n, rn}));
+    m.addOutput("sum100", m.addNode(NodeKind::Add, 100, {w2, r2}));
+    m.addOutput("xor160", m.addNode(NodeKind::Xor, 160, {w, rw}));
+    m.addOutput("mid", m.addExtract(rw, 70, 20));
+    runSparseDifferential(m, 800, 8, "lanes");
+    for (SimEngine engine : {SimEngine::Interp, SimEngine::Compiled})
+        runResetEqualsFresh(m, engine, 9,
+                            std::string("lanes/") + simEngineName(engine));
 }
 
 // ---------------------------------------------------------------------
