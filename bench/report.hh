@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "obs/obs.hh"
+#include "support/json.hh"
 
 namespace longnail {
 namespace bench {
@@ -129,12 +130,12 @@ inline std::string
 renderRecordLine(const Record &record)
 {
     return "{\"schema\": 1, \"bench\": \"" +
-           obs::escapeJson(record.bench) + "\", \"name\": \"" +
-           obs::escapeJson(record.name) + "\", \"metric\": \"" +
-           obs::escapeJson(record.metric) +
+           json::escape(record.bench) + "\", \"name\": \"" +
+           json::escape(record.name) + "\", \"metric\": \"" +
+           json::escape(record.metric) +
            "\", \"value\": " + detail::formatValue(record.value) +
-           ", \"unit\": \"" + obs::escapeJson(record.unit) +
-           "\", \"commit\": \"" + obs::escapeJson(record.commit) +
+           ", \"unit\": \"" + json::escape(record.unit) +
+           "\", \"commit\": \"" + json::escape(record.commit) +
            "\"}";
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/eval.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -12,61 +11,12 @@ namespace tv {
 const char *
 termKindName(TermKind kind)
 {
-    switch (kind) {
-      case TermKind::Var: return "var";
-      case TermKind::Const: return "const";
-      case TermKind::Add: return "add";
-      case TermKind::Sub: return "sub";
-      case TermKind::Mul: return "mul";
-      case TermKind::DivU: return "divu";
-      case TermKind::DivS: return "divs";
-      case TermKind::ModU: return "modu";
-      case TermKind::ModS: return "mods";
-      case TermKind::And: return "and";
-      case TermKind::Or: return "or";
-      case TermKind::Xor: return "xor";
-      case TermKind::Shl: return "shl";
-      case TermKind::ShrU: return "shru";
-      case TermKind::ShrS: return "shrs";
-      case TermKind::ICmp: return "icmp";
-      case TermKind::Mux: return "mux";
-      case TermKind::Extract: return "extract";
-      case TermKind::Concat: return "concat";
-      case TermKind::Replicate: return "replicate";
-      case TermKind::Rom: return "rom";
-    }
-    return "?";
+    if (auto comb = combOpOf(kind))
+        return ir::combInfo(*comb).name;
+    return "var";
 }
 
 namespace {
-
-bool
-isCommutative(TermKind kind)
-{
-    switch (kind) {
-      case TermKind::Add:
-      case TermKind::Mul:
-      case TermKind::And:
-      case TermKind::Or:
-      case TermKind::Xor:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/**
- * The shift-amount clamping shared by rtl/sim.cc and ir/eval.cc: an
- * amount with more than 32 active bits saturates to the value width,
- * and the effective amount never exceeds the value width.
- */
-unsigned
-clampShiftAmount(const ApInt &amount, unsigned value_width)
-{
-    uint64_t raw = amount.activeBits() > 32 ? value_width
-                                            : amount.toUint64();
-    return unsigned(std::min<uint64_t>(raw, value_width));
-}
 
 /** Mask with the low @p k bits of a @p width-bit value set. */
 ApInt
@@ -101,7 +51,7 @@ TermBuilder::intern(Term term)
     key.width = term.width;
     key.operands = term.operands;
     switch (term.kind) {
-      case TermKind::Const:
+      case TermKind::Constant:
         key.payload = term.cval.toStringUnsigned(16);
         break;
       case TermKind::Var:
@@ -149,7 +99,7 @@ TermId
 TermBuilder::constant(const ApInt &value)
 {
     Term t;
-    t.kind = TermKind::Const;
+    t.kind = TermKind::Constant;
     t.width = value.width();
     t.cval = value;
     return intern(std::move(t));
@@ -159,9 +109,12 @@ TermId
 TermBuilder::icmp(ir::ICmpPred pred, TermId lhs, TermId rhs)
 {
     // Fold and rewrite here; intern carries the predicate payload.
-    if (isConst(lhs) && isConst(rhs))
-        return constant(
-            ApInt(1, ir::applyICmp(pred, constOf(lhs), constOf(rhs))));
+    if (isConst(lhs) && isConst(rhs)) {
+        ir::CombAttrs attrs;
+        attrs.pred = pred;
+        const TermId operands[] = {lhs, rhs};
+        return fold(ir::CombOp::ICmp, 1, operands, attrs);
+    }
     if (lhs == rhs) {
         switch (pred) {
           case ir::ICmpPred::Eq:
@@ -220,8 +173,11 @@ TermBuilder::extractImpl(TermId value, unsigned lo, unsigned count)
     const unsigned vlo = terms_.at(value).lo;
     const std::vector<TermId> vops = terms_.at(value).operands;
 
-    if (vkind == TermKind::Const)
-        return constant(constOf(value).extract(lo, count));
+    if (vkind == TermKind::Constant) {
+        ir::CombAttrs attrs;
+        attrs.lo = lo;
+        return fold(ir::CombOp::Extract, count, {&value, 1}, attrs);
+    }
     if (lo == 0 && count == vwidth)
         return value;
 
@@ -285,13 +241,10 @@ TermBuilder::extractImpl(TermId value, unsigned lo, unsigned count)
 TermId
 TermBuilder::rom(std::vector<ApInt> values, unsigned width, TermId index)
 {
-    const Term &idx = terms_.at(index);
-    if (idx.kind == TermKind::Const) {
-        uint64_t i = idx.cval.activeBits() > 63 ? values.size()
-                                                : idx.cval.toUint64();
-        if (i >= values.size())
-            return constant(ApInt(width, 0));
-        return constant(values[i].zextOrTrunc(width));
+    if (isConst(index)) {
+        ir::CombAttrs attrs;
+        attrs.romValues = &values;
+        return fold(ir::CombOp::Rom, width, {&index, 1}, attrs);
     }
     Term t;
     t.kind = TermKind::Rom;
@@ -307,7 +260,7 @@ TermBuilder::make(TermKind kind, unsigned width,
 {
     switch (kind) {
       case TermKind::Var:
-      case TermKind::Const:
+      case TermKind::Constant:
       case TermKind::ICmp:
       case TermKind::Extract:
       case TermKind::Rom:
@@ -317,58 +270,11 @@ TermBuilder::make(TermKind kind, unsigned width,
         break;
     }
 
-    bool all_const = true;
+    bool all_const = !operands.empty();
     for (TermId op : operands)
         all_const &= isConst(op);
-
-    // Constant folding, mirroring rtl/sim.cc evaluation exactly.
-    if (all_const && !operands.empty()) {
-        auto c = [&](unsigned i) -> const ApInt & {
-            return constOf(operands[i]);
-        };
-        switch (kind) {
-          case TermKind::Add: return constant(c(0) + c(1));
-          case TermKind::Sub: return constant(c(0) - c(1));
-          case TermKind::Mul: return constant(c(0) * c(1));
-          case TermKind::DivU:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).udiv(c(1)));
-          case TermKind::DivS:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).sdiv(c(1)));
-          case TermKind::ModU:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).urem(c(1)));
-          case TermKind::ModS:
-            return constant(c(1).isZero() ? ApInt(width, 0)
-                                          : c(0).srem(c(1)));
-          case TermKind::And: return constant(c(0) & c(1));
-          case TermKind::Or: return constant(c(0) | c(1));
-          case TermKind::Xor: return constant(c(0) ^ c(1));
-          case TermKind::Shl:
-            return constant(
-                c(0).shl(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::ShrU:
-            return constant(
-                c(0).lshr(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::ShrS:
-            return constant(
-                c(0).ashr(clampShiftAmount(c(1), c(0).width())));
-          case TermKind::Mux:
-            return c(0).isZero() ? operands[2] : operands[1];
-          case TermKind::Concat: {
-            ApInt acc = c(unsigned(operands.size() - 1));
-            for (size_t i = operands.size() - 1; i-- > 0;)
-                acc = c(unsigned(i)).concat(acc);
-            return constant(acc);
-          }
-          case TermKind::Replicate:
-            return constant(c(0).isZero() ? ApInt(width, 0)
-                                          : ApInt::allOnes(width));
-          default:
-            break;
-        }
-    }
+    if (all_const)
+        return fold(*combOpOf(kind), width, operands);
 
     // Local identity rewrites (x op neutral-element, idempotence).
     auto zero = [&](TermId id) {
@@ -491,15 +397,15 @@ TermBuilder::make(TermKind kind, unsigned width,
         // Overshift: amounts clamp to the width and every data bit is
         // discarded (shrs keeps the sign fill and stays symbolic).
         if (isConst(operands[1]) &&
-            clampShiftAmount(constOf(operands[1]), width) >= width)
+            ir::clampShiftAmount(constOf(operands[1]), width) >= width)
             return constant(ApInt(width, 0));
         break;
       default:
         break;
     }
 
-    if (isCommutative(kind) && operands.size() == 2 &&
-        operands[1] < operands[0])
+    if (ir::combInfo(*combOpOf(kind)).commutative &&
+        operands.size() == 2 && operands[1] < operands[0])
         std::swap(operands[0], operands[1]);
 
     Term t;
@@ -507,6 +413,49 @@ TermBuilder::make(TermKind kind, unsigned width,
     t.width = width;
     t.operands = std::move(operands);
     return intern(std::move(t));
+}
+
+TermId
+TermBuilder::fold(ir::CombOp op, unsigned width,
+                  std::span<const TermId> operands,
+                  const ir::CombAttrs &attrs)
+{
+    auto get = [&](unsigned i) -> const ApInt & {
+        return constOf(operands[i]);
+    };
+    return constant(ir::evalComb(
+        op, width, ir::CombOperands(operands.size(), get), attrs));
+}
+
+TermId
+TermBuilder::comb(ir::CombOp op, unsigned width,
+                  std::vector<TermId> operands, const ir::CombAttrs &attrs)
+{
+    switch (op) {
+      case ir::CombOp::Constant: return constant(*attrs.value);
+      case ir::CombOp::ICmp:
+        return icmp(attrs.pred, operands[0], operands[1]);
+      case ir::CombOp::Extract:
+        return extract(operands[0], attrs.lo, width);
+      case ir::CombOp::Rom:
+        return rom(*attrs.romValues, width, operands[0]);
+      default:
+        return make(termKindOf(op), width, std::move(operands));
+    }
+}
+
+TermId
+TermBuilder::comb(const ir::Operation &op,
+                  const std::map<const ir::Value *, TermId> &values)
+{
+    auto c = ir::combOpOf(op.kind());
+    if (!c)
+        return invalidTerm;
+    std::vector<TermId> operands;
+    for (const ir::Value *v : op.operands())
+        operands.push_back(values.at(v));
+    return comb(*c, op.result()->type.width, std::move(operands),
+                ir::combAttrs(op, *c));
 }
 
 ValueRange
@@ -528,7 +477,7 @@ TermBuilder::rangeOf(TermId id)
     ValueRange out = ValueRange::full(w);
 
     switch (t.kind) {
-      case TermKind::Const:
+      case TermKind::Constant:
         out = ValueRange::exact(t.cval);
         break;
       case TermKind::Add: {
@@ -697,7 +646,7 @@ TermBuilder::render(TermId id, unsigned max_depth) const
     switch (t.kind) {
       case TermKind::Var:
         return t.var;
-      case TermKind::Const:
+      case TermKind::Constant:
         return "0x" + t.cval.toStringUnsigned(16) + ":" +
                std::to_string(t.width);
       default:

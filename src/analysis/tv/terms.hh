@@ -6,10 +6,8 @@
  * Both sides of the equivalence check — the scheduled rtl::Module
  * netlist and the LIL graph it was generated from — are evaluated
  * into terms owned by one shared TermBuilder. The builder
- * hash-conses structurally identical terms, folds constants with
- * exactly the rtl::Simulator / ir::evaluate() semantics (shift
- * amounts >= width saturate, division by zero yields 0, ROM
- * out-of-range reads yield 0), sorts the operands of commutative
+ * hash-conses structurally identical terms, folds constants with the
+ * reference semantics ir::evalComb, sorts the operands of commutative
  * operators, and applies local identity rewrites (x+0, x&x,
  * mux(c,a,b), ...). Two values are proved equal when they reduce to
  * the same TermId; anything else falls back to co-simulation.
@@ -20,11 +18,14 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "analysis/dataflow.hh"
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 #include "support/apint.hh"
 
@@ -36,38 +37,39 @@ namespace tv {
 using TermId = uint32_t;
 constexpr TermId invalidTerm = ~TermId(0);
 
-/** Operator of a term node (mirrors rtl::NodeKind's pure subset). */
+/** Operator of a term node: a free variable or a comb operator of
+ * ir/comb.def. */
 enum class TermKind
 {
-    Var,      ///< free variable (an architectural input)
-    Const,    ///< literal
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    DivS,
-    ModU,
-    ModS,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrU,
-    ShrS,
-    ICmp,     ///< pred attr
-    Mux,      ///< operands: sel(1), then, else
-    Extract,  ///< lo attr
-    Concat,   ///< operand 0 is the high part
-    Replicate,///< 1-bit operand replicated to the term width
-    Rom,      ///< values attr; operand: index
+    Var, ///< free variable (an architectural input)
+#define LN_COMB_OP(name, ...) name,
+#include "ir/comb.def"
+#undef LN_COMB_OP
 };
+
+static_assert(int(TermKind::Rom) - int(TermKind::Constant) ==
+              int(ir::CombOp::Rom));
+
+inline std::optional<ir::CombOp>
+combOpOf(TermKind kind)
+{
+    if (kind == TermKind::Var)
+        return std::nullopt;
+    return ir::CombOp(int(kind) - int(TermKind::Constant));
+}
+
+inline TermKind
+termKindOf(ir::CombOp op)
+{
+    return TermKind(int(op) + int(TermKind::Constant));
+}
 
 const char *termKindName(TermKind kind);
 
 /** One node of the term DAG. */
 struct Term
 {
-    TermKind kind = TermKind::Const;
+    TermKind kind = TermKind::Constant;
     unsigned width = 1;
     std::vector<TermId> operands;
     ApInt cval{1, 0};        ///< Const payload
@@ -111,6 +113,15 @@ class TermBuilder
     TermId extract(TermId value, unsigned lo, unsigned count);
     TermId rom(std::vector<ApInt> values, unsigned width, TermId index);
 
+    /** Comb operator @p op over @p operands, through constant(),
+     * icmp(), extract(), rom() or make() as @p op requires. */
+    TermId comb(ir::CombOp op, unsigned width,
+                std::vector<TermId> operands, const ir::CombAttrs &attrs);
+    /** LIL comb operation @p op over the operand terms in @p values;
+     * invalidTerm when @p op is not a comb operation. */
+    TermId comb(const ir::Operation &op,
+                const std::map<const ir::Value *, TermId> &values);
+
     const Term &term(TermId id) const { return terms_.at(id); }
     size_t size() const { return terms_.size(); }
 
@@ -130,11 +141,15 @@ class TermBuilder
     };
 
     TermId intern(Term term);
+    /** Constant-fold @p op over constant @p operands. */
+    TermId fold(ir::CombOp op, unsigned width,
+                std::span<const TermId> operands,
+                const ir::CombAttrs &attrs = {});
     TermId extractImpl(TermId value, unsigned lo, unsigned count);
     const ApInt &constOf(TermId id) const { return terms_[id].cval; }
     bool isConst(TermId id) const
     {
-        return terms_[id].kind == TermKind::Const;
+        return terms_[id].kind == TermKind::Constant;
     }
 
     /**

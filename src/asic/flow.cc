@@ -1,11 +1,10 @@
 #include "asic/flow.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 
-#include "support/logging.hh"
+#include "sched/techlib.hh"
 
 namespace longnail {
 namespace asic {
@@ -30,106 +29,55 @@ SynthesisResult::freqDeltaPercent(const SynthesisResult &base) const
 
 namespace {
 
-double
-log2ceil(unsigned w)
+/** Per net: driven by a Constant node, so a shift by it is wiring. */
+std::vector<bool>
+constantNets(const Module &m)
 {
-    return std::ceil(std::log2(std::max(2u, w)));
+    std::vector<bool> constant(m.numNets(), false);
+    for (const Node &node : m.nodes())
+        constant[node.result] = node.kind == NodeKind::Constant;
+    return constant;
 }
 
-/** True if the shift amount operand is driven by a Constant node. */
-bool
-shiftByConstant(const Module &m, const Node &node)
+sched::CombShape
+shapeOf(const Module &m, const Node &node, ir::CombOp op,
+        const std::vector<bool> &constant_nets)
 {
-    if (node.kind != NodeKind::Shl && node.kind != NodeKind::ShrU &&
-        node.kind != NodeKind::ShrS)
-        return false;
-    for (const Node &candidate : m.nodes())
-        if (candidate.result == node.operands[1])
-            return candidate.kind == NodeKind::Constant;
-    return false;
-}
-
-/** 22nm-class cell area (um^2); must track sched::TechLibrary. */
-double
-cellArea(const Module &m, const Node &node)
-{
-    unsigned w = m.widthOf(node.result);
-    switch (node.kind) {
-      case NodeKind::Add:
-      case NodeKind::Sub:
-        return 0.30 * w;
-      case NodeKind::Mul: {
-        unsigned lw = m.widthOf(node.operands[0]);
-        unsigned rw = m.widthOf(node.operands[1]);
-        return 0.20 * lw * rw;
-      }
-      case NodeKind::DivU:
-      case NodeKind::DivS:
-      case NodeKind::ModU:
-      case NodeKind::ModS:
-        return 2.4 * w * w / 8.0;
-      case NodeKind::ICmp:
-        return 0.25 * m.widthOf(node.operands[0]);
-      case NodeKind::And:
-      case NodeKind::Or:
-      case NodeKind::Xor:
-        return 0.15 * w;
-      case NodeKind::Mux:
-        return 0.25 * w;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS:
-        if (shiftByConstant(m, node))
-            return 0.0;
-        return 0.25 * w * log2ceil(w);
-      case NodeKind::Rom:
-        return 0.05 * double(node.romValues.size()) * w;
-      case NodeKind::Register:
-        return 0.8 * w;
-      default:
-        return 0.0;
+    sched::CombShape shape;
+    shape.op = op;
+    shape.width = m.widthOf(node.result);
+    if (!node.operands.empty())
+        shape.lhsWidth = m.widthOf(node.operands[0]);
+    if (node.operands.size() > 1) {
+        shape.rhsWidth = m.widthOf(node.operands[1]);
+        shape.constantAmount = constant_nets[node.operands[1]];
     }
+    shape.romEntries = node.romValues.size();
+    return shape;
 }
 
-/** 22nm-class propagation delay (ns); must track sched::TechLibrary. */
+/** Cell area (um^2); @p constant_nets from constantNets(). */
 double
-cellDelay(const Module &m, const Node &node)
+cellArea(const Module &m, const Node &node,
+         const std::vector<bool> &constant_nets)
 {
-    unsigned w = m.widthOf(node.result);
-    switch (node.kind) {
-      case NodeKind::Add:
-      case NodeKind::Sub:
-        return 0.06 + 0.025 * log2ceil(w);
-      case NodeKind::Mul:
-        return 0.25 + 0.060 * log2ceil(w);
-      case NodeKind::DivU:
-      case NodeKind::DivS:
-      case NodeKind::ModU:
-      case NodeKind::ModS:
-        return 0.5 + 0.09 * w;
-      case NodeKind::ICmp:
-        return 0.05 + 0.020 * log2ceil(m.widthOf(node.operands[0]));
-      case NodeKind::And:
-      case NodeKind::Or:
-      case NodeKind::Xor:
-        return 0.035;
-      case NodeKind::Mux:
-        return 0.05;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS:
-        if (shiftByConstant(m, node))
-            return 0.0;
-        return 0.05 * log2ceil(w);
-      case NodeKind::Rom:
-        return 0.12 + 0.025 * log2ceil(unsigned(node.romValues.size()));
-      case NodeKind::Input:
+    if (auto op = rtl::combOpOf(node.kind))
+        return sched::combAreaUm2(shapeOf(m, node, *op, constant_nets));
+    if (node.kind == NodeKind::Register)
+        return 0.8 * m.widthOf(node.result);
+    return 0.0;
+}
+
+/** Propagation delay (ns); @p constant_nets from constantNets(). */
+double
+cellDelay(const Module &m, const Node &node,
+          const std::vector<bool> &constant_nets)
+{
+    if (auto op = rtl::combOpOf(node.kind))
+        return sched::combDelayNs(shapeOf(m, node, *op, constant_nets));
+    if (node.kind == NodeKind::Input)
         return 0.20; // port arrival margin
-      case NodeKind::Register:
-        return 0.08; // clk-to-q
-      default:
-        return 0.0;
-    }
+    return 0.08;     // register clk-to-q
 }
 
 /** Per-core base cost of the SCAIE-V interface plumbing. */
@@ -174,9 +122,10 @@ AsicFlow::synthesizeBase() const
 double
 AsicFlow::moduleAreaUm2(const GeneratedModule &module) const
 {
+    std::vector<bool> constant_nets = constantNets(module.module);
     double area = 0.0;
     for (const Node &node : module.module.nodes())
-        area += cellArea(module.module, node);
+        area += cellArea(module.module, node, constant_nets);
     area += 3.0 * double(module.ports.size());
     return area;
 }
@@ -205,8 +154,7 @@ stagePaths(const GeneratedModule &module)
     std::vector<double> arrival(m.numNets(), 0.0);
     std::vector<int> stage(m.numNets(), module.firstStage);
 
-    size_t input_index = 0;
-    (void)input_index;
+    std::vector<bool> constant_nets = constantNets(m);
     for (const Node &node : m.nodes()) {
         double inputs = 0.0;
         int s = module.firstStage;
@@ -228,7 +176,7 @@ stagePaths(const GeneratedModule &module)
                 s = std::max(s, stage[operand]);
             }
         }
-        double d = cellDelay(m, node);
+        double d = cellDelay(m, node, constant_nets);
         if (node.kind == NodeKind::Register) {
             // Path into the register closes in the source stage.
             double into = arrival[node.operands[0]] + 0.05;

@@ -3,8 +3,9 @@
  * Synthetic ASIC synthesis + place-and-route flow model (substitute for
  * the paper's commercial 22nm reference flow, Sec. 5.3).
  *
- * Area: cell-level accounting over the generated netlists using the
- * same 22nm-class library as the scheduler (sched::TechLibrary), plus
+ * Area: cell-level accounting over the generated netlists with the
+ * 22nm-class comb cost model the scheduler uses (sched::combAreaUm2),
+ * plus
  * models of the SCAIE-V integration logic (decoder matches, write-port
  * muxing, stall/flush glue, custom register files, and the scoreboard
  * for decoupled hazard handling).
@@ -31,7 +32,6 @@
 
 #include "hwgen/hwgen.hh"
 #include "scaiev/datasheet.hh"
-#include "sched/techlib.hh"
 
 namespace longnail {
 namespace asic {
@@ -97,7 +97,6 @@ class AsicFlow
         const FlowOptions &options) const;
 
     const scaiev::Datasheet &core_;
-    sched::TechLibrary library_{sched::TimingMode::Library};
 };
 
 /** Deterministic pseudo-noise in [-amplitude, +amplitude]. */

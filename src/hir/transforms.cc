@@ -4,6 +4,7 @@
 #include <set>
 
 #include "analysis/verifier.hh"
+#include "ir/comb.hh"
 #include "ir/eval.hh"
 
 namespace longnail {
@@ -16,36 +17,6 @@ using ir::OpKind;
 using ir::Value;
 
 namespace {
-
-bool
-isCombLevel(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombConstant:
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-      case OpKind::CombMul:
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-      case OpKind::CombICmp:
-      case OpKind::CombMux:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-      case OpKind::CombRom:
-        return true;
-      default:
-        return false;
-    }
-}
 
 bool
 isConstantOp(OpKind kind)
@@ -144,7 +115,7 @@ foldOnce(Graph &root, Graph &graph,
                     ++changed;
                 } else { // x & 0 / x | 1
                     op->morphToConstant(ApInt(1, is_and ? 0 : 1),
-                                        isCombLevel(op->kind()));
+                                        ir::isComb(op->kind()));
                     constants.emplace(op->result(),
                                       op->apAttr("value"));
                     ++changed;
@@ -174,7 +145,7 @@ foldOnce(Graph &root, Graph &graph,
         auto result = ir::evaluate(*op, operand_values);
         if (!result)
             continue;
-        op->morphToConstant(*result, isCombLevel(op->kind()));
+        op->morphToConstant(*result, ir::isComb(op->kind()));
         constants.emplace(op->result(), op->apAttr("value"));
         ++changed;
     }

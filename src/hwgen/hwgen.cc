@@ -16,7 +16,6 @@ using ir::Value;
 using rtl::invalidNet;
 using rtl::Module;
 using rtl::NetId;
-using rtl::NodeKind;
 using scaiev::ExecutionMode;
 using scaiev::SubInterface;
 
@@ -30,31 +29,6 @@ GeneratedModule::findPort(SubInterface iface, const std::string &reg) const
 }
 
 namespace {
-
-NodeKind
-combNodeKind(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombAdd: return NodeKind::Add;
-      case OpKind::CombSub: return NodeKind::Sub;
-      case OpKind::CombMul: return NodeKind::Mul;
-      case OpKind::CombDivU: return NodeKind::DivU;
-      case OpKind::CombDivS: return NodeKind::DivS;
-      case OpKind::CombModU: return NodeKind::ModU;
-      case OpKind::CombModS: return NodeKind::ModS;
-      case OpKind::CombAnd: return NodeKind::And;
-      case OpKind::CombOr: return NodeKind::Or;
-      case OpKind::CombXor: return NodeKind::Xor;
-      case OpKind::CombShl: return NodeKind::Shl;
-      case OpKind::CombShrU: return NodeKind::ShrU;
-      case OpKind::CombShrS: return NodeKind::ShrS;
-      case OpKind::CombMux: return NodeKind::Mux;
-      case OpKind::CombConcat: return NodeKind::Concat;
-      case OpKind::CombReplicate: return NodeKind::Replicate;
-      default:
-        LN_PANIC("not a comb op: ", ir::opKindName(kind));
-    }
-}
 
 class Generator
 {
@@ -230,63 +204,47 @@ class Generator
     }
 
     void
+    emitComb(const ir::Operation &op, ir::CombOp comb, int t)
+    {
+        if (comb == ir::CombOp::Constant) {
+            constants_[op.result()] = out_.addConstant(op.apAttr("value"));
+            return;
+        }
+        std::vector<NetId> operands;
+        for (unsigned i = 0; i < op.numOperands(); ++i)
+            operands.push_back(pipeTo(op.operand(i), t));
+        unsigned width = op.result()->type.width;
+        NetId net = invalidNet;
+        switch (comb) {
+          case ir::CombOp::Extract:
+            net = out_.addExtract(operands.at(0),
+                                  unsigned(op.intAttr("lo")), width);
+            break;
+          case ir::CombOp::ICmp:
+            net = out_.addICmp(
+                static_cast<ir::ICmpPred>(op.intAttr("pred")),
+                operands.at(0), operands.at(1));
+            break;
+          case ir::CombOp::Rom:
+            net = out_.addRom(op.romAttr("values"), width, operands.at(0));
+            break;
+          default:
+            net = out_.addNode(rtl::nodeKindOf(comb), width,
+                               std::move(operands));
+            break;
+        }
+        define(op.result(), t, net);
+    }
+
+    void
     emitOp(const ir::Operation &op, GeneratedModule &result)
     {
         int t = stageOf(&op);
+        if (auto comb = ir::combOpOf(op.kind())) {
+            emitComb(op, *comb, t);
+            return;
+        }
         switch (op.kind()) {
-          case OpKind::CombConstant: {
-            NetId net = out_.addConstant(op.apAttr("value"));
-            constants_[op.result()] = net;
-            return;
-          }
-          case OpKind::CombExtract: {
-            NetId v = pipeTo(op.operand(0), t);
-            NetId net = out_.addExtract(v, unsigned(op.intAttr("lo")),
-                                        op.result()->type.width);
-            define(op.result(), t, net);
-            return;
-          }
-          case OpKind::CombICmp: {
-            NetId lhs = pipeTo(op.operand(0), t);
-            NetId rhs = pipeTo(op.operand(1), t);
-            NetId net = out_.addICmp(
-                static_cast<ir::ICmpPred>(op.intAttr("pred")), lhs,
-                rhs);
-            define(op.result(), t, net);
-            return;
-          }
-          case OpKind::CombRom: {
-            NetId index = pipeTo(op.operand(0), t);
-            NetId net = out_.addRom(op.romAttr("values"),
-                                    op.result()->type.width, index);
-            define(op.result(), t, net);
-            return;
-          }
-          case OpKind::CombAdd:
-          case OpKind::CombSub:
-          case OpKind::CombMul:
-          case OpKind::CombDivU:
-          case OpKind::CombDivS:
-          case OpKind::CombModU:
-          case OpKind::CombModS:
-          case OpKind::CombAnd:
-          case OpKind::CombOr:
-          case OpKind::CombXor:
-          case OpKind::CombShl:
-          case OpKind::CombShrU:
-          case OpKind::CombShrS:
-          case OpKind::CombMux:
-          case OpKind::CombConcat:
-          case OpKind::CombReplicate: {
-            std::vector<NetId> operands;
-            for (unsigned i = 0; i < op.numOperands(); ++i)
-                operands.push_back(pipeTo(op.operand(i), t));
-            NetId net = out_.addNode(combNodeKind(op.kind()),
-                                     op.result()->type.width,
-                                     std::move(operands));
-            define(op.result(), t, net);
-            return;
-          }
           case OpKind::LilInstrWord: {
             InterfacePort &port = newPort(result, op,
                                           SubInterface::RdInstr, t);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ir/comb.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -10,6 +11,8 @@ namespace ir {
 bool
 isPureComputation(OpKind kind)
 {
+    if (isComb(kind))
+        return true;
     switch (kind) {
       case OpKind::HwConstant:
       case OpKind::HwAdd:
@@ -29,26 +32,6 @@ isPureComputation(OpKind kind)
       case OpKind::CoredslConcat:
       case OpKind::CoredslExtract:
       case OpKind::CoredslRom:
-      case OpKind::CombConstant:
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-      case OpKind::CombMul:
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-      case OpKind::CombICmp:
-      case OpKind::CombMux:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-      case OpKind::CombRom:
         return true;
       default:
         return false;
@@ -102,10 +85,20 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
     const unsigned rw =
         op.numResults() ? op.result()->type.width : 0;
     auto otype = [&](unsigned i) { return op.operand(i)->type; };
+    // The comb reference semantics, except that a zero divisor yields
+    // no value: the folding passes must not fold it away.
+    auto comb = [&](CombOp c) -> std::optional<ApInt> {
+        if (isDivOrMod(c) && operands[1].isZero())
+            return std::nullopt;
+        auto get = [&](unsigned i) -> const ApInt & { return operands[i]; };
+        return evalComb(c, rw, CombOperands(operands.size(), get),
+                        combAttrs(op, c));
+    };
+    if (auto c = combOpOf(op.kind()))
+        return comb(*c);
 
     switch (op.kind()) {
       case OpKind::HwConstant:
-      case OpKind::CombConstant:
         return op.apAttr("value");
 
       case OpKind::HwAdd:
@@ -140,12 +133,8 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
 
       case OpKind::HwShl:
       case OpKind::HwShr: {
-        ApInt v = operands[0];
-        uint64_t raw_amount = operands[1].activeBits() > 32
-                                  ? v.width()
-                                  : operands[1].toUint64();
-        unsigned amount = unsigned(
-            std::min<uint64_t>(raw_amount, v.width()));
+        const ApInt &v = operands[0];
+        unsigned amount = clampShiftAmount(operands[1], v.width());
         if (op.kind() == OpKind::HwShl)
             return fitResult(v.shl(amount), rw);
         return fitResult(otype(0).isSigned ? v.ashr(amount)
@@ -176,85 +165,19 @@ evaluate(const Operation &op, const std::vector<ApInt> &operands)
       }
 
       case OpKind::HwMux:
-      case OpKind::CombMux:
-        return operands[0].isZero() ? operands[2] : operands[1];
+        return comb(CombOp::Mux);
 
       case OpKind::CoredslCast:
         return extendTo(operands[0], otype(0), rw);
 
       case OpKind::CoredslConcat:
-      case OpKind::CombConcat:
-        return operands[0].concat(operands[1]);
+        return comb(CombOp::Concat);
 
       case OpKind::CoredslExtract:
-      case OpKind::CombExtract:
-        return operands[0].extract(unsigned(op.intAttr("lo")), rw);
+        return comb(CombOp::Extract);
 
       case OpKind::CoredslRom:
-      case OpKind::CombRom: {
-        const auto &values = op.romAttr("values");
-        uint64_t index = op.numOperands()
-                             ? (operands[0].activeBits() > 63
-                                    ? values.size()
-                                    : operands[0].toUint64())
-                             : 0;
-        if (index >= values.size())
-            return ApInt(rw, 0);
-        return values[index].zextOrTrunc(rw);
-      }
-
-      case OpKind::CombAdd:
-        return operands[0] + operands[1];
-      case OpKind::CombSub:
-        return operands[0] - operands[1];
-      case OpKind::CombMul:
-        return operands[0] * operands[1];
-      case OpKind::CombDivU:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].udiv(operands[1]);
-      case OpKind::CombDivS:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].sdiv(operands[1]);
-      case OpKind::CombModU:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].urem(operands[1]);
-      case OpKind::CombModS:
-        if (operands[1].isZero())
-            return std::nullopt;
-        return operands[0].srem(operands[1]);
-      case OpKind::CombAnd:
-        return operands[0] & operands[1];
-      case OpKind::CombOr:
-        return operands[0] | operands[1];
-      case OpKind::CombXor:
-        return operands[0] ^ operands[1];
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS: {
-        uint64_t raw_amount = operands[1].activeBits() > 32
-                                  ? operands[0].width()
-                                  : operands[1].toUint64();
-        unsigned amount = unsigned(std::min<uint64_t>(
-            raw_amount, operands[0].width()));
-        if (op.kind() == OpKind::CombShl)
-            return operands[0].shl(amount);
-        if (op.kind() == OpKind::CombShrU)
-            return operands[0].lshr(amount);
-        return operands[0].ashr(amount);
-      }
-      case OpKind::CombICmp: {
-        auto pred = static_cast<ICmpPred>(op.intAttr("pred"));
-        return ApInt(1, applyICmp(pred, operands[0], operands[1]));
-      }
-      case OpKind::CombReplicate: {
-        ApInt out(rw, 0);
-        if (!operands[0].isZero())
-            out = ApInt::allOnes(rw);
-        return out;
-      }
+        return comb(CombOp::Rom);
 
       default:
         return std::nullopt;

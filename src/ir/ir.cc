@@ -3,6 +3,7 @@
 #include <set>
 #include <sstream>
 
+#include "ir/comb.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -17,6 +18,8 @@ WireType::str() const
 const char *
 opKindName(OpKind kind)
 {
+    if (auto comb = combOpOf(kind))
+        return combInfo(*comb).irName;
     switch (kind) {
       case OpKind::CoredslField: return "coredsl.field";
       case OpKind::CoredslGet: return "coredsl.get";
@@ -55,26 +58,7 @@ opKindName(OpKind kind)
       case OpKind::LilWriteCustRegAddr: return "lil.write_custreg_addr";
       case OpKind::LilWriteCustRegData: return "lil.write_custreg_data";
       case OpKind::LilSink: return "lil.sink";
-      case OpKind::CombConstant: return "comb.constant";
-      case OpKind::CombAdd: return "comb.add";
-      case OpKind::CombSub: return "comb.sub";
-      case OpKind::CombMul: return "comb.mul";
-      case OpKind::CombDivU: return "comb.divu";
-      case OpKind::CombDivS: return "comb.divs";
-      case OpKind::CombModU: return "comb.modu";
-      case OpKind::CombModS: return "comb.mods";
-      case OpKind::CombAnd: return "comb.and";
-      case OpKind::CombOr: return "comb.or";
-      case OpKind::CombXor: return "comb.xor";
-      case OpKind::CombShl: return "comb.shl";
-      case OpKind::CombShrU: return "comb.shru";
-      case OpKind::CombShrS: return "comb.shrs";
-      case OpKind::CombICmp: return "comb.icmp";
-      case OpKind::CombMux: return "comb.mux";
-      case OpKind::CombExtract: return "comb.extract";
-      case OpKind::CombConcat: return "comb.concat";
-      case OpKind::CombReplicate: return "comb.replicate";
-      case OpKind::CombRom: return "comb.rom";
+      default: break;
     }
     return "<invalid>";
 }

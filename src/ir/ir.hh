@@ -95,26 +95,10 @@ enum class OpKind
     LilSink,            ///< graph terminator
 
     // --- comb dialect (signless combinational logic, Fig. 5c/5d) ---
-    CombConstant, ///< apAttr("value")
-    CombAdd,
-    CombSub,
-    CombMul,
-    CombDivU,
-    CombDivS,
-    CombModU,
-    CombModS,
-    CombAnd,
-    CombOr,
-    CombXor,
-    CombShl,
-    CombShrU,
-    CombShrS,
-    CombICmp,     ///< intAttr("pred")
-    CombMux,
-    CombExtract,  ///< intAttr("lo"); result width selects the count
-    CombConcat,   ///< first operand is the high part
-    CombReplicate,///< replicate a 1-bit value to the result width
-    CombRom,      ///< romAttr("values"); operands: index
+    // One enumerator per row of ir/comb.def (CombConstant ... CombRom).
+#define LN_COMB_OP(name, ...) Comb##name,
+#include "ir/comb.def"
+#undef LN_COMB_OP
 };
 
 /** Comparison predicates shared by hwarith.icmp and comb.icmp. */

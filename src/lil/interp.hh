@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,34 @@ struct InterpResult
  * the result. The execution is untimed (spawn marks are ignored).
  */
 InterpResult interpret(const LilGraph &graph, const InterpInput &input);
+
+// Co-simulation against interpret(): translation validation compares
+// it with the netlist, the -O1 pass checker across a pass.
+
+/** Deterministic memory contents: a pure hash of the address. */
+ApInt hashMemWord(const ApInt &addr);
+
+/**
+ * Inputs of co-simulation trial @p trial: all zeros for trial 0, all
+ * ones for trial 1, then draws from @p rng (custom-register words high
+ * half first). The instruction word keeps @p graph's encoding bits;
+ * custom registers of @p isa (none when null) are filled too.
+ */
+InterpInput cosimInput(const LilGraph &graph,
+                       const coredsl::ElaboratedIsa *isa, unsigned trial,
+                       std::mt19937 &rng);
+
+/** "instr_word=0x.. rs1=0x.. rs2=0x.. pc=0x..". */
+std::string describeInput(const InterpInput &input);
+
+/**
+ * First difference between the effects @p want and @p got, e.g.
+ * "WrRD: golden=0x1 rtl=0x2" with @p want_label "golden" and
+ * @p got_label "rtl"; empty when they agree.
+ */
+std::string diffEffects(const InterpResult &want, const InterpResult &got,
+                        const std::string &want_label,
+                        const std::string &got_label);
 
 } // namespace lil
 } // namespace longnail

@@ -1,6 +1,7 @@
 #include "obs/log.hh"
 
 #include "obs/obs.hh"
+#include "support/json.hh"
 
 #include <cerrno>
 #include <cstdlib>
@@ -90,7 +91,7 @@ EventLog::close()
                      "{\"ts\":%.0f,\"lvl\":\"warn\","
                      "\"ev\":\"log.suppressed\",\"event\":\"%s\","
                      "\"dropped\":%llu}\n",
-                     traceNowUs(), escapeJson(event).c_str(),
+                     traceNowUs(), json::escape(event).c_str(),
                      (unsigned long long)window.suppressed);
         ++written_;
     }
@@ -141,7 +142,7 @@ EventLog::write(LogLevel level, const std::string &event,
                              "{\"ts\":%.0f,\"lvl\":\"warn\","
                              "\"ev\":\"log.suppressed\",\"event\":\"%s\","
                              "\"dropped\":%llu}\n",
-                             traceNowUs(), escapeJson(event).c_str(),
+                             traceNowUs(), json::escape(event).c_str(),
                              (unsigned long long)window.suppressed);
                 ++written_;
             }
@@ -171,19 +172,19 @@ EventLog::emitLocked(LogLevel level, const std::string &event,
     line += ",\"lvl\":\"";
     line += logLevelName(level);
     line += "\",\"ev\":\"";
-    line += escapeJson(event);
+    line += json::escape(event);
     line += "\"";
     const std::string &rid = currentRid();
     if (!rid.empty()) {
         line += ",\"rid\":\"";
-        line += escapeJson(rid);
+        line += json::escape(rid);
         line += "\"";
     }
     for (const LogField &field : fields) {
         line += ",\"";
-        line += escapeJson(field.first);
+        line += json::escape(field.first);
         line += "\":\"";
-        line += escapeJson(field.second);
+        line += json::escape(field.second);
         line += "\"";
     }
     line += "}\n";

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.hh"
+
 namespace longnail {
 namespace obs {
 
@@ -190,21 +192,21 @@ Registry::toJson() const
     os << "{\"counters\":{";
     bool first = true;
     for (const auto &[name, value] : counters) {
-        os << (first ? "" : ",") << '"' << escapeJson(name)
+        os << (first ? "" : ",") << '"' << json::escape(name)
            << "\":" << value;
         first = false;
     }
     os << "},\"gauges\":{";
     first = true;
     for (const auto &[name, value] : gauges) {
-        os << (first ? "" : ",") << '"' << escapeJson(name)
+        os << (first ? "" : ",") << '"' << json::escape(name)
            << "\":" << formatDouble(value);
         first = false;
     }
     os << "},\"histograms\":{";
     first = true;
     for (const auto &[name, h] : histograms) {
-        os << (first ? "" : ",") << '"' << escapeJson(name)
+        os << (first ? "" : ",") << '"' << json::escape(name)
            << "\":{\"count\":" << h.count
            << ",\"sum\":" << formatDouble(h.sum)
            << ",\"min\":" << formatDouble(h.min)

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/json.hh"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -104,33 +106,6 @@ RequestScope::~RequestScope()
     threadRequest() = std::move(prev_);
 }
 
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    return out;
-}
-
 uint64_t
 peakRssKb()
 {
@@ -187,7 +162,7 @@ Tracer::toChromeJson() const
         if (!first)
             out += ",";
         first = false;
-        out += "\n  {\"name\": \"" + escapeJson(e.name) + "\"";
+        out += "\n  {\"name\": \"" + json::escape(e.name) + "\"";
         out += ", \"ph\": \"X\", \"cat\": \"longnail\"";
         std::snprintf(buf, sizeof(buf), ", \"ts\": %.3f", e.startUs);
         out += buf;
@@ -203,8 +178,8 @@ Tracer::toChromeJson() const
                 if (!first_arg)
                     out += ", ";
                 first_arg = false;
-                out += "\"" + escapeJson(key) + "\": \"" +
-                       escapeJson(value) + "\"";
+                out += "\"" + json::escape(key) + "\": \"" +
+                       json::escape(value) + "\"";
             }
             out += "}";
         }

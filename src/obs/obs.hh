@@ -58,9 +58,6 @@ class ScopedEnable
     bool prev_;
 };
 
-/** Escape @p s for inclusion in a double-quoted JSON string. */
-std::string escapeJson(const std::string &s);
-
 /** Peak resident set size of this process in KiB (0 if unavailable). */
 uint64_t peakRssKb();
 

@@ -1,7 +1,5 @@
 #include "passes/internal.hh"
 
-#include <algorithm>
-
 namespace longnail {
 namespace passes {
 namespace detail {
@@ -78,45 +76,6 @@ log2OfPowerOfTwo(const ApInt &value)
     if (k == 0 || value != ApInt::oneBit(value.width(), k - 1))
         return std::nullopt;
     return k - 1;
-}
-
-bool
-isCombKind(ir::OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombConstant:
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-      case OpKind::CombMul:
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-      case OpKind::CombICmp:
-      case OpKind::CombMux:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-      case OpKind::CombRom:
-        return true;
-      default:
-        return false;
-    }
-}
-
-unsigned
-clampedShiftAmount(const ApInt &amount, unsigned value_width)
-{
-    uint64_t raw = amount.activeBits() > 32
-                       ? value_width
-                       : amount.zextOrTrunc(64).toUint64();
-    return unsigned(std::min<uint64_t>(raw, value_width));
 }
 
 } // namespace detail

@@ -18,31 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "ir/eval.hh"
+#include "ir/comb.hh"
 #include "passes/internal.hh"
 #include "passes/passes.hh"
 
 namespace longnail {
 namespace passes {
 
-using ir::OpKind;
-
 namespace {
-
-bool
-isCommutative(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::CombAdd:
-      case OpKind::CombMul:
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-        return true;
-      default:
-        return false;
-    }
-}
 
 void
 appendAttr(std::ostringstream &os, const std::string &key,
@@ -73,7 +56,8 @@ structuralKey(const ir::Operation &op)
     ids.reserve(op.numOperands());
     for (const ir::Value *v : op.operands())
         ids.push_back(v->id);
-    if (isCommutative(op.kind()))
+    auto comb = ir::combOpOf(op.kind());
+    if (comb && ir::combInfo(*comb).commutative)
         std::sort(ids.begin(), ids.end());
     os << '@';
     for (unsigned id : ids)
@@ -97,8 +81,7 @@ runCse(lil::LilGraph &graph)
         if (!replaced.empty())
             detail::remapOperands(*op, replaced);
         if (op->numResults() != 1 || op->subgraph() ||
-            !detail::isCombKind(op->kind()) ||
-            !ir::isPureComputation(op->kind()))
+            !ir::isComb(op->kind()))
             continue;
         // Replaced duplicates linger as dead ops until DCE runs; the
         // use-gate keeps a second CSE run from re-counting them

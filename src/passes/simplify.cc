@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/dataflow.hh"
-#include "ir/eval.hh"
+#include "ir/comb.hh"
 #include "passes/internal.hh"
 #include "passes/passes.hh"
 #include "support/failpoint.hh"
@@ -83,10 +83,9 @@ simplifySweep(ir::Graph &graph)
         snapshot.push_back(op.get());
 
     for (ir::Operation *op : snapshot) {
-        if (op->numResults() != 1 || !detail::isCombKind(op->kind()))
-            continue;
         OpKind k = op->kind();
-        if (k == OpKind::CombConstant || !ir::isPureComputation(k))
+        if (op->numResults() != 1 || !ir::isComb(k) ||
+            k == OpKind::CombConstant)
             continue;
         ir::Value *res = op->result();
         // Dead results are DCE's job; skipping them keeps each rewrite
@@ -201,10 +200,10 @@ simplifySweep(ir::Graph &graph)
           case OpKind::CombShrS:
             if (!c1)
                 break;
-            if (detail::clampedShiftAmount(*c1, w) == 0) {
+            if (ir::clampShiftAmount(*c1, w) == 0) {
                 replaceWith(op->operand(0));
             } else if (k != OpKind::CombShrS &&
-                       detail::clampedShiftAmount(*c1, w) >= w) {
+                       ir::clampShiftAmount(*c1, w) >= w) {
                 // Overshift discards every data bit (shrs keeps the
                 // sign fill, so it stays untouched).
                 toConst(ApInt(w, 0));

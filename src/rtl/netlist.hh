@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 #include "support/apint.hh"
 
@@ -29,31 +30,33 @@ namespace rtl {
 using NetId = uint32_t;
 constexpr NetId invalidNet = ~NetId(0);
 
+/** Node kinds: the comb operators of ir/comb.def between the input
+ * ports and the registers. */
 enum class NodeKind
 {
-    Input,     ///< module input port
-    Constant,  ///< literal; value attr
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    DivS,
-    ModU,
-    ModS,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrU,
-    ShrS,
-    ICmp,      ///< predicate attr
-    Mux,       ///< operands: sel(1), then, else
-    Extract,   ///< lo attr
-    Concat,    ///< operand 0 is the high part
-    Replicate, ///< 1-bit operand replicated to the result width
-    Rom,       ///< values attr; operand: index
-    Register,  ///< operands: d [, enable]; init attr
+    Input, ///< module input port
+#define LN_COMB_OP(name, ...) name,
+#include "ir/comb.def"
+#undef LN_COMB_OP
+    Register, ///< operands: d [, enable]; init attr
 };
+
+static_assert(int(NodeKind::Rom) - int(NodeKind::Constant) ==
+              int(ir::CombOp::Rom));
+
+inline std::optional<ir::CombOp>
+combOpOf(NodeKind kind)
+{
+    if (kind == NodeKind::Input || kind == NodeKind::Register)
+        return std::nullopt;
+    return ir::CombOp(int(kind) - int(NodeKind::Constant));
+}
+
+inline NodeKind
+nodeKindOf(ir::CombOp op)
+{
+    return NodeKind(int(op) + int(NodeKind::Constant));
+}
 
 const char *nodeKindName(NodeKind kind);
 
@@ -69,6 +72,13 @@ struct Node
     unsigned lo = 0;
     std::vector<ApInt> romValues;
 };
+
+/** The attributes of a comb node, for ir::evalComb. */
+inline ir::CombAttrs
+combAttrs(const Node &node)
+{
+    return {&node.value, node.pred, node.lo, &node.romValues};
+}
 
 /** An output port: a name bound to a driven net. */
 struct OutputPort

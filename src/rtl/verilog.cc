@@ -136,36 +136,27 @@ class Emitter
         auto assign = [&](const std::string &rhs) {
             os_ << "  assign " << res << " = " << rhs << ";\n";
         };
+        auto infix = [&](const std::string &lhs, const std::string &rhs) {
+            return lhs + " " + ir::combInfo(*combOpOf(node.kind)).infix +
+                   " " + rhs;
+        };
+        auto sgn = [&](unsigned i) { return "$signed(" + in(i) + ")"; };
         switch (node.kind) {
           case NodeKind::Input:
             break;
           case NodeKind::Constant:
             assign(literal(node.value));
             break;
-          case NodeKind::Add: assign(in(0) + " + " + in(1)); break;
-          case NodeKind::Sub: assign(in(0) + " - " + in(1)); break;
-          case NodeKind::Mul: assign(in(0) + " * " + in(1)); break;
           case NodeKind::DivU:
-            assign(divByZeroGuard(node, false) + in(0) + " / " + in(1));
+          case NodeKind::ModU:
+            assign(divByZeroGuard(node, false) + infix(in(0), in(1)));
             break;
           case NodeKind::DivS:
-            assign(divByZeroGuard(node, true) + "$signed(" + in(0) +
-                   ") / $signed(" + in(1) + ")");
-            break;
-          case NodeKind::ModU:
-            assign(divByZeroGuard(node, false) + in(0) + " % " + in(1));
-            break;
           case NodeKind::ModS:
-            assign(divByZeroGuard(node, true) + "$signed(" + in(0) +
-                   ") % $signed(" + in(1) + ")");
+            assign(divByZeroGuard(node, true) + infix(sgn(0), sgn(1)));
             break;
-          case NodeKind::And: assign(in(0) + " & " + in(1)); break;
-          case NodeKind::Or: assign(in(0) + " | " + in(1)); break;
-          case NodeKind::Xor: assign(in(0) + " ^ " + in(1)); break;
-          case NodeKind::Shl: assign(in(0) + " << " + in(1)); break;
-          case NodeKind::ShrU: assign(in(0) + " >> " + in(1)); break;
           case NodeKind::ShrS:
-            assign("$signed(" + in(0) + ") >>> " + in(1));
+            assign(infix(sgn(0), in(1)));
             break;
           case NodeKind::ICmp: {
             const char *op = "==";
@@ -237,6 +228,9 @@ class Emitter
             os_ << ";\n";
             break;
           }
+          default:
+            assign(infix(in(0), in(1)));
+            break;
         }
     }
 

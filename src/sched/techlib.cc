@@ -6,6 +6,7 @@
 namespace longnail {
 namespace sched {
 
+using ir::CombOp;
 using ir::Operation;
 using ir::OpKind;
 
@@ -27,58 +28,100 @@ operandIsConstant(const Operation &op, unsigned i)
     return k == OpKind::CombConstant || k == OpKind::HwConstant;
 }
 
-unsigned
-resultWidth(const Operation &op)
+} // namespace
+
+double
+combDelayNs(const CombShape &shape)
 {
-    return op.numResults() ? op.result()->type.width : 1;
+    unsigned w = shape.width;
+    switch (shape.op) {
+      case CombOp::Add:
+      case CombOp::Sub:
+        // Carry-lookahead-style: logarithmic in the width.
+        return 0.06 + 0.025 * log2ceil(w);
+      case CombOp::Mul:
+        return 0.25 + 0.060 * log2ceil(w);
+      case CombOp::DivU:
+      case CombOp::DivS:
+      case CombOp::ModU:
+      case CombOp::ModS:
+        // Combinational divider: linear in the width.
+        return 0.5 + 0.09 * w;
+      case CombOp::ICmp:
+        return 0.05 + 0.020 * log2ceil(shape.lhsWidth);
+      case CombOp::And:
+      case CombOp::Or:
+      case CombOp::Xor:
+        return 0.035;
+      case CombOp::Mux:
+        return 0.05;
+      case CombOp::Shl:
+      case CombOp::ShrU:
+      case CombOp::ShrS:
+        // Constant shift amounts are wiring; dynamic ones are barrel
+        // shifters with log2(w) mux levels.
+        if (shape.constantAmount)
+            return 0.0;
+        return 0.05 * log2ceil(w);
+      case CombOp::Rom:
+        return 0.12 + 0.025 * log2ceil(unsigned(shape.romEntries));
+      default:
+        return 0.0; // constant, extract, concat, replicate: wiring
+    }
 }
 
-} // namespace
+double
+combAreaUm2(const CombShape &shape)
+{
+    unsigned w = shape.width;
+    switch (shape.op) {
+      case CombOp::Add:
+      case CombOp::Sub:
+        return 0.30 * w;
+      case CombOp::Mul:
+        return 0.20 * shape.lhsWidth * shape.rhsWidth;
+      case CombOp::DivU:
+      case CombOp::DivS:
+      case CombOp::ModU:
+      case CombOp::ModS:
+        return 2.4 * w * w / 8.0;
+      case CombOp::ICmp:
+        return 0.25 * shape.lhsWidth;
+      case CombOp::And:
+      case CombOp::Or:
+      case CombOp::Xor:
+        return 0.15 * w;
+      case CombOp::Mux:
+        return 0.25 * w;
+      case CombOp::Shl:
+      case CombOp::ShrU:
+      case CombOp::ShrS:
+        if (shape.constantAmount)
+            return 0.0;
+        return 0.25 * w * log2ceil(w);
+      case CombOp::Rom:
+        // LUT-style mapping: ~area per stored bit.
+        return 0.05 * double(shape.romEntries) * w;
+      default:
+        return 0.0;
+    }
+}
 
 double
 TechLibrary::physicalDelayNs(const Operation &op) const
 {
-    unsigned w = resultWidth(op);
+    if (auto comb = ir::combOpOf(op.kind())) {
+        CombShape shape;
+        shape.op = *comb;
+        shape.width = op.numResults() ? op.result()->type.width : 1;
+        shape.lhsWidth = op.numOperands() ? op.operand(0)->type.width
+                                          : shape.width;
+        if (*comb == CombOp::Rom)
+            shape.romEntries = op.romAttr("values").size();
+        shape.constantAmount = operandIsConstant(op, 1);
+        return combDelayNs(shape);
+    }
     switch (op.kind()) {
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-        // Carry-lookahead-style: logarithmic in the width.
-        return 0.06 + 0.025 * log2ceil(w);
-      case OpKind::CombMul:
-        return 0.25 + 0.060 * log2ceil(w);
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-        // Combinational divider: linear in the width.
-        return 0.5 + 0.09 * w;
-      case OpKind::CombICmp:
-        return 0.05 + 0.020 * log2ceil(w == 1 && op.numOperands()
-                                           ? op.operand(0)->type.width
-                                           : w);
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-        return 0.035;
-      case OpKind::CombMux:
-        return 0.05;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        // Constant shift amounts are wiring; dynamic ones are barrel
-        // shifters with log2(w) mux levels.
-        if (operandIsConstant(op, 1))
-            return 0.0;
-        return 0.05 * log2ceil(w);
-      case OpKind::CombRom: {
-        size_t entries = op.romAttr("values").size();
-        return 0.12 + 0.025 * log2ceil(unsigned(entries));
-      }
-      case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-        return 0.0; // wiring only
       // Sub-interface operations: port arrival/setup margins.
       case OpKind::LilInstrWord:
       case OpKind::LilReadRs1:
@@ -107,80 +150,16 @@ TechLibrary::timing(const Operation &op) const
     if (op.kind() == OpKind::LilReadMem)
         t.latency = 1;
 
+    double physical = physicalDelayNs(op);
     if (mode_ == TimingMode::Library) {
-        t.delayNs = physicalDelayNs(op);
+        t.delayNs = physical;
         return t;
     }
     // Uniform mode (paper Sec. 4.2): every logic operation costs one
-    // uniform delay unit; pure wiring (including shifts by constants)
-    // is free.
-    switch (op.kind()) {
-      case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-        t.delayNs = 0.0;
-        break;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        t.delayNs = operandIsConstant(op, 1) ? 0.0 : uniformDelayNs();
-        break;
-      default:
-        t.delayNs = uniformDelayNs();
-        break;
-    }
+    // uniform delay unit; pure wiring (including shifts by constants),
+    // which is what the library gives no delay, is free.
+    t.delayNs = physical == 0.0 ? 0.0 : uniformDelayNs();
     return t;
-}
-
-double
-TechLibrary::areaUm2(const Operation &op) const
-{
-    unsigned w = resultWidth(op);
-    switch (op.kind()) {
-      case OpKind::CombAdd:
-      case OpKind::CombSub:
-        return 0.30 * w;
-      case OpKind::CombMul: {
-        unsigned lw = op.operand(0)->type.width;
-        unsigned rw = op.operand(1)->type.width;
-        return 0.20 * lw * rw;
-      }
-      case OpKind::CombDivU:
-      case OpKind::CombDivS:
-      case OpKind::CombModU:
-      case OpKind::CombModS:
-        return 2.4 * w * w / 8.0;
-      case OpKind::CombICmp: {
-        unsigned ow = op.numOperands() ? op.operand(0)->type.width : w;
-        return 0.25 * ow;
-      }
-      case OpKind::CombAnd:
-      case OpKind::CombOr:
-      case OpKind::CombXor:
-        return 0.15 * w;
-      case OpKind::CombMux:
-        return 0.25 * w;
-      case OpKind::CombShl:
-      case OpKind::CombShrU:
-      case OpKind::CombShrS:
-        if (operandIsConstant(op, 1))
-            return 0.0;
-        return 0.25 * w * log2ceil(w);
-      case OpKind::CombRom: {
-        size_t entries = op.romAttr("values").size();
-        // LUT-style mapping: ~area per stored bit.
-        return 0.05 * double(entries) * w;
-      }
-      case OpKind::CombConstant:
-      case OpKind::CombExtract:
-      case OpKind::CombConcat:
-      case OpKind::CombReplicate:
-        return 0.0;
-      default:
-        // Interface ops: handshake/driver logic.
-        return 3.0;
-    }
 }
 
 } // namespace sched

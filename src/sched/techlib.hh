@@ -13,13 +13,17 @@
  *  - TimingMode::Library uses 22nm-class per-operation delays, the
  *    "better-informed scheduler" the paper plans (ablation bench).
  *
- * The area model is always the 22nm-class library; it feeds the
- * synthetic ASIC flow (src/asic).
+ * combDelayNs() and combAreaUm2() are the 22nm-class cost of each comb
+ * operator; the library timing mode and the synthetic ASIC flow
+ * (src/asic) both use them.
  */
 
 #ifndef LONGNAIL_SCHED_TECHLIB_HH
 #define LONGNAIL_SCHED_TECHLIB_HH
 
+#include <cstddef>
+
+#include "ir/comb.hh"
 #include "ir/ir.hh"
 
 namespace longnail {
@@ -38,6 +42,22 @@ struct OpTiming
     unsigned latency = 0; ///< cycles until the result is available
 };
 
+/** What the cost of one comb operator depends on. */
+struct CombShape
+{
+    ir::CombOp op = ir::CombOp::Constant;
+    unsigned width = 1;          ///< result width
+    unsigned lhsWidth = 1;       ///< width of operand 0
+    unsigned rhsWidth = 1;       ///< width of operand 1
+    size_t romEntries = 0;       ///< Rom table size
+    bool constantAmount = false; ///< a shift by a constant (wiring)
+};
+
+/** 22nm-class propagation delay of one comb operator (ns). */
+double combDelayNs(const CombShape &shape);
+/** 22nm-class cell area of one comb operator (um^2). */
+double combAreaUm2(const CombShape &shape);
+
 class TechLibrary
 {
   public:
@@ -50,17 +70,8 @@ class TechLibrary
     /** Scheduler-visible timing of @p op. */
     OpTiming timing(const ir::Operation &op) const;
 
-    /**
-     * True physical delay of @p op (used by the ASIC timing analysis
-     * regardless of the scheduling mode).
-     */
+    /** Physical delay of @p op in TimingMode::Library. */
     double physicalDelayNs(const ir::Operation &op) const;
-
-    /** Cell area of @p op in um^2 (22nm-class). */
-    double areaUm2(const ir::Operation &op) const;
-
-    /** Area of one pipeline-register bit. */
-    double registerBitAreaUm2() const { return 0.8; }
 
     /** Uniform logic delay used in TimingMode::Uniform. */
     double uniformDelayNs() const { return 0.15; }

@@ -99,8 +99,36 @@ class Value
 std::optional<Value> parse(const std::string &text,
                            std::string *error = nullptr);
 
-/** Escape @p s for inclusion in a double-quoted JSON string. */
-std::string escape(const std::string &s);
+/**
+ * Escape @p s for inclusion in a double-quoted JSON string. Inline so
+ * that ln_obs, which ln_support links, can use it too.
+ */
+inline std::string
+escape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += "\\u00";
+                out += "0123456789abcdef"[(c >> 4) & 0xf];
+                out += "0123456789abcdef"[c & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
 
 } // namespace json
 } // namespace longnail

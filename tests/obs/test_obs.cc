@@ -97,13 +97,13 @@ TEST_F(ObsTraceTest, SpansNestAndRecordChildrenFirst)
 
 TEST_F(ObsTraceTest, EscapeJsonHandlesSpecialCharacters)
 {
-    EXPECT_EQ(obs::escapeJson("plain"), "plain");
-    EXPECT_EQ(obs::escapeJson("a\"b"), "a\\\"b");
-    EXPECT_EQ(obs::escapeJson("a\\b"), "a\\\\b");
-    EXPECT_EQ(obs::escapeJson("a\nb\tc"), "a\\nb\\tc");
-    EXPECT_EQ(obs::escapeJson("\r\b\f"), "\\r\\b\\f");
-    EXPECT_EQ(obs::escapeJson(std::string(1, '\x01')), "\\u0001");
-    EXPECT_EQ(obs::escapeJson(std::string(1, '\x1f')), "\\u001f");
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+    EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+    EXPECT_EQ(json::escape("a\nb\tc"), "a\\nb\\tc");
+    EXPECT_EQ(json::escape("\r\b\f"), "\\r\\b\\f");
+    EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(json::escape(std::string(1, '\x1f')), "\\u001f");
 }
 
 TEST_F(ObsTraceTest, ChromeJsonEscapesNamesAndArgs)
