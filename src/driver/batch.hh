@@ -102,9 +102,10 @@ struct BatchResult
  * per-unit failures land in the respective outcome. Safe to call from
  * one thread at a time (the underlying compiles run concurrently).
  *
- * Caveat (docs/failure-model.md): armed failpoints with transient
- * counters keep process-global state, so fault-injection runs should
- * use jobs = 1.
+ * Caveat (docs/failure-model.md): failpoint hit counters are
+ * process-global, so with jobs > 1 which unit takes a transient
+ * failure depends on scheduling; fault-injection runs should use
+ * jobs = 1.
  */
 BatchResult compileBatch(std::vector<BatchRequest> requests,
                          const BatchOptions &options = {});

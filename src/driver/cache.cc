@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/failpoint.hh"
@@ -17,7 +20,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char *entryMagic = "LNCACHE 1";
 constexpr const char *entrySuffix = ".lnc";
 
 std::string
@@ -28,250 +30,83 @@ formatDouble(double value)
     return buf;
 }
 
-// --- entry serialization ---------------------------------------------------
-//
-// Line-oriented tags with length-prefixed byte blobs for free-form
-// strings: `tag <len>\n<len bytes>\n`. Field order is fixed; any
-// deviation while reading classifies the entry as corrupt.
-
-void
-putNum(std::ostream &os, const char *tag, uint64_t v)
+/** Strict member access for fromJson(): the first failure names the
+ * member and stops decoding. */
+struct StrictReader
 {
-    os << tag << ' ' << v << '\n';
-}
+    std::string &error;
 
-void
-putInt(std::ostream &os, const char *tag, int64_t v)
-{
-    os << tag << ' ' << v << '\n';
-}
-
-void
-putBlob(std::ostream &os, const char *tag, const std::string &s)
-{
-    os << tag << ' ' << s.size() << '\n';
-    os.write(s.data(), std::streamsize(s.size()));
-    os << '\n';
-}
-
-/** Strict sequential reader over one entry's bytes. */
-class EntryReader
-{
-  public:
-    explicit EntryReader(std::string bytes) : bytes_(std::move(bytes)) {}
-
-    bool failed() const { return failed_; }
-
-    /** Consume one "<tag> <value>\n" line; empty string on mismatch. */
-    std::string
-    line(const char *tag)
+    const json::Value *
+    member(const json::Value &obj, const char *key, json::Value::Kind kind)
     {
-        if (failed_)
-            return "";
-        size_t eol = bytes_.find('\n', pos_);
-        if (eol == std::string::npos)
-            return fail();
-        std::string text = bytes_.substr(pos_, eol - pos_);
-        std::string prefix = std::string(tag) + " ";
-        if (text.rfind(prefix, 0) != 0)
-            return fail();
-        pos_ = eol + 1;
-        return text.substr(prefix.size());
+        const json::Value *v = obj.find(key);
+        if (v && v->kind() == kind)
+            return v;
+        error = std::string("member '") + key +
+                "' is missing or of the wrong kind";
+        return nullptr;
     }
 
-    uint64_t
-    num(const char *tag)
-    {
-        std::string v = line(tag);
-        if (failed_)
-            return 0;
-        char *end = nullptr;
-        uint64_t value = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fail();
-            return 0;
-        }
-        return value;
-    }
-
-    int64_t
-    integer(const char *tag)
-    {
-        std::string v = line(tag);
-        if (failed_)
-            return 0;
-        char *end = nullptr;
-        int64_t value = std::strtoll(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0') {
-            fail();
-            return 0;
-        }
-        return value;
-    }
-
-    double
-    real(const char *tag)
-    {
-        std::string v = line(tag);
-        if (failed_)
-            return 0.0;
-        char *end = nullptr;
-        double value = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0') {
-            fail();
-            return 0.0;
-        }
-        return value;
-    }
-
-    std::string
-    blob(const char *tag)
-    {
-        uint64_t len = num(tag);
-        if (failed_)
-            return "";
-        // len comes from the (possibly corrupt) entry, so the naive
-        // check `pos_ + len + 1 > size` can wrap around; compare
-        // against the remaining bytes instead.
-        if (pos_ >= bytes_.size() || len > bytes_.size() - pos_ - 1)
-            return fail();
-        std::string data = bytes_.substr(pos_, size_t(len));
-        pos_ += size_t(len);
-        if (bytes_[pos_] != '\n')
-            return fail();
-        ++pos_;
-        return data;
-    }
-
-    /** Consume a bare "<text>\n" line (the magic header / END). */
     bool
-    expect(const char *text)
+    get(const json::Value &obj, const char *key, std::string &out)
     {
-        if (failed_)
+        const json::Value *v = member(obj, key, json::Value::Kind::String);
+        if (v)
+            out = v->str();
+        return v != nullptr;
+    }
+
+    bool
+    get(const json::Value &obj, const char *key, bool &out)
+    {
+        const json::Value *v = member(obj, key, json::Value::Kind::Bool);
+        if (v)
+            out = v->boolean();
+        return v != nullptr;
+    }
+
+    bool
+    get(const json::Value &obj, const char *key, double &out)
+    {
+        const json::Value *v = member(obj, key, json::Value::Kind::Number);
+        if (v)
+            out = v->number();
+        return v != nullptr;
+    }
+
+    /** An integral number within Int's range (both bounds are exact
+     * doubles: the minimum, and the maximum plus one as 2^digits). */
+    template <std::integral Int>
+    bool
+    get(const json::Value &obj, const char *key, Int &out)
+    {
+        double d = 0.0;
+        if (!get(obj, key, d))
             return false;
-        std::string want = std::string(text) + "\n";
-        if (bytes_.compare(pos_, want.size(), want) != 0) {
-            fail();
+        if (d != std::floor(d) ||
+            d < double(std::numeric_limits<Int>::min()) ||
+            d >= std::ldexp(1.0, std::numeric_limits<Int>::digits)) {
+            error = std::string("member '") + key +
+                    "' is not an integer in range";
             return false;
         }
-        pos_ += want.size();
+        out = Int(d);
         return true;
     }
 
     bool
-    atEnd() const
+    get(const json::Value &obj, const char *key, Severity &out)
     {
-        return pos_ == bytes_.size();
-    }
-
-  private:
-    std::string
-    fail()
-    {
-        failed_ = true;
-        return "";
-    }
-
-    std::string bytes_;
-    size_t pos_ = 0;
-    bool failed_ = false;
-};
-
-std::string
-serializeSummary(const CompileSummary &summary)
-{
-    std::ostringstream os;
-    os << entryMagic << '\n';
-    putBlob(os, "isax", summary.isaxName);
-    putBlob(os, "core", summary.coreName);
-    putNum(os, "ok", summary.ok ? 1 : 0);
-    putBlob(os, "errors", summary.errorsText);
-    putBlob(os, "scheduler", summary.chosenScheduler);
-    putNum(os, "lp_work", summary.lpWorkUnits);
-    putNum(os, "fallback_events", summary.fallbackEvents);
-    putNum(os, "ndiags", summary.diags.size());
-    for (const auto &d : summary.diags) {
-        putNum(os, "dsev", uint64_t(d.severity));
-        putBlob(os, "dcode", d.code);
-        putBlob(os, "dtext", d.rendered);
-    }
-    putNum(os, "nunits", summary.units.size());
-    for (const auto &u : summary.units) {
-        putBlob(os, "uname", u.name);
-        putNum(os, "ualways", u.isAlways ? 1 : 0);
-        putInt(os, "umakespan", u.makespan);
-        putBlob(os, "uobjective", formatDouble(u.objective));
-        putBlob(os, "uquality", u.quality);
-        putBlob(os, "ufallback", u.fallbackReason);
-        putNum(os, "ulpwork", u.lpWorkUnits);
-        putInt(os, "ufirst", u.firstStage);
-        putInt(os, "ulast", u.lastStage);
-        putNum(os, "uregs", u.numRegisters);
-        putBlob(os, "usv", u.systemVerilog);
-    }
-    putBlob(os, "config", summary.configYaml);
-    os << "END\n";
-    return os.str();
-}
-
-bool
-deserializeSummary(std::string bytes, CompileSummary &out)
-{
-    EntryReader r(std::move(bytes));
-    if (!r.expect(entryMagic))
-        return false;
-    out = CompileSummary();
-    out.isaxName = r.blob("isax");
-    out.coreName = r.blob("core");
-    out.ok = r.num("ok") != 0;
-    out.errorsText = r.blob("errors");
-    out.chosenScheduler = r.blob("scheduler");
-    out.lpWorkUnits = r.num("lp_work");
-    out.fallbackEvents = unsigned(r.num("fallback_events"));
-    uint64_t ndiags = r.num("ndiags");
-    if (r.failed() || ndiags > 1'000'000)
-        return false;
-    out.diags.reserve(size_t(ndiags));
-    for (uint64_t i = 0; i < ndiags && !r.failed(); ++i) {
-        CompileSummary::DiagLine d;
-        uint64_t sev = r.num("dsev");
-        if (sev > uint64_t(Severity::Error))
+        std::string name;
+        if (!get(obj, key, name))
             return false;
-        d.severity = Severity(sev);
-        d.code = r.blob("dcode");
-        d.rendered = r.blob("dtext");
-        out.diags.push_back(std::move(d));
-    }
-    uint64_t nunits = r.num("nunits");
-    if (r.failed() || nunits > 1'000'000)
-        return false;
-    out.units.reserve(size_t(nunits));
-    for (uint64_t i = 0; i < nunits && !r.failed(); ++i) {
-        CompileSummary::UnitSummary u;
-        u.name = r.blob("uname");
-        u.isAlways = r.num("ualways") != 0;
-        u.makespan = int(r.integer("umakespan"));
-        {
-            std::string text = r.blob("uobjective");
-            char *end = nullptr;
-            u.objective = std::strtod(text.c_str(), &end);
-            if (!r.failed() && (end == text.c_str() || *end != '\0'))
-                return false;
+        if (!severityFromName(name, out)) {
+            error = "unknown severity '" + name + "'";
+            return false;
         }
-        u.quality = r.blob("uquality");
-        u.fallbackReason = r.blob("ufallback");
-        u.lpWorkUnits = r.num("ulpwork");
-        u.firstStage = int(r.integer("ufirst"));
-        u.lastStage = int(r.integer("ulast"));
-        u.numRegisters = unsigned(r.num("uregs"));
-        u.systemVerilog = r.blob("usv");
-        out.units.push_back(std::move(u));
+        return true;
     }
-    out.configYaml = r.blob("config");
-    if (!r.expect("END"))
-        return false;
-    return !r.failed() && r.atEnd();
-}
+};
 
 fs::path
 entryPath(const std::string &dir, const std::string &key)
@@ -354,12 +189,99 @@ summarize(const CompiledIsax &compiled)
     return summary;
 }
 
+json::Value
+toJson(const CompileSummary &summary)
+{
+    json::Value diags = json::Value::array();
+    for (const auto &d : summary.diags) {
+        json::Value line = json::Value::object();
+        line.set("severity", severityName(d.severity));
+        line.set("code", d.code);
+        line.set("text", d.rendered);
+        diags.push(std::move(line));
+    }
+    json::Value units = json::Value::array();
+    for (const auto &u : summary.units) {
+        json::Value unit = json::Value::object();
+        unit.set("name", u.name);
+        unit.set("isAlways", u.isAlways);
+        unit.set("makespan", int64_t(u.makespan));
+        unit.set("objective", u.objective);
+        unit.set("quality", u.quality);
+        unit.set("fallbackReason", u.fallbackReason);
+        unit.set("lpWorkUnits", u.lpWorkUnits);
+        unit.set("firstStage", int64_t(u.firstStage));
+        unit.set("lastStage", int64_t(u.lastStage));
+        unit.set("numRegisters", uint64_t(u.numRegisters));
+        unit.set("sv", u.systemVerilog);
+        units.push(std::move(unit));
+    }
+    json::Value obj = json::Value::object();
+    obj.set("isax", summary.isaxName);
+    obj.set("core", summary.coreName);
+    obj.set("ok", summary.ok);
+    obj.set("diags", std::move(diags));
+    obj.set("errors", summary.errorsText);
+    obj.set("scheduler", summary.chosenScheduler);
+    obj.set("lpWorkUnits", summary.lpWorkUnits);
+    obj.set("fallbackEvents", uint64_t(summary.fallbackEvents));
+    obj.set("units", std::move(units));
+    obj.set("configYaml", summary.configYaml);
+    return obj;
+}
+
+bool
+fromJson(const json::Value &doc, CompileSummary &out, std::string &error)
+{
+    StrictReader r{error};
+    CompileSummary s;
+    const json::Value *diags = nullptr;
+    const json::Value *units = nullptr;
+    if (!r.get(doc, "isax", s.isaxName) ||
+        !r.get(doc, "core", s.coreName) || !r.get(doc, "ok", s.ok) ||
+        !(diags = r.member(doc, "diags", json::Value::Kind::Array)) ||
+        !r.get(doc, "errors", s.errorsText) ||
+        !r.get(doc, "scheduler", s.chosenScheduler) ||
+        !r.get(doc, "lpWorkUnits", s.lpWorkUnits) ||
+        !r.get(doc, "fallbackEvents", s.fallbackEvents) ||
+        !(units = r.member(doc, "units", json::Value::Kind::Array)) ||
+        !r.get(doc, "configYaml", s.configYaml))
+        return false;
+    for (const json::Value &item : diags->items()) {
+        CompileSummary::DiagLine d;
+        if (!r.get(item, "severity", d.severity) ||
+            !r.get(item, "code", d.code) ||
+            !r.get(item, "text", d.rendered))
+            return false;
+        s.diags.push_back(std::move(d));
+    }
+    for (const json::Value &item : units->items()) {
+        CompileSummary::UnitSummary u;
+        if (!r.get(item, "name", u.name) ||
+            !r.get(item, "isAlways", u.isAlways) ||
+            !r.get(item, "makespan", u.makespan) ||
+            !r.get(item, "objective", u.objective) ||
+            !r.get(item, "quality", u.quality) ||
+            !r.get(item, "fallbackReason", u.fallbackReason) ||
+            !r.get(item, "lpWorkUnits", u.lpWorkUnits) ||
+            !r.get(item, "firstStage", u.firstStage) ||
+            !r.get(item, "lastStage", u.lastStage) ||
+            !r.get(item, "numRegisters", u.numRegisters) ||
+            !r.get(item, "sv", u.systemVerilog))
+            return false;
+        s.units.push_back(std::move(u));
+    }
+    out = std::move(s);
+    return true;
+}
+
 std::string
 compilerVersion()
 {
     // Bump on every change that can alter artifacts for unchanged
-    // inputs (scheduler tweaks, codegen changes, diagnostics wording).
-    return "longnail-pr7";
+    // inputs (scheduler tweaks, codegen changes, diagnostics wording)
+    // or the entry format.
+    return "longnail-json1";
 }
 
 std::string
@@ -422,7 +344,9 @@ cacheLoad(const std::string &dir, const std::string &key,
     buffer << in.rdbuf();
     if (!in.good() && !in.eof())
         return CacheLookup::Corrupt;
-    if (!deserializeSummary(buffer.str(), out))
+    std::string error;
+    std::optional<json::Value> doc = json::parse(buffer.str(), &error);
+    if (!doc || !fromJson(*doc, out, error))
         return CacheLookup::Corrupt;
 
     // Refresh the eviction clock; best-effort.
@@ -450,7 +374,7 @@ cacheStore(const std::string &dir, const std::string &key,
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             return false;
-        std::string bytes = serializeSummary(summary);
+        std::string bytes = toJson(summary).emit();
         out.write(bytes.data(), std::streamsize(bytes.size()));
         if (!out.good()) {
             out.close();

@@ -14,9 +14,11 @@
  * Entries store the deterministic essence of a successful compile (a
  * CompileSummary): the SystemVerilog per unit, the SCAIE-V YAML, the
  * rendered warnings, and the deterministic PhaseReport fields
- * (scheduler choice, LP work, stage spans, register counts). Wall
- * times are deliberately not cached -- they are not deterministic and
- * must never leak into compared output.
+ * (scheduler choice, LP work, stage spans, register counts). An entry
+ * is the summary's JSON document (toJson()), the same object the
+ * compile server sends as its result reply. Wall times are
+ * deliberately not cached -- they are not deterministic and must never
+ * leak into compared output.
  *
  * Failure handling is fail-soft: a corrupted or truncated entry is
  * reported as CacheLookup::Corrupt (the caller warns with LN3010 and
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "driver/longnail.hh"
+#include "support/json.hh"
 
 namespace longnail {
 namespace driver {
@@ -88,6 +91,22 @@ struct CompileSummary
 
 /** Extract the deterministic summary of @p compiled. */
 CompileSummary summarize(const CompiledIsax &compiled);
+
+/**
+ * The one encoding of a CompileSummary: a JSON object with every
+ * member always present. A cache entry is this document; the compile
+ * server's result reply is this object plus its envelope.
+ */
+json::Value toJson(const CompileSummary &summary);
+
+/**
+ * Decode toJson()'s object into @p out. Strict: every member must be
+ * present and of the right kind, integers integral and in range, and
+ * severities named; members it does not know are ignored. On failure
+ * @p out is untouched and @p error names the offending member.
+ */
+bool fromJson(const json::Value &doc, CompileSummary &out,
+              std::string &error);
 
 /**
  * Version string folded into every cache key; bump whenever a compiler

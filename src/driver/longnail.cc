@@ -1,11 +1,9 @@
 #include "driver/longnail.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <thread>
 
 #include "analysis/lint.hh"
 #include "analysis/tv/tv.hh"
@@ -18,10 +16,8 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "passes/passes.hh"
-#include "rtl/sim.hh"
 #include "rtl/verilog.hh"
 #include "support/failpoint.hh"
-#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -591,116 +587,26 @@ compile(const std::string &source, const std::string &target,
     std::optional<analysis::ScopedVerifyIr> verify_scope;
     if (options.verifyIr)
         verify_scope.emplace(true);
-    // Per-thread counter delta: the compile's own increments land in
-    // report.counters (only when obs is on; compiles stay zero-cost
-    // otherwise). Thread-confined, so concurrent compiles in a batch
-    // cannot pollute each other's report the way a global registry
-    // before/after snapshot would.
-    // Simulation stats are thread-local, so a before/after snapshot
-    // isolates this compile's share even in a concurrent batch.
-    rtl::simjit::SimStats sim_before = rtl::simjit::tlsSimStats();
     {
-        obs::ScopedCounterDelta delta_scope;
-        {
-            obs::TraceSpan compile_span("compile");
-            compile_span.arg("core", options.coreName);
-            try {
-                compileInto(result, diags, source, target, options);
-            } catch (const std::exception &e) {
-                DiagnosticEngine::ContextScope scope(diags, Phase::Driver,
-                                                     "LN3009");
-                diags.error({}, "LN3009",
-                            std::string("internal error: ") + e.what());
-            }
-            compile_span.arg("isax", result.name);
-            compile_span.arg("status",
-                             diags.hasErrors() ? "error" : "ok");
+        obs::TraceSpan compile_span("compile");
+        compile_span.arg("core", options.coreName);
+        try {
+            compileInto(result, diags, source, target, options);
+        } catch (const std::exception &e) {
+            DiagnosticEngine::ContextScope scope(diags, Phase::Driver,
+                                                 "LN3009");
+            diags.error({}, "LN3009",
+                        std::string("internal error: ") + e.what());
         }
-        if (obs::enabled()) {
-            obs::count("driver.compiles");
-            if (diags.hasErrors())
-                obs::count("driver.compile_errors");
-            result.report.counters = delta_scope.deltas();
-        }
+        compile_span.arg("isax", result.name);
+        compile_span.arg("status", diags.hasErrors() ? "error" : "ok");
     }
-    const rtl::simjit::SimStats &sim_after = rtl::simjit::tlsSimStats();
-    result.report.simEngine = rtl::simEngineName(rtl::defaultSimEngine());
-    result.report.simCompiles = sim_after.compiles - sim_before.compiles;
-    result.report.simProgramOps =
-        sim_after.programOps - sim_before.programOps;
-    result.report.simCompileMs =
-        sim_after.compileMs - sim_before.compileMs;
-    result.report.simCycles = sim_after.cycles - sim_before.cycles;
-    if (diags.hasErrors())
+    obs::count("driver.compiles");
+    if (diags.hasErrors()) {
+        obs::count("driver.compile_errors");
         result.errors = diags.str();
+    }
     result.diags = std::move(diags);
-    return result;
-}
-
-/**
- * Backoff before retry attempt @p next_attempt (2-based): capped
- * exponential with deterministic jitter. The jitter is derived from
- * the input digest and the attempt number, so identical inputs back
- * off identically run to run (no RNG -- determinism is a project
- * invariant) while distinct inputs retried in parallel still spread
- * out instead of thundering in lockstep.
- */
-double
-retryBackoffMs(const std::string &source, unsigned next_attempt,
-               const CompileOptions &options)
-{
-    if (options.retryBaseDelayMs <= 0.0)
-        return 0.0;
-    double delay = options.retryBaseDelayMs;
-    for (unsigned i = 2; i < next_attempt; ++i) {
-        delay *= 2.0;
-        if (delay >= options.retryMaxDelayMs)
-            break;
-    }
-    delay = std::min(delay, options.retryMaxDelayMs);
-    // Up to +50% jitter from the first 8 hex digits of the digest.
-    hash::Sha256 h;
-    h.updateField(source);
-    h.updateField(std::to_string(next_attempt));
-    uint32_t bits =
-        uint32_t(std::stoul(h.hexDigest().substr(0, 8), nullptr, 16));
-    double jitter = delay * 0.5 * (double(bits) / 4294967295.0);
-    return delay + jitter;
-}
-
-CompiledIsax
-compileWithRetry(const std::string &source, const std::string &target,
-                 const CompileOptions &options, unsigned max_attempts)
-{
-    if (max_attempts == 0)
-        max_attempts = options.retryMaxAttempts;
-    if (max_attempts == 0)
-        max_attempts = 1;
-    CompiledIsax result;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        if (attempt > 1) {
-            double backoff_ms =
-                retryBackoffMs(source, attempt, options);
-            if (backoff_ms > 0.0) {
-                obs::count("driver.retry_backoff_ms",
-                           uint64_t(backoff_ms));
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        backoff_ms));
-            }
-            obs::count("driver.retries");
-        }
-        failpoint::clearTransientFired();
-        result = compile(source, target, options);
-        result.attempts = attempt;
-        result.retryable = failpoint::transientFired();
-        if (result.ok() || !result.retryable)
-            break;
-        // A cancelled caller must not sit out the remaining backoff
-        // schedule (Ctrl-C during a retry loop, server drain).
-        if (options.cancel && options.cancel->stopRequested())
-            break;
-    }
     return result;
 }
 

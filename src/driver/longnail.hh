@@ -101,29 +101,15 @@ struct CompileOptions
      * compile into a failure, and failures are never cached.
      */
     const CancelToken *cancel = nullptr;
-
-    /**
-     * Retry policy for compileWithRetry() (docs/failure-model.md):
-     * up to retryMaxAttempts attempts with capped exponential backoff
-     * between them -- attempt k sleeps
-     * min(retryBaseDelayMs * 2^(k-1), retryMaxDelayMs) plus a
-     * deterministic jitter derived from the input hash (no RNG: two
-     * runs of the same input back off identically). The default base
-     * of 0 keeps retries immediate, matching the pre-backoff
-     * behavior.
-     */
-    unsigned retryMaxAttempts = 3;
-    double retryBaseDelayMs = 0.0;
-    double retryMaxDelayMs = 100.0;
 };
 
 /**
- * Structured per-compile observability (docs/observability.md): phase
- * wall times, IR sizes and the scheduler outcome. Always populated by
- * compile() -- the bookkeeping is a handful of clock reads -- so
- * library users and tests can assert on it without enabling the global
- * obs instrumentation. The `counters` snapshot is the one field that
- * additionally requires obs::enabled().
+ * The one per-compile record (docs/observability.md): phase wall
+ * times, IR sizes, the scheduler outcome and the pass and
+ * translation-validation tallies. Always populated by compile() -- the
+ * bookkeeping is a handful of clock reads and increments -- so library
+ * users and tests can assert on it without enabling the global obs
+ * instrumentation, whose Registry aggregates the whole process.
  */
 struct PhaseReport
 {
@@ -184,21 +170,6 @@ struct PhaseReport
     /** Simulated cycles spent on co-simulation counterexample search. */
     uint64_t tvCexCycles = 0;
 
-    /** Simulation tallies over this compile (docs/simulation.md):
-     * the active engine, bytecode programs compiled, ops emitted,
-     * compile wall time, and clock edges simulated on this thread
-     * (TV co-simulation and pass-cosim checks). Always populated,
-     * independent of obs::enabled(). */
-    std::string simEngine;
-    uint64_t simCompiles = 0;
-    uint64_t simProgramOps = 0;
-    double simCompileMs = 0.0;
-    uint64_t simCycles = 0;
-
-    /** Delta of the global obs counter registry over this compile;
-     * empty unless obs::enabled() was set. */
-    std::map<std::string, uint64_t> counters;
-
     double totalWallMs() const;
     const Entry *findPhase(const std::string &name) const;
     /** Merge @p ms into the entry for @p name (appending if new). */
@@ -234,11 +205,6 @@ struct CompiledIsax
     /** Structured diagnostics (errors + warnings) with phase tags and
      * stable LN codes; `errors` above is its rendered form. */
     DiagnosticEngine diags;
-    /** True when the failure involved a transient injected fault; see
-     * compileWithRetry(). */
-    bool retryable = false;
-    /** Number of compile attempts made (>1 only via compileWithRetry). */
-    unsigned attempts = 1;
 
     std::unique_ptr<coredsl::ElaboratedIsa> isa;
     std::unique_ptr<hir::HirModule> hirModule;
@@ -265,22 +231,6 @@ struct CompiledIsax
 CompiledIsax compile(const std::string &source,
                      const std::string &target = "",
                      const CompileOptions &options = {});
-
-/**
- * Like compile(), but retry when the failure was caused by a transient
- * injected fault (failpoint mode "transient:N"); permanent failures
- * are returned immediately. Attempt count and inter-attempt backoff
- * come from the options (retryMaxAttempts / retryBaseDelayMs /
- * retryMaxDelayMs); a non-zero @p max_attempts overrides
- * options.retryMaxAttempts for callers of the pre-backoff API. The
- * result's `attempts` field records how many tries were made, and the
- * total backoff slept is exported as the `driver.retry_backoff_ms`
- * metric.
- */
-CompiledIsax compileWithRetry(const std::string &source,
-                              const std::string &target = "",
-                              const CompileOptions &options = {},
-                              unsigned max_attempts = 0);
 
 /** Compile one of the bundled benchmark ISAXes (Table 3). */
 CompiledIsax compileCatalogIsax(const std::string &isax_name,

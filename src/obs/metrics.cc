@@ -20,31 +20,8 @@ Registry::instance()
 void
 Registry::addCounter(const std::string &name, uint64_t delta)
 {
-    ScopedCounterDelta::recordOnThread(name, delta);
     std::lock_guard<std::mutex> lock(mutex_);
     counters_[name] += delta;
-}
-
-namespace {
-// Innermost active delta scope of this thread (scopes chain via prev_).
-thread_local ScopedCounterDelta *activeDeltaScope = nullptr;
-} // namespace
-
-ScopedCounterDelta::ScopedCounterDelta() : prev_(activeDeltaScope)
-{
-    activeDeltaScope = this;
-}
-
-ScopedCounterDelta::~ScopedCounterDelta()
-{
-    activeDeltaScope = prev_;
-}
-
-void
-ScopedCounterDelta::recordOnThread(const std::string &name, uint64_t delta)
-{
-    for (ScopedCounterDelta *s = activeDeltaScope; s; s = s->prev_)
-        s->deltas_[name] += delta;
 }
 
 void

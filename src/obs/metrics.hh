@@ -8,6 +8,8 @@
  * per-solve LP work, per-phase wall time) live in one process-global
  * Registry. Dumped via `longnail --stats=FILE` as YAML, or as a human
  * table for `--stats=-` (see docs/observability.md for the catalog).
+ * The Registry is the process aggregate; the record of one compile is
+ * its driver::PhaseReport.
  *
  * The free helpers count()/gauge()/gaugeMax()/observe() are the
  * instrumentation entry points: each is a no-op after one relaxed
@@ -114,41 +116,6 @@ class Registry
     std::map<std::string, uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, HistogramStats> histograms_;
-};
-
-/**
- * Captures the counter increments made by the *current thread* while
- * the object is in scope (they still reach the global Registry too).
- *
- * This is how per-compile counter deltas stay correct under parallel
- * batch compilation: each worker wraps its compile in a scope, so a
- * PhaseReport only sees the increments of its own thread instead of a
- * global before/after snapshot polluted by concurrent compiles.
- * Scopes nest (inner increments propagate to enclosing scopes on the
- * same thread) and must be destroyed on the thread that created them,
- * in LIFO order -- the natural stack discipline.
- */
-class ScopedCounterDelta
-{
-  public:
-    ScopedCounterDelta();
-    ~ScopedCounterDelta();
-    ScopedCounterDelta(const ScopedCounterDelta &) = delete;
-    ScopedCounterDelta &operator=(const ScopedCounterDelta &) = delete;
-
-    /** Increments recorded by this thread so far, by counter name. */
-    const std::map<std::string, uint64_t> &deltas() const
-    {
-        return deltas_;
-    }
-
-    /** Called by Registry::addCounter: credit @p delta to every scope
-     * active on the calling thread. */
-    static void recordOnThread(const std::string &name, uint64_t delta);
-
-  private:
-    std::map<std::string, uint64_t> deltas_;
-    ScopedCounterDelta *prev_ = nullptr;
 };
 
 /** Increment a counter by @p delta (no-op when obs is disabled). */

@@ -191,7 +191,6 @@ Simulator::evalCombInterp()
 void
 Simulator::clockEdge()
 {
-    ++simjit::tlsSimStats().cycles;
     ++cycles_;
     if (machine_) {
         machine_->clockEdge();

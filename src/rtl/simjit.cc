@@ -11,13 +11,6 @@ namespace longnail {
 namespace rtl {
 namespace simjit {
 
-SimStats &
-tlsSimStats()
-{
-    thread_local SimStats stats;
-    return stats;
-}
-
 namespace {
 
 inline uint64_t
@@ -560,10 +553,6 @@ Program::compile(const Module &module)
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-    SimStats &stats = tlsSimStats();
-    ++stats.compiles;
-    stats.programOps += p.insns_.size();
-    stats.compileMs += ms;
     obs::count("sim.compiles");
     obs::count("sim.program_ops", p.insns_.size());
     obs::observe("sim.compile_ms", ms);

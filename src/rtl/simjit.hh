@@ -53,23 +53,6 @@ using u128 = uint64_t;
 using s128 = int64_t;
 #endif
 
-/**
- * Thread-local simulation statistics, accumulated by both engines and
- * always on (plain additions; no atomics). The driver snapshots these
- * around a compile to fill the `--report` simulation section; the obs
- * registry additionally receives them as `sim.*` counters when
- * observability is enabled.
- */
-struct SimStats
-{
-    uint64_t compiles = 0;    ///< programs compiled
-    uint64_t programOps = 0;  ///< bytecode ops emitted
-    uint64_t cycles = 0;      ///< clock edges simulated (both engines)
-    double compileMs = 0.0;   ///< wall time spent compiling
-};
-
-SimStats &tlsSimStats();
-
 /** Bytecode opcodes. Values of all narrow (<= 64 bit) nets are kept
  * masked to their width at all times, which every op relies on. */
 enum class Op : uint8_t

@@ -1,39 +1,9 @@
 #include "serve/protocol.hh"
 
-#include "support/diagnostics.hh"
-
 namespace longnail {
 namespace serve {
 
 namespace {
-
-const char *
-severityName(Severity s)
-{
-    switch (s) {
-    case Severity::Note:
-        return "note";
-    case Severity::Warning:
-        return "warning";
-    case Severity::Error:
-        return "error";
-    }
-    return "error";
-}
-
-bool
-severityFromName(const std::string &name, Severity &out)
-{
-    if (name == "note")
-        out = Severity::Note;
-    else if (name == "warning")
-        out = Severity::Warning;
-    else if (name == "error")
-        out = Severity::Error;
-    else
-        return false;
-    return true;
-}
 
 /** Read a string-array member into @p out; absent = leave empty. */
 bool
@@ -270,55 +240,13 @@ emitResultReply(const driver::CompileSummary &summary,
                 const std::string &id, const std::string &cacheTier,
                 const std::string &rid)
 {
-    json::Value obj = json::Value::object();
+    json::Value obj = driver::toJson(summary);
     obj.set("type", "result");
     if (!id.empty())
         obj.set("id", id);
     if (!rid.empty())
         obj.set("rid", rid);
-    obj.set("ok", summary.ok);
-    obj.set("isax", summary.isaxName);
-    obj.set("core", summary.coreName);
     obj.set("cacheTier", cacheTier);
-
-    json::Value diags = json::Value::array();
-    for (const auto &d : summary.diags) {
-        json::Value line = json::Value::object();
-        line.set("severity", severityName(d.severity));
-        line.set("code", d.code);
-        line.set("text", d.rendered);
-        diags.push(std::move(line));
-    }
-    obj.set("diags", std::move(diags));
-    if (!summary.errorsText.empty())
-        obj.set("errors", summary.errorsText);
-
-    if (!summary.chosenScheduler.empty())
-        obj.set("scheduler", summary.chosenScheduler);
-    if (summary.lpWorkUnits)
-        obj.set("lpWorkUnits", summary.lpWorkUnits);
-    if (summary.fallbackEvents)
-        obj.set("fallbackEvents", uint64_t(summary.fallbackEvents));
-
-    json::Value units = json::Value::array();
-    for (const auto &u : summary.units) {
-        json::Value unit = json::Value::object();
-        unit.set("name", u.name);
-        unit.set("isAlways", u.isAlways);
-        unit.set("makespan", int64_t(u.makespan));
-        unit.set("objective", u.objective);
-        unit.set("quality", u.quality);
-        if (!u.fallbackReason.empty())
-            unit.set("fallbackReason", u.fallbackReason);
-        unit.set("lpWorkUnits", u.lpWorkUnits);
-        unit.set("firstStage", int64_t(u.firstStage));
-        unit.set("lastStage", int64_t(u.lastStage));
-        unit.set("numRegisters", uint64_t(u.numRegisters));
-        unit.set("sv", u.systemVerilog);
-        units.push(std::move(unit));
-    }
-    obj.set("units", std::move(units));
-    obj.set("configYaml", summary.configYaml);
     return obj.emit();
 }
 
@@ -373,55 +301,9 @@ parseReply(const std::string &payload, std::string &error)
         return reply;
     }
 
-    driver::CompileSummary &s = reply.summary;
-    s.ok = doc->getBool("ok", false);
-    s.isaxName = doc->getString("isax");
-    s.coreName = doc->getString("core");
     reply.cacheTier = doc->getString("cacheTier", "fresh");
-    if (const json::Value *diags = doc->find("diags")) {
-        if (!diags->isArray()) {
-            error = "'diags' must be an array";
-            return std::nullopt;
-        }
-        for (const auto &item : diags->items()) {
-            driver::CompileSummary::DiagLine line;
-            if (!severityFromName(item.getString("severity"),
-                                  line.severity)) {
-                error = "bad diagnostic severity";
-                return std::nullopt;
-            }
-            line.code = item.getString("code");
-            line.rendered = item.getString("text");
-            s.diags.push_back(std::move(line));
-        }
-    }
-    s.errorsText = doc->getString("errors");
-    s.chosenScheduler = doc->getString("scheduler");
-    s.lpWorkUnits = uint64_t(doc->getNumber("lpWorkUnits", 0.0));
-    s.fallbackEvents = unsigned(doc->getNumber("fallbackEvents", 0.0));
-    if (const json::Value *units = doc->find("units")) {
-        if (!units->isArray()) {
-            error = "'units' must be an array";
-            return std::nullopt;
-        }
-        for (const auto &item : units->items()) {
-            driver::CompileSummary::UnitSummary u;
-            u.name = item.getString("name");
-            u.isAlways = item.getBool("isAlways", false);
-            u.makespan = int(item.getNumber("makespan", 0.0));
-            u.objective = item.getNumber("objective", 0.0);
-            u.quality = item.getString("quality");
-            u.fallbackReason = item.getString("fallbackReason");
-            u.lpWorkUnits = uint64_t(item.getNumber("lpWorkUnits", 0.0));
-            u.firstStage = int(item.getNumber("firstStage", 0.0));
-            u.lastStage = int(item.getNumber("lastStage", 0.0));
-            u.numRegisters =
-                unsigned(item.getNumber("numRegisters", 0.0));
-            u.systemVerilog = item.getString("sv");
-            s.units.push_back(std::move(u));
-        }
-    }
-    s.configYaml = doc->getString("configYaml");
+    if (!driver::fromJson(*doc, reply.summary, error))
+        return std::nullopt;
     return reply;
 }
 

@@ -14,10 +14,12 @@
  * either:
  *
  *   - "result": the outcome of a compile -- the deterministic
- *     CompileSummary rendered to JSON, both for successes (artifacts)
- *     and ordinary compile failures (diagnostics). Server replies are
- *     byte-identical to one-shot CLI output for the same inputs
- *     because both render from the same CompileSummary.
+ *     CompileSummary as driver::toJson() encodes it (the disk cache's
+ *     entry format) plus the envelope members type, id, rid and
+ *     cacheTier, both for successes (artifacts) and ordinary compile
+ *     failures (diagnostics). Server replies are byte-identical to
+ *     one-shot CLI output for the same inputs because both render
+ *     from the same CompileSummary.
  *   - "error": a serve-layer failure that never produced a summary:
  *     protocol errors (LN3101), oversize frames (LN3102), idle
  *     timeout (LN3103), admission shed (LN3110, with retryAfterMs),
@@ -149,7 +151,8 @@ struct Reply
     json::Value raw;
 };
 
-/** Parse one reply payload; std::nullopt + @p error when malformed. */
+/** Parse one reply payload; std::nullopt + @p error when malformed,
+ * including a "result" whose summary driver::fromJson() rejects. */
 std::optional<Reply> parseReply(const std::string &payload,
                                 std::string &error);
 

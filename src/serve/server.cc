@@ -635,7 +635,7 @@ Server::compileReply(const Request &request, std::string &outcome,
             obs::Tracer::instance().record(std::move(wait));
         }
         auto compiled =
-            driver::compileWithRetry(request.source, request.target, opts);
+            driver::compile(request.source, request.target, opts);
         *summary = driver::summarize(compiled);
         {
             std::lock_guard<std::mutex> lock(done->mutex);

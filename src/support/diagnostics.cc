@@ -90,14 +90,33 @@ phaseName(Phase phase)
     return "none";
 }
 
+const char *
+severityName(Severity severity)
+{
+    switch (severity) {
+      case Severity::Note: return "note";
+      case Severity::Warning: return "warning";
+      case Severity::Error: return "error";
+    }
+    return "error";
+}
+
+bool
+severityFromName(const std::string &name, Severity &out)
+{
+    for (Severity s : {Severity::Note, Severity::Warning, Severity::Error})
+        if (name == severityName(s)) {
+            out = s;
+            return true;
+        }
+    return false;
+}
+
 std::string
 Diagnostic::str() const
 {
-    const char *sev = severity == Severity::Error     ? "error"
-                      : severity == Severity::Warning ? "warning"
-                                                      : "note";
     std::ostringstream os;
-    os << loc.str() << ": " << sev << ": " << message;
+    os << loc.str() << ": " << severityName(severity) << ": " << message;
     if (!code.empty() || phase != Phase::None) {
         os << " [";
         if (!code.empty())

@@ -43,6 +43,11 @@ struct SourceLoc
 /** Severity of a diagnostic. */
 enum class Severity { Note, Warning, Error };
 
+/** "note", "warning" or "error". */
+const char *severityName(Severity severity);
+/** Inverse of severityName(); false for any other @p name. */
+bool severityFromName(const std::string &name, Severity &out);
+
 /** The pipeline phase a diagnostic originates from (Fig. 9 flow). */
 enum class Phase
 {

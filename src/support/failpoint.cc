@@ -24,7 +24,6 @@ struct Registry
 {
     std::mutex mutex;
     std::map<std::string, Site> sites;
-    bool transientFired = false;
 };
 
 Registry &
@@ -64,7 +63,6 @@ reset()
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
     r.sites.clear();
-    r.transientFired = false;
 }
 
 std::string
@@ -137,7 +135,6 @@ fire(const char *name)
         if (site.transientCount == 0)
             return Mode::Off;
         --site.transientCount;
-        r.transientFired = true;
         obs::count("failpoint.trips");
         obs::flightrec::note("failpoint", name);
         obs::flightrec::writePostmortem("failpoint");
@@ -165,22 +162,6 @@ armedNames()
         if (site.mode != Mode::Off)
             names.push_back(name);
     return names;
-}
-
-bool
-transientFired()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    return r.transientFired;
-}
-
-void
-clearTransientFired()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.transientFired = false;
 }
 
 } // namespace failpoint

@@ -18,14 +18,15 @@
  *   transient:N   the first N evaluations fail, later ones pass
  *
  * Evaluation is fully deterministic: a site fails based only on its
- * spec and its per-site hit counter. Transient failures model
- * recoverable conditions (the driver's compileWithRetry() retries
- * them); "fail" models permanent ones.
+ * spec and its per-site hit counter. A transient fault fails the
+ * compile that hits it like any other fault; a resubmitted compile
+ * passes once the site's N failures are used up
+ * (docs/failure-model.md).
  *
- * The registry is process-global and guarded by a mutex; per-compile
- * bookkeeping (transientFired) is global too, so concurrent compiles
- * with armed failpoints should serialize (fault injection is a test and
- * operations facility, not a hot path).
+ * The registry is process-global and guarded by a mutex. Concurrent
+ * compiles share each site's hit counter, so which of them takes a
+ * transient failure depends on their order (fault injection is a test
+ * and operations facility, not a hot path).
  */
 
 #ifndef LONGNAIL_SUPPORT_FAILPOINT_HH
@@ -48,7 +49,7 @@ void arm(const std::string &name, Mode mode,
 /** Disarm one site (its hit counter is kept). */
 void disarm(const std::string &name);
 
-/** Disarm everything and clear all counters/flags. */
+/** Disarm everything and clear all counters. */
 void reset();
 
 /**
@@ -68,7 +69,7 @@ std::string armFromEnv(const char *env_var = "LONGNAIL_FAILPOINTS");
 /**
  * Evaluate the site @p name: returns Off when the site is inert for
  * this hit, else the mode that made it fail. Increments the site's hit
- * counter and, for transient failures, the global transient flag.
+ * counter.
  */
 Mode fire(const char *name);
 
@@ -77,14 +78,6 @@ uint64_t hitCount(const std::string &name);
 
 /** Names of all currently armed sites. */
 std::vector<std::string> armedNames();
-
-/**
- * True if any transient failpoint fired since the last
- * clearTransientFired(). The driver uses this to classify a failed
- * compile as retryable.
- */
-bool transientFired();
-void clearTransientFired();
 
 /** RAII arming for tests: disarms the site on scope exit. */
 class Scoped

@@ -547,17 +547,21 @@ TEST(TvDriver, ValidateFailpointIsLN4902)
     EXPECT_TRUE(result.diags.hasErrorCode("LN4902")) << result.errors;
 }
 
-TEST(TvDriver, ValidateFailpointIsRetryable)
+TEST(TvDriver, ValidateTransientFaultClearsOnResubmission)
 {
     failpoint::Scoped fp("validate", failpoint::Mode::Transient, 1);
     driver::CompileOptions options;
     options.validate = true;
-    driver::CompiledIsax result =
-        driver::compileWithRetry(catalog::findIsax("dotp")->source,
-                                 catalog::findIsax("dotp")->target,
-                                 options);
-    EXPECT_TRUE(result.ok()) << result.errors;
-    EXPECT_GT(result.attempts, 1u);
+    driver::CompiledIsax first =
+        driver::compileCatalogIsax("dotp", options);
+    EXPECT_FALSE(first.ok());
+    EXPECT_TRUE(first.diags.hasErrorCode("LN4902")) << first.errors;
+
+    driver::CompiledIsax second =
+        driver::compileCatalogIsax("dotp", options);
+    ASSERT_TRUE(second.ok()) << second.errors;
+    EXPECT_GT(second.report.tvUnitsChecked, 0u);
+    EXPECT_EQ(second.report.tvProved, second.report.tvUnitsChecked);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -309,7 +310,7 @@ TEST(Cache, CorruptEntryFailsSoft)
     // with LN3010, and still succeed.
     for (const auto &file : fs::directory_iterator(dir)) {
         std::ofstream out(file.path(), std::ios::trunc);
-        out << "LNCACHE 1\nthis is not a cache entry\n";
+        out << "{\"isax\": this is not a cache entry\n";
     }
     BatchResult result = compileBatch(smallBatch(), options);
     EXPECT_TRUE(result.allOk());
@@ -357,23 +358,38 @@ TEST(Cache, FailpointForcesMiss)
     EXPECT_EQ(result.stats.cacheHits, 4u);
 }
 
-TEST(Cache, HugeBlobLengthEntryIsCorrupt)
+TEST(Cache, HugeIntegerEntryIsCorrupt)
 {
-    std::string dir = scratchDir("hugeblob");
+    std::string dir = scratchDir("hugeint");
     const auto *entry = catalog::findIsax("zol");
     ASSERT_NE(entry, nullptr);
     CompileOptions options;
     std::string key = cacheKey(entry->source, entry->target, options);
+    CompileSummary summary = summarize(compileCatalogIsax("zol", options));
+    ASSERT_TRUE(summary.ok) << summary.errorsText;
     {
-        // A blob length of 2^64-1 used to wrap the reader's bounds
-        // check (pos + len + 1 overflows to a small value) and keep
-        // parsing over already-consumed bytes; it must classify the
-        // entry as corrupt instead.
+        // 2^64 - 1 reads back as the double 2^64, one past the range of
+        // lpWorkUnits: the entry must classify as corrupt instead of
+        // wrapping to some other count.
+        json::Value doc = toJson(summary);
+        doc.set("lpWorkUnits", std::numeric_limits<uint64_t>::max());
         std::ofstream out(dir + "/" + key + ".lnc", std::ios::binary);
-        out << "LNCACHE 1\nisax 18446744073709551615\n\n";
+        out << doc.emit();
     }
     CompileSummary out;
     EXPECT_EQ(cacheLoad(dir, key, out), CacheLookup::Corrupt);
+}
+
+TEST(Cache, EntryIsTheSummaryJsonDocument)
+{
+    std::string dir = scratchDir("jsonentry");
+    CompileSummary summary = summarize(compileCatalogIsax("zol"));
+    ASSERT_TRUE(summary.ok) << summary.errorsText;
+    ASSERT_TRUE(cacheStore(dir, "entry", summary));
+    std::ifstream in(dir + "/entry.lnc", std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), toJson(summary).emit());
 }
 
 TEST(Cache, FaultInjectionBypassesCache)
@@ -652,50 +668,4 @@ TEST(Cancel, BatchCancelSettlesEveryUnitWithLN3011)
                   std::string::npos)
             << unit.unitName;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Retry with capped exponential backoff (docs/failure-model.md)
-// ---------------------------------------------------------------------------
-
-TEST(Retry, TransientFaultsAreRetriedUntilSuccess)
-{
-    const auto *entry = catalog::findIsax("autoinc");
-    ASSERT_NE(entry, nullptr);
-    failpoint::Scoped fault("sched", failpoint::Mode::Transient, 2);
-    CompileOptions options;
-    options.retryMaxAttempts = 3;
-    options.retryBaseDelayMs = 1.0;
-    options.retryMaxDelayMs = 2.0;
-    CompiledIsax result =
-        compileWithRetry(entry->source, entry->target, options);
-    EXPECT_TRUE(result.ok()) << result.errors;
-    EXPECT_EQ(result.attempts, 3u);
-}
-
-TEST(Retry, PermanentFailuresAreNotRetried)
-{
-    CompileOptions options;
-    options.retryMaxAttempts = 5;
-    CompiledIsax result =
-        compileWithRetry("InstructionSet Broken {", "", options);
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.attempts, 1u);
-    EXPECT_FALSE(result.retryable);
-}
-
-TEST(Retry, AttemptsAreCappedAtTheConfiguredMaximum)
-{
-    const auto *entry = catalog::findIsax("autoinc");
-    ASSERT_NE(entry, nullptr);
-    // More transient hits than attempts: the last try still fails.
-    failpoint::Scoped fault("sched", failpoint::Mode::Transient, 10);
-    CompileOptions options;
-    options.retryMaxAttempts = 2;
-    options.retryBaseDelayMs = 1.0;
-    CompiledIsax result =
-        compileWithRetry(entry->source, entry->target, options);
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.attempts, 2u);
-    EXPECT_TRUE(result.retryable);
 }

@@ -1,14 +1,16 @@
 #!/bin/sh
 # Serve determinism (docs/compile-server.md): artifacts produced by a
 # `longnail --connect` client against a live daemon must be
-# byte-identical to the one-shot CLI's for the same ISAX x core combo.
-# Usage: cli_determinism.sh <longnail-binary> <build-dir>
+# byte-identical to the one-shot CLI's for the same ISAX x core combo,
+# and so must stdout, stderr and the exit code of a lint run.
+# Usage: cli_determinism.sh <longnail-binary> <build-dir> <source-dir>
 set -e
 LN=$1
 cd "$2"
 
 rm -rf serve_det_out solo_det_out serve_det.sock serve_det.log \
-       serve_det.jsonl serve_det_client.jsonl solo_det.jsonl
+       serve_det.jsonl serve_det_client.jsonl solo_det.jsonl \
+       serve_det_lint.* solo_det_lint.*
 # The structured event log rides along on both sides: artifacts must
 # stay byte-identical with logging enabled (docs/observability.md).
 "$LN" --serve --socket serve_det.sock --log serve_det.jsonl \
@@ -52,6 +54,24 @@ for core in VexRiscv ORCA; do
     "$LN" --quiet -O1 --core "$core" -o "solo_det_out/zol-$core-O1" \
         isax_export/zol.core_desc
 done
+
+# Diagnostics and exit codes match too: one renderer serves both paths.
+# The lint fixture warns (exit 0) and, under --Werror, fails (exit 5).
+fixture="$3/tests/analysis/fixtures/lint_bugs.core_desc"
+for werror in "" --Werror; do
+    set +e
+    "$LN" --connect serve_det.sock --lint $werror "$fixture" \
+        > serve_det_lint.out 2> serve_det_lint.err
+    served=$?
+    "$LN" --lint $werror "$fixture" \
+        > solo_det_lint.out 2> solo_det_lint.err
+    solo=$?
+    set -e
+    test "$served" -eq "$solo"
+    cmp serve_det_lint.out solo_det_lint.out
+    cmp serve_det_lint.err solo_det_lint.err
+done
+test "$solo" -eq 5
 
 "$LN" --connect serve_det.sock --request shutdown >/dev/null
 wait "$srv" # a shutdown-request drain must exit 0

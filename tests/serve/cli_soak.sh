@@ -28,8 +28,9 @@ until "$LN" --connect soak.sock --request ping >/dev/null 2>&1; do
     sleep 0.1
 done
 
-# 8 concurrent clients; injected faults surface as structured exit-7
-# replies (allowed), but health/ping must always succeed.
+# 8 concurrent clients; injected serve faults surface as exit-7 error
+# replies and injected sched faults as exit-3 compile-error results
+# (both allowed), but health/ping must always succeed.
 pids=
 for c in 1 2 3 4 5 6 7 8; do
     (

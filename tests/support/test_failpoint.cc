@@ -24,7 +24,6 @@ TEST_F(FailpointTest, UnarmedSiteIsInert)
     EXPECT_EQ(failpoint::fire("parse"), Mode::Off);
     EXPECT_EQ(failpoint::fire("parse"), Mode::Off);
     EXPECT_EQ(failpoint::hitCount("parse"), 2u);
-    EXPECT_FALSE(failpoint::transientFired());
 }
 
 TEST_F(FailpointTest, FailModeFailsEveryTime)
@@ -32,7 +31,6 @@ TEST_F(FailpointTest, FailModeFailsEveryTime)
     failpoint::arm("sema", Mode::Fail);
     EXPECT_EQ(failpoint::fire("sema"), Mode::Fail);
     EXPECT_EQ(failpoint::fire("sema"), Mode::Fail);
-    EXPECT_FALSE(failpoint::transientFired());
 }
 
 TEST_F(FailpointTest, TransientFailsFirstNThenPasses)
@@ -41,9 +39,6 @@ TEST_F(FailpointTest, TransientFailsFirstNThenPasses)
     EXPECT_EQ(failpoint::fire("sched"), Mode::Transient);
     EXPECT_EQ(failpoint::fire("sched"), Mode::Transient);
     EXPECT_EQ(failpoint::fire("sched"), Mode::Off);
-    EXPECT_TRUE(failpoint::transientFired());
-    failpoint::clearTransientFired();
-    EXPECT_FALSE(failpoint::transientFired());
 }
 
 TEST_F(FailpointTest, DisarmMakesSiteInert)
@@ -114,9 +109,7 @@ TEST_F(FailpointTest, ResetClearsEverything)
 {
     failpoint::arm("a", Mode::Transient, 5);
     failpoint::fire("a");
-    EXPECT_TRUE(failpoint::transientFired());
     failpoint::reset();
-    EXPECT_FALSE(failpoint::transientFired());
     EXPECT_EQ(failpoint::hitCount("a"), 0u);
     EXPECT_EQ(failpoint::fire("a"), Mode::Off);
 }

@@ -216,13 +216,12 @@ usage()
 }
 
 /**
- * Exit code of a failed batch unit, mirroring the single-compile
- * mapping: LN4xxx errors -> lint, else LN2xxx -> schedule, else
- * frontend. The batch exit code comes from the first failing unit in
- * sorted order, so it is the same for any --jobs value.
+ * Exit code of a failed compile: LN4xxx errors -> lint, else LN2xxx ->
+ * schedule, else frontend. A batch takes the code of its first failing
+ * unit in sorted order, so it is the same for any --jobs value.
  */
 int
-batchExitCode(const driver::CompileSummary &summary)
+failureExitCode(const driver::CompileSummary &summary)
 {
     bool schedule = false;
     for (const auto &diag : summary.diags) {
@@ -234,6 +233,51 @@ batchExitCode(const driver::CompileSummary &summary)
             schedule = true;
     }
     return schedule ? exitSchedule : exitFrontend;
+}
+
+/**
+ * Render one compile, local or served, from its summary: the error
+ * block or the warnings on stderr, then the --lint line or the
+ * SystemVerilog + SCAIE-V YAML (stdout or @p out_dir).
+ * @return the exit code.
+ */
+int
+renderCompile(const driver::CompileSummary &summary, bool lint_only,
+              const std::string &out_dir, bool to_stdout)
+{
+    if (!summary.ok) {
+        std::fprintf(stderr, "%s", summary.errorsText.c_str());
+        return failureExitCode(summary);
+    }
+    // Fallback-schedule warnings (LN2001), lint findings (LN4xxx) and
+    // other advisories.
+    size_t warnings = 0;
+    for (const auto &diag : summary.diags)
+        if (diag.severity == Severity::Warning) {
+            ++warnings;
+            std::fprintf(stderr, "%s\n", diag.rendered.c_str());
+        }
+    if (lint_only) {
+        std::printf("%s: lint ok (%zu warning%s)\n",
+                    summary.isaxName.c_str(), warnings,
+                    warnings == 1 ? "" : "s");
+        return exitOk;
+    }
+    if (to_stdout) {
+        std::string all;
+        for (const auto &unit : summary.units) {
+            all += unit.systemVerilog;
+            all += "\n";
+        }
+        std::printf("%s\n%s", all.c_str(), summary.configYaml.c_str());
+    } else {
+        for (const auto &unit : summary.units)
+            writeFile(out_dir + "/" + unit.name + ".sv",
+                      unit.systemVerilog);
+        writeFile(out_dir + "/" + summary.isaxName + ".scaiev.yaml",
+                  summary.configYaml);
+    }
+    return exitOk;
 }
 
 /**
@@ -368,7 +412,7 @@ runBatch(const std::vector<std::string> &inputs,
 
     for (const auto &unit : result.units)
         if (!unit.ok)
-            return batchExitCode(unit.summary);
+            return failureExitCode(unit.summary);
     return exitOk;
 }
 
@@ -544,39 +588,8 @@ runClient(const std::string &connect_path,
         return exitOk;
     }
 
-    // From here on, byte-for-byte the local one-shot rendering.
-    const driver::CompileSummary &summary = reply->summary;
-    if (!summary.ok) {
-        std::fprintf(stderr, "%s", summary.errorsText.c_str());
-        return batchExitCode(summary);
-    }
-    size_t warnings = 0;
-    for (const auto &diag : summary.diags)
-        if (diag.severity == Severity::Warning) {
-            ++warnings;
-            std::fprintf(stderr, "%s\n", diag.rendered.c_str());
-        }
-    if (options.lintOnly) {
-        std::printf("%s: lint ok (%zu warning%s)\n",
-                    summary.isaxName.c_str(), warnings,
-                    warnings == 1 ? "" : "s");
-        return exitOk;
-    }
-    if (to_stdout) {
-        std::string all;
-        for (const auto &unit : summary.units) {
-            all += unit.systemVerilog;
-            all += "\n";
-        }
-        std::printf("%s\n%s", all.c_str(), summary.configYaml.c_str());
-    } else {
-        for (const auto &unit : summary.units)
-            writeFile(out_dir + "/" + unit.name + ".sv",
-                      unit.systemVerilog);
-        writeFile(out_dir + "/" + summary.isaxName + ".scaiev.yaml",
-                  summary.configYaml);
-    }
-    return exitOk;
+    return renderCompile(reply->summary, options.lintOnly, out_dir,
+                         to_stdout);
 }
 
 /**
@@ -1053,40 +1066,10 @@ run(int argc, char **argv)
         return exitInterrupted;
     }
 
-    if (!compiled.ok()) {
-        std::fprintf(stderr, "%s", compiled.errors.c_str());
-        if (compiled.diags.hasErrorCodePrefix("LN4"))
-            return exitLint;
-        return compiled.diags.hasErrorCodePrefix("LN2")
-                   ? exitSchedule
-                   : exitFrontend;
-    }
-    // Surface fallback-schedule warnings (LN2001), lint findings
-    // (LN4xxx) and other advisories.
-    size_t warnings = 0;
-    for (const auto &diag : compiled.diags.all())
-        if (diag.severity == Severity::Warning) {
-            ++warnings;
-            std::fprintf(stderr, "%s\n", diag.str().c_str());
-        }
-
-    if (options.lintOnly) {
-        std::printf("%s: lint ok (%zu warning%s)\n",
-                    compiled.name.c_str(), warnings,
-                    warnings == 1 ? "" : "s");
-        return exitOk;
-    }
-
-    if (to_stdout) {
-        std::printf("%s\n%s", compiled.emitAllVerilog().c_str(),
-                    compiled.config.emit().c_str());
-    } else {
-        for (const auto &unit : compiled.units)
-            writeFile(out_dir + "/" + unit.name + ".sv",
-                      unit.systemVerilog);
-        writeFile(out_dir + "/" + compiled.name + ".scaiev.yaml",
-                  compiled.config.emit());
-    }
+    int code = renderCompile(driver::summarize(compiled),
+                             options.lintOnly, out_dir, to_stdout);
+    if (code != exitOk || options.lintOnly)
+        return code;
 
     if (report) {
         std::printf("\n%s on %s\n", compiled.name.c_str(),
@@ -1129,20 +1112,6 @@ run(int argc, char **argv)
                         compiled.report.tvRefuted,
                         static_cast<unsigned long long>(
                             compiled.report.tvCexCycles));
-        if (compiled.report.simCycles > 0 ||
-            compiled.report.simCompiles > 0)
-            std::printf("  simulation: %s engine, %llu program%s "
-                        "compiled (%llu ops, %.2f ms), %llu cycles "
-                        "simulated\n",
-                        compiled.report.simEngine.c_str(),
-                        static_cast<unsigned long long>(
-                            compiled.report.simCompiles),
-                        compiled.report.simCompiles == 1 ? "" : "s",
-                        static_cast<unsigned long long>(
-                            compiled.report.simProgramOps),
-                        compiled.report.simCompileMs,
-                        static_cast<unsigned long long>(
-                            compiled.report.simCycles));
         std::printf("  phases (%.2f ms):", compiled.report.totalWallMs());
         for (const auto &entry : compiled.report.phases)
             std::printf(" %s=%.2fms", entry.name.c_str(),
