@@ -1,6 +1,7 @@
 #include "driver/batch.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -8,7 +9,6 @@
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
-#include "support/threadpool.hh"
 
 namespace longnail {
 namespace driver {
@@ -44,36 +44,6 @@ BatchResult::okCount() const
         if (unit.ok)
             ++n;
     return n;
-}
-
-std::shared_ptr<const scaiev::Datasheet>
-SharedInputs::datasheetFor(const std::string &core)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sheets_.find(core);
-    if (it != sheets_.end())
-        return it->second;
-    // The built-in registry owns the sheet; the shared_ptr only shares
-    // the lookup, not ownership.
-    const scaiev::Datasheet *sheet = scaiev::Datasheet::findCore(core);
-    auto shared = std::shared_ptr<const scaiev::Datasheet>(
-        sheet, [](const scaiev::Datasheet *) {});
-    if (!sheet)
-        shared = nullptr;
-    sheets_.emplace(core, shared);
-    return shared;
-}
-
-std::shared_ptr<const sched::TechLibrary>
-SharedInputs::techlibFor(sched::TimingMode mode)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = techs_.find(int(mode));
-    if (it != techs_.end())
-        return it->second;
-    auto tech = std::make_shared<const sched::TechLibrary>(mode);
-    techs_.emplace(int(mode), tech);
-    return tech;
 }
 
 const std::vector<std::string> &
@@ -121,7 +91,6 @@ compileBatch(std::vector<BatchRequest> requests,
 
     BatchResult result;
     result.units.resize(requests.size());
-    SharedInputs shared;
 
     auto compile_one = [&](size_t i) {
         const BatchRequest &req = requests[i];
@@ -190,24 +159,11 @@ compileBatch(std::vector<BatchRequest> requests,
             }
         }
 
-        // Shared read-only inputs, parsed/constructed once per batch.
         CompileOptions opts = req.options;
         if (options.cancel && !opts.cancel)
             opts.cancel = options.cancel;
-        auto tech = shared.techlibFor(opts.timingMode);
-        opts.techlib = tech.get();
-        std::shared_ptr<const scaiev::Datasheet> sheet;
-        if (!opts.datasheet) {
-            sheet = shared.datasheetFor(opts.coreName);
-            if (sheet)
-                opts.datasheet = sheet.get();
-        }
-
-        auto full = std::make_shared<CompiledIsax>(
-            compile(req.source, req.target, opts));
-        out.summary = summarize(*full);
-        out.ok = full->ok();
-        out.full = std::move(full);
+        out.summary = summarize(compile(req.source, req.target, opts));
+        out.ok = out.summary.ok;
 
         // Store before decorating: cache events describe THIS run's
         // lookup, so they must never be replayed from the cache.
@@ -242,14 +198,20 @@ compileBatch(std::vector<BatchRequest> requests,
     jobs = unsigned(std::min<size_t>(jobs, std::max<size_t>(
                                                requests.size(), 1)));
 
-    if (jobs <= 1) {
-        for (size_t i = 0; i < requests.size(); ++i)
+    // Each worker takes the next unit in sorted order until none is
+    // left; with one job the calling thread runs the same loop.
+    std::atomic<size_t> next{0};
+    auto work = [&] {
+        for (size_t i = next++; i < requests.size(); i = next++)
             compile_one(i);
+    };
+    if (jobs <= 1) {
+        work();
     } else {
-        ThreadPool pool(jobs);
-        for (size_t i = 0; i < requests.size(); ++i)
-            pool.submit([&compile_one, i] { compile_one(i); });
-        pool.wait();
+        // Joined when the vector goes out of scope.
+        std::vector<std::jthread> workers;
+        for (unsigned t = 0; t < jobs; ++t)
+            workers.emplace_back(work);
     }
 
     // Deterministic stats, aggregated from the outcomes after the

@@ -2,12 +2,9 @@
  * @file
  * Parallel batch compilation (docs/batch-compilation.md).
  *
- * compileBatch() compiles independent ISAX x core units across a
- * work-stealing thread pool (support/threadpool.hh), with a
- * content-addressed artifact cache (driver/cache.hh) underneath and
- * shared read-only inputs -- parsed datasheets, the technology
- * characterization -- memoized once per batch instead of once per
- * unit.
+ * compileBatch() compiles independent ISAX x core units on `jobs`
+ * worker threads, each taking the next unit in sorted order, with a
+ * content-addressed artifact cache (driver/cache.hh) underneath.
  *
  * Determinism guarantee: the result vector is sorted by unit name and
  * each unit's outcome (summary, diagnostics, artifacts) depends only
@@ -21,9 +18,6 @@
 #define LONGNAIL_DRIVER_BATCH_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,8 +40,8 @@ struct BatchRequest
 /** Batch-wide knobs. */
 struct BatchOptions
 {
-    /** Worker threads; 0 = one per hardware thread, 1 = inline
-     * (no pool). */
+    /** Worker threads; 0 = one per hardware thread, 1 = the calling
+     * thread. */
     unsigned jobs = 1;
     /** Artifact cache directory; empty disables caching. */
     std::string cacheDir;
@@ -74,8 +68,6 @@ struct BatchUnitOutcome
     /** The deterministic compile essence; always populated. Both fresh
      * and replayed units render their output from this alone. */
     CompileSummary summary;
-    /** The full compile result; null when replayed from the cache. */
-    std::shared_ptr<CompiledIsax> full;
 };
 
 struct BatchStats
@@ -121,28 +113,6 @@ catalogBatchRequests(const std::vector<std::string> &cores,
 
 /** The four built-in evaluation cores (Table 2 order). */
 const std::vector<std::string> &builtinCores();
-
-/**
- * Batch-scoped memoization of shared read-only inputs. Thread-safe;
- * the returned pointers stay valid for the SharedInputs lifetime.
- */
-class SharedInputs
-{
-  public:
-    /** Datasheet for @p core (built-in registry); null if unknown. */
-    std::shared_ptr<const scaiev::Datasheet>
-    datasheetFor(const std::string &core);
-
-    /** One TechLibrary per timing mode, constructed on first use. */
-    std::shared_ptr<const sched::TechLibrary>
-    techlibFor(sched::TimingMode mode);
-
-  private:
-    std::mutex mutex_;
-    std::map<std::string, std::shared_ptr<const scaiev::Datasheet>>
-        sheets_;
-    std::map<int, std::shared_ptr<const sched::TechLibrary>> techs_;
-};
 
 } // namespace driver
 } // namespace longnail

@@ -398,14 +398,8 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
         passes::writeAnalysisDump(*result.lilModule, dump);
     }
 
-    // Schedule and generate hardware per functionality. The technology
-    // characterization is shared across a batch when the caller
-    // memoized one (CompileOptions::techlib); it is read-only here.
-    std::optional<sched::TechLibrary> local_tech;
-    if (!options.techlib)
-        local_tech.emplace(options.timingMode);
-    const sched::TechLibrary &tech =
-        options.techlib ? *options.techlib : *local_tech;
+    // Schedule and generate hardware per functionality.
+    const sched::TechLibrary tech(options.timingMode);
     result.config.isaxName = result.name;
     result.config.coreName = options.coreName;
 

@@ -40,10 +40,6 @@ struct CompileOptions
      * (e.g. loaded from a YAML file for a custom core). */
     const scaiev::Datasheet *datasheet = nullptr;
     sched::TimingMode timingMode = sched::TimingMode::Uniform;
-    /** Overrides the per-compile TechLibrary construction when
-     * non-null (batch compilation shares one parsed library across
-     * units; must match timingMode). */
-    const sched::TechLibrary *techlib = nullptr;
     /** Target cycle time for chain breaking; 0 = the core's native
      * clock. */
     double cycleTimeNs = 0.0;

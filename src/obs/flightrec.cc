@@ -22,9 +22,9 @@ namespace flightrec {
 
 namespace {
 
-/** One thread's ring. Heap-allocated, registered globally, and kept
- * alive past thread exit (shared_ptr in the registry) so a postmortem
- * can still include what a finished worker saw. */
+/** One thread's ring. Heap-allocated and registered globally while
+ * its thread runs; shared with snapshot(), which may still be reading
+ * it when the thread exits. */
 struct ThreadBuf
 {
     std::mutex mutex;
@@ -33,10 +33,23 @@ struct ThreadBuf
     size_t filled = 0;  ///< min(events recorded, ringCapacity)
 };
 
+bool
+bySeq(const Event &a, const Event &b)
+{
+    return a.seq < b.seq;
+}
+
 struct Registry
 {
     std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadBuf>> buffers;
+    std::vector<std::shared_ptr<ThreadBuf>> buffers; ///< live threads
+    /** The newest events of exited threads, in no particular order,
+     * so a postmortem can still include what a finished worker or
+     * connection handler saw. At most retiredCapacity; reserved so
+     * that folding a ring in at thread exit never allocates. */
+    std::vector<Event> retired;
+
+    Registry() { retired.reserve(retiredCapacity + ringCapacity); }
 };
 
 Registry &
@@ -48,17 +61,43 @@ registry()
 
 std::atomic<uint64_t> nextSeq{1};
 
+/** The calling thread's ring: registered on first note(), folded
+ * into the retired ring and unregistered when the thread exits. */
+struct ThreadRing
+{
+    std::shared_ptr<ThreadBuf> buf = std::make_shared<ThreadBuf>();
+
+    ThreadRing()
+    {
+        Registry &r = registry();
+        std::lock_guard<std::mutex> lock(r.mutex);
+        r.buffers.push_back(buf);
+    }
+    ThreadRing(const ThreadRing &) = delete;
+    ThreadRing &operator=(const ThreadRing &) = delete;
+
+    ~ThreadRing()
+    {
+        Registry &r = registry();
+        std::lock_guard<std::mutex> lock(r.mutex);
+        r.buffers.erase(
+            std::find(r.buffers.begin(), r.buffers.end(), buf));
+        std::lock_guard<std::mutex> buf_lock(buf->mutex);
+        r.retired.insert(r.retired.end(), buf->ring,
+                         buf->ring + buf->filled);
+        if (r.retired.size() > retiredCapacity) {
+            std::sort(r.retired.begin(), r.retired.end(), bySeq);
+            r.retired.erase(r.retired.begin(),
+                            r.retired.end() - retiredCapacity);
+        }
+    }
+};
+
 ThreadBuf &
 threadBuf()
 {
-    thread_local std::shared_ptr<ThreadBuf> buf = [] {
-        auto b = std::make_shared<ThreadBuf>();
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        r.buffers.push_back(b);
-        return b;
-    }();
-    return *buf;
+    thread_local ThreadRing ring;
+    return *ring.buf;
 }
 
 void
@@ -109,20 +148,23 @@ note(const char *kind, const std::string &msg)
 std::vector<Event>
 snapshot()
 {
+    // Copy the live list and the retired ring in one critical section:
+    // a thread that exits afterwards is read through its shared ring,
+    // one that exited before is in the copy, never both.
     std::vector<std::shared_ptr<ThreadBuf>> buffers;
+    std::vector<Event> events;
     {
         Registry &r = registry();
         std::lock_guard<std::mutex> lock(r.mutex);
         buffers = r.buffers;
+        events = r.retired;
     }
-    std::vector<Event> events;
     for (const auto &buf : buffers) {
         std::lock_guard<std::mutex> lock(buf->mutex);
         for (size_t i = 0; i < buf->filled; ++i)
             events.push_back(buf->ring[i]);
     }
-    std::sort(events.begin(), events.end(),
-              [](const Event &a, const Event &b) { return a.seq < b.seq; });
+    std::sort(events.begin(), events.end(), bySeq);
     return events;
 }
 
@@ -242,6 +284,7 @@ resetForTests()
             buf->next = 0;
             buf->filled = 0;
         }
+        r.retired.clear();
     }
     PostmortemState &s = postmortemState();
     std::lock_guard<std::mutex> lock(s.mutex);

@@ -7,8 +7,11 @@
  * log is opt-in and leveled); the flight recorder always has the last
  * few hundred interesting moments per thread. Each thread owns a
  * fixed-size ring buffer of small POD events; note() stamps one in a
- * few instructions plus an uncontended per-thread lock. Nothing ever
- * leaves the rings in steady state -- only a postmortem dump (crash
+ * few instructions plus an uncontended per-thread lock. When a thread
+ * exits, its events fold into one fixed-size ring of retired events
+ * and its own ring is freed, so a server that starts a handler thread
+ * per connection keeps a bounded recorder. Nothing ever leaves the
+ * rings in steady state -- only a postmortem dump (crash
  * signal, LN3011 deadline cancellation, failpoint trip, LN4501 TV
  * refutation, or an explicit `dump` serve request) merges them into a
  * timestamped report.
@@ -51,10 +54,14 @@ struct Event
 /** Events retained per thread (oldest overwritten first). */
 constexpr size_t ringCapacity = 256;
 
+/** Events retained from threads that have exited (newest kept). */
+constexpr size_t retiredCapacity = 4 * ringCapacity;
+
 /** Record one event on the calling thread's ring. Always on. */
 void note(const char *kind, const std::string &msg);
 
-/** All retained events across every thread, oldest first (by seq). */
+/** All retained events across every live thread and the retired
+ * ring, oldest first (by seq). */
 std::vector<Event> snapshot();
 
 /** Render @p events as the postmortem text format (one line per
@@ -84,7 +91,8 @@ std::string writePostmortem(const std::string &reason);
  */
 void installCrashHandler();
 
-/** Test hook: clear every ring and the postmortem file counters. */
+/** Test hook: clear every ring (the retired one too) and the
+ * postmortem file counters. */
 void resetForTests();
 
 } // namespace flightrec

@@ -51,12 +51,12 @@ microsSince(std::chrono::steady_clock::time_point from,
     return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-/** The calling thread's request context (mutable backing store). */
-RequestContext &
-threadRequest()
+/** The calling thread's request id (mutable backing store). */
+std::string &
+threadRid()
 {
-    thread_local RequestContext context;
-    return context;
+    thread_local std::string rid;
+    return rid;
 }
 
 } // namespace
@@ -67,43 +67,26 @@ traceNowUs()
     return microsSince(traceEpoch(), std::chrono::steady_clock::now());
 }
 
-double
-traceTimeUs(std::chrono::steady_clock::time_point tp)
-{
-    return microsSince(traceEpoch(), tp);
-}
-
 uint32_t
 traceThreadId()
 {
     return threadId();
 }
 
-const RequestContext &
-currentRequest()
-{
-    return threadRequest();
-}
-
 const std::string &
 currentRid()
 {
-    return threadRequest().rid;
+    return threadRid();
 }
 
-RequestScope::RequestScope(std::string rid, std::string trace_id,
-                           std::string parent_span)
-    : prev_(threadRequest())
+RequestScope::RequestScope(std::string rid)
+    : prev_(std::exchange(threadRid(), std::move(rid)))
 {
-    RequestContext &context = threadRequest();
-    context.rid = std::move(rid);
-    context.traceId = std::move(trace_id);
-    context.parentSpan = std::move(parent_span);
 }
 
 RequestScope::~RequestScope()
 {
-    threadRequest() = std::move(prev_);
+    threadRid() = std::move(prev_);
 }
 
 uint64_t
@@ -213,9 +196,9 @@ TraceSpan::~TraceSpan()
     event.tid = threadId();
     event.depth = depth_;
     event.args = std::move(args_);
-    // Tag the span with the active request id so spans from the
-    // handler thread and the worker that ran the compile correlate.
-    const std::string &rid = threadRequest().rid;
+    // Tag the span with the active request id so every span of one
+    // request correlates.
+    const std::string &rid = threadRid();
     if (!rid.empty())
         event.args.emplace_back("rid", rid);
     Tracer::instance().record(std::move(event));

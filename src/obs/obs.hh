@@ -64,58 +64,38 @@ uint64_t peakRssKb();
 /** Microseconds since the process trace epoch (the first steady_clock
  * reading any instrumentation took). One shared epoch makes timestamps
  * from different threads directly comparable -- the serve trace relies
- * on that to nest request spans over worker-thread phase spans. */
+ * on that to nest a client's span over the server's request span. */
 double traceNowUs();
-double traceTimeUs(std::chrono::steady_clock::time_point tp);
 
 /** Small dense id of the calling thread (1 = first observing thread);
- * the `tid` that TraceSpan records. Exposed so synthetic events (the
- * server's queue-wait span) land on the recording thread's track. */
+ * the `tid` that TraceSpan and the flight recorder record. */
 uint32_t traceThreadId();
-
-/**
- * Request identity of the current thread (docs/observability.md).
- *
- * `rid` is the end-to-end request id: minted by the one-shot CLI
- * ("r1"), per sorted batch slot ("r<n>", deterministic under any
- * --jobs value), by a --connect client ("c<pid>-<n>") or by the
- * server for requests that arrived without one ("s<n>"). `traceId` /
- * `parentSpan` carry a client-minted trace context across the wire so
- * server-side spans can point back at the client span that caused
- * them.
- */
-struct RequestContext
-{
-    std::string rid;
-    std::string traceId;
-    std::string parentSpan;
-};
-
-/** The calling thread's current request context (empty by default). */
-const RequestContext &currentRequest();
 
 /** The current thread's request id ("" outside any RequestScope). */
 const std::string &currentRid();
 
 /**
- * RAII request-context scope. Every TraceSpan completed, log record
- * written and flight-recorder note taken on this thread while the
- * scope is alive is tagged with the scope's rid -- that is how one
- * `grep rid=...` reconstructs a request across handler and worker
- * threads. Scopes nest (LIFO, per thread); a worker task re-enters
- * the handler's scope by constructing one with the same ids.
+ * RAII request-id scope (docs/observability.md). Every TraceSpan
+ * completed, log record written and flight-recorder note taken on this
+ * thread while the scope is alive is tagged with the scope's rid --
+ * that is how one `grep rid=...` reconstructs a request.
+ *
+ * The rid is the end-to-end request id: minted by the one-shot CLI
+ * ("r1"), per sorted batch slot ("r<n>", deterministic under any
+ * --jobs value), by a --connect client ("c<pid>-<n>") or by the
+ * server for requests that arrived without one ("s<n>"). Scopes nest
+ * (LIFO, per thread).
  */
 class RequestScope
 {
   public:
-    explicit RequestScope(std::string rid, std::string trace_id = "",
-                          std::string parent_span = "");
+    explicit RequestScope(std::string rid);
     ~RequestScope();
     RequestScope(const RequestScope &) = delete;
     RequestScope &operator=(const RequestScope &) = delete;
 
   private:
-    RequestContext prev_;
+    std::string prev_;
 };
 
 /** One completed span. */

@@ -288,11 +288,11 @@ class PrimalDual
  * form a negative cycle in the shortest-path formulation. When the
  * check converges (no cycle), the final distances double as a feasible
  * point -- t_i = dist[i] - dist[ref] meets every constraint and bound
- * -- which is written to @p feasible_out for warm-starting re-solves.
+ * -- which is written to @p feasible and seeds the potentials.
  */
 bool
 hasNegativeCycle(const DifferenceLP &lp, uint64_t &work,
-                 std::vector<int> *feasible_out = nullptr)
+                 std::vector<int> &feasible)
 {
     unsigned n = lp.numVars();
     unsigned ref = n;
@@ -316,58 +316,26 @@ hasNegativeCycle(const DifferenceLP &lp, uint64_t &work,
             }
         }
         if (!changed) {
-            if (feasible_out) {
-                feasible_out->resize(n);
-                for (unsigned i = 0; i < n; ++i)
-                    (*feasible_out)[i] = int(dist[i] - dist[ref]);
-            }
+            feasible.resize(n);
+            for (unsigned i = 0; i < n; ++i)
+                feasible[i] = int(dist[i] - dist[ref]);
             return false;
         }
     }
-    return true;
-}
-
-/** Does @p t satisfy every constraint and bound of @p lp? */
-bool
-isFeasiblePoint(const DifferenceLP &lp, const std::vector<int> &t)
-{
-    for (unsigned i = 0; i < lp.numVars(); ++i) {
-        if (t[i] < lp.lower[i])
-            return false;
-        if (lp.upper[i] != DifferenceLP::unbounded && t[i] > lp.upper[i])
-            return false;
-    }
-    for (const auto &c : lp.constraints)
-        if (int64_t(t[c.j]) - int64_t(t[c.i]) < int64_t(c.c))
-            return false;
     return true;
 }
 
 } // namespace
 
 LPResult
-solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
-                  const std::vector<int> *warm_start)
+solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit)
 {
     LPResult result;
     auto over_budget = [&]() {
         return work_limit != 0 && result.workUnits > work_limit;
     };
-    // Feasibility. A valid warm-start hint is a witness that settles it
-    // in one validation pass; otherwise (or when the hint turns out to
-    // be stale) fall back to the Bellman-Ford negative-cycle check,
-    // whose converged distances yield a feasible point of our own.
-    bool feasible_known = false;
-    if (warm_start && warm_start->size() == lp.numVars()) {
-        ++result.workUnits;
-        if (isFeasiblePoint(lp, *warm_start)) {
-            result.feasiblePoint = *warm_start;
-            result.warmStarted = true;
-            feasible_known = true;
-        }
-    }
-    if (!feasible_known &&
-        hasNegativeCycle(lp, result.workUnits, &result.feasiblePoint)) {
+    std::vector<int> feasible;
+    if (hasNegativeCycle(lp, result.workUnits, feasible)) {
         result.status = LPResult::Status::Infeasible;
         return result;
     }
@@ -416,7 +384,7 @@ solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit,
     // and pi[sink] = min.
     std::vector<int64_t> pi(n + 3, 0);
     for (unsigned i = 0; i < n; ++i)
-        pi[i] = -int64_t(result.feasiblePoint[i]);
+        pi[i] = -int64_t(feasible[i]);
     pi[source] = *std::max_element(pi.begin(), pi.begin() + n + 1);
     pi[sink] = *std::min_element(pi.begin(), pi.begin() + n + 1);
 

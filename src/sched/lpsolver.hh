@@ -15,9 +15,9 @@
  * Implementation: LP duality turns the problem into an uncapacitated
  * min-cost flow with node supplies, solved by the primal-dual method:
  *
- *  1. The feasibility check (or an accepted warm start) yields a
- *     feasible point t; the node potentials pi = -t make every reduced
- *     cost non-negative from the start.
+ *  1. The Bellman-Ford feasibility check yields a feasible point t;
+ *     the node potentials pi = -t make every reduced cost non-negative
+ *     from the start.
  *  2. Each phase runs one Dijkstra over the reduced costs (a bucket
  *     queue: they span a few stages) and raises the potentials by the
  *     distances, capped at the sink's, so every shortest source-sink
@@ -84,19 +84,10 @@ struct LPResult
     int64_t objective = 0;
     /**
      * Deterministic work units spent: one per Bellman-Ford feasibility
-     * round (or one for validating a warm start), one per node settled
-     * by a phase's Dijkstra, and one per arc scanned while augmenting.
+     * round, one per node settled by a phase's Dijkstra, and one per
+     * arc scanned while augmenting.
      */
     uint64_t workUnits = 0;
-    /**
-     * A (generally non-optimal) point satisfying every constraint and
-     * bound, available whenever feasibility was established -- even on
-     * BudgetExhausted. Callers re-solving a related instance (e.g. the
-     * scheduler fallback chain) pass it back as @p warm_start.
-     */
-    std::vector<int> feasiblePoint;
-    /** True when @p warm_start was accepted as a feasibility witness. */
-    bool warmStarted = false;
 };
 
 /**
@@ -106,17 +97,9 @@ struct LPResult
  * is BudgetExhausted and no values are produced, letting callers fall
  * back to a heuristic scheduler instead of waiting on a pathological
  * instance.
- *
- * @p warm_start, when non-null and feasible for @p lp, serves as a
- * feasibility witness: the up-to-(n+2)-iteration Bellman-Ford
- * negative-cycle check is replaced by a single validation pass (one
- * work unit), cutting the work spent on re-solves of closely related
- * instances. An infeasible or wrongly-sized hint is ignored (the full
- * check runs as usual); correctness never depends on the hint.
  */
 LPResult solveDifferenceLP(const DifferenceLP &lp,
-                           uint64_t work_limit = 0,
-                           const std::vector<int> *warm_start = nullptr);
+                           uint64_t work_limit = 0);
 
 } // namespace sched
 } // namespace longnail

@@ -209,7 +209,7 @@ countLPSolve(const LPResult &result)
 
 std::string
 scheduleOptimal(LongnailProblem &problem, uint64_t lp_work_limit,
-                uint64_t *work_units_out, std::vector<int> *feasible_out)
+                uint64_t *work_units_out)
 {
     if (work_units_out)
         *work_units_out = 0;
@@ -236,8 +236,6 @@ scheduleOptimal(LongnailProblem &problem, uint64_t lp_work_limit,
     LPResult result = solveDifferenceLP(lp, lp_work_limit);
     if (work_units_out)
         *work_units_out = result.workUnits;
-    if (feasible_out)
-        *feasible_out = result.feasiblePoint;
     countLPSolve(result);
     if (result.status == LPResult::Status::Infeasible)
         return "no feasible schedule: the interface windows and "
@@ -247,50 +245,6 @@ scheduleOptimal(LongnailProblem &problem, uint64_t lp_work_limit,
     if (result.status == LPResult::Status::BudgetExhausted)
         return "scheduling budget exhausted after " +
                std::to_string(result.workUnits) + " LP work units";
-
-    for (unsigned i = 0; i < problem.numOperations(); ++i)
-        problem.operation(i).startTime = result.values[i];
-    problem.computeStartTimesInCycle();
-    return "";
-}
-
-std::string
-scheduleAsapLP(LongnailProblem &problem, bool honor_chain_breakers,
-               const std::vector<int> *warm_start, uint64_t lp_work_limit)
-{
-    std::string input_error = problem.checkInput();
-    if (!input_error.empty())
-        return input_error;
-
-    DifferenceLP lp = buildScheduleLP(problem, honor_chain_breakers);
-    // All-ones objective: the feasible region of a difference system is
-    // meet-closed (the componentwise minimum of two feasible points is
-    // feasible), so minimizing sum t_i has a *unique* optimum -- the
-    // least feasible point, which is exactly the fixpoint
-    // scheduleAsap() computes. The LP route exists purely so a
-    // feasible point saved from the optimal attempt can warm-start the
-    // fallback re-solve; the schedule it produces is identical.
-    lp.weights.assign(problem.numOperations(), 1);
-
-    if (warm_start)
-        obs::count("sched.lp_warm_starts");
-    LPResult result = solveDifferenceLP(lp, lp_work_limit, warm_start);
-    countLPSolve(result);
-    if (result.warmStarted)
-        obs::count("sched.lp_warm_start_hits");
-    if (result.status != LPResult::Status::Optimal) {
-        // Callers fall back to scheduleAsap(), which re-derives the
-        // precise legacy infeasibility message.
-        switch (result.status) {
-        case LPResult::Status::Infeasible:
-            return "asap-lp: infeasible";
-        case LPResult::Status::BudgetExhausted:
-            return "asap-lp: budget exhausted after " +
-                   std::to_string(result.workUnits) + " LP work units";
-        default:
-            return "asap-lp: unbounded (internal error)";
-        }
-    }
 
     for (unsigned i = 0; i < problem.numOperations(); ++i)
         problem.operation(i).startTime = result.values[i];
@@ -367,11 +321,10 @@ scheduleWithFallback(LongnailProblem &problem,
     // --stats dump always reports it (zero is a result, not absence).
     obs::count("sched.fallback_events", 0);
     std::string optimal_error;
-    std::vector<int> warm;
     {
         obs::TraceSpan span("sched.optimal");
         optimal_error = scheduleOptimal(problem, budget.lpWorkLimit,
-                                        &outcome.lpWorkUnits, &warm);
+                                        &outcome.lpWorkUnits);
         span.arg("status", optimal_error.empty() ? "ok"
                                                  : optimal_error);
     }
@@ -381,27 +334,14 @@ scheduleWithFallback(LongnailProblem &problem,
         return outcome;
     }
 
-    // The fallback chain fires: make each step observable (the chain
-    // used to degrade silently; see ISSUE 3). When the optimal attempt
-    // got as far as proving feasibility (e.g. it exhausted its budget
-    // in the min-cost-flow phases), its feasible point warm-starts the
-    // ASAP re-solves below -- the LP route produces the identical least
-    // fixpoint, just without re-running the Bellman-Ford feasibility
-    // pass. The list scheduler stays on as safety net.
-    const std::vector<int> *warm_ptr = warm.empty() ? nullptr : &warm;
+    // The fallback chain fires: make each step observable.
     obs::count("sched.fallback_events");
     outcome.fallbackReason = optimal_error;
     outcome.quality = ScheduleQuality::Fallback;
     std::string asap_error;
     {
         obs::TraceSpan span("sched.fallback.asap");
-        asap_error = "unattempted";
-        if (warm_ptr)
-            asap_error = scheduleAsapLP(problem,
-                                        /*honor_chain_breakers=*/true,
-                                        warm_ptr, budget.lpWorkLimit);
-        if (!asap_error.empty())
-            asap_error = scheduleAsap(problem);
+        asap_error = scheduleAsap(problem);
         span.arg("status", asap_error.empty() ? "ok" : asap_error);
     }
     if (asap_error.empty()) {
@@ -412,21 +352,13 @@ scheduleWithFallback(LongnailProblem &problem,
     // Last resort: drop the C5 chain breakers. Dependences and
     // interface windows still hold, so the schedule is architecturally
     // correct; only the combinational chain length (fmax) may suffer.
-    // The warm point satisfies the relaxed system too (a constraint
-    // subset), so it warm-starts this re-solve as well.
     obs::count("sched.fallback_events");
     outcome.quality = ScheduleQuality::FallbackRelaxed;
     std::string relaxed_error;
     {
         obs::TraceSpan span("sched.fallback.asap-relaxed");
-        relaxed_error = "unattempted";
-        if (warm_ptr)
-            relaxed_error =
-                scheduleAsapLP(problem, /*honor_chain_breakers=*/false,
-                               warm_ptr, budget.lpWorkLimit);
-        if (!relaxed_error.empty())
-            relaxed_error =
-                scheduleAsap(problem, /*honor_chain_breakers=*/false);
+        relaxed_error =
+            scheduleAsap(problem, /*honor_chain_breakers=*/false);
         span.arg("status",
                  relaxed_error.empty() ? "ok" : relaxed_error);
     }

@@ -75,16 +75,11 @@ std::vector<Dependence> deriveChainBreakers(const ChainingProblem &problem);
  * reports a distinct "budget exhausted" error rather than blocking.
  * @p work_units_out, when non-null, receives the LP work actually
  * spent (even on failure), for budget observability.
- * @p feasible_out, when non-null, receives a feasible (not necessarily
- * optimal) point whenever the solver established feasibility -- even
- * when it then ran out of budget. The fallback chain passes it back as
- * a warm start when re-solving the ASAP variants.
  * @return empty string on success, else the infeasibility reason.
  */
 std::string scheduleOptimal(LongnailProblem &problem,
                             uint64_t lp_work_limit = 0,
-                            uint64_t *work_units_out = nullptr,
-                            std::vector<int> *feasible_out = nullptr);
+                            uint64_t *work_units_out = nullptr);
 
 /**
  * ASAP list-scheduling baseline: every operation starts as early as
@@ -96,26 +91,6 @@ std::string scheduleOptimal(LongnailProblem &problem,
  */
 std::string scheduleAsap(LongnailProblem &problem,
                          bool honor_chain_breakers = true);
-
-/**
- * ASAP scheduling via the LP solver: minimizing the plain sum of start
- * times over a difference-constraint system has a unique optimum, the
- * componentwise-least feasible point -- byte-identical to the schedule
- * scheduleAsap() computes. Exists so the fallback chain can warm-start
- * the re-solve with @p warm_start, a feasible point saved from the
- * optimal attempt (see solveDifferenceLP); a valid warm start replaces
- * the Bellman-Ford feasibility pass with a one-pass validation,
- * cutting `sched.lp_iterations` on the retry path
- * (`sched.lp_warm_starts` / `sched.lp_warm_start_hits` count the
- * attempts and accepted hints). On any non-optimal LP outcome the
- * caller should fall back to scheduleAsap(), which reproduces the
- * legacy infeasibility message.
- * @return empty string on success, else the failure reason.
- */
-std::string scheduleAsapLP(LongnailProblem &problem,
-                           bool honor_chain_breakers = true,
-                           const std::vector<int> *warm_start = nullptr,
-                           uint64_t lp_work_limit = 0);
 
 /** How a schedule was obtained (fail-soft fallback chain). */
 enum class ScheduleQuality

@@ -2,8 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <fstream>
 
 #include "driver/cache.hh"
@@ -112,12 +112,14 @@ Server::run(ServeStats &stats, std::string &error)
         obs::flightrec::installCrashHandler();
     }
 
-    pool_ = std::make_unique<ThreadPool>(options_.jobs);
+    freeSlots_ = options_.jobs;
+    if (freeSlots_ == 0)
+        freeSlots_ = std::max(1u, std::thread::hardware_concurrency());
     ready_.store(true);
     obs::count("serve.started");
     obs::logEvent(obs::LogLevel::Info, "serve.start",
                   {{"socket", options_.socketPath},
-                   {"jobs", std::to_string(pool_->threadCount())},
+                   {"jobs", std::to_string(freeSlots_)},
                    {"admissionMax",
                     std::to_string(options_.admissionMax)}});
     obs::flightrec::note("serve", "start " + options_.socketPath);
@@ -177,11 +179,9 @@ Server::shutdownPhase(ServeStats &stats)
     }
 
     // Handlers blocked on recvFrame woke via the drain pipe and reply
-    // LN3112; handlers waiting on a compile job get their (now
-    // cancelled) result and reply. Join them all BEFORE draining the
-    // pool -- their queued jobs must still be able to run.
+    // LN3112; handlers waiting for a compile slot get one in turn, stop
+    // at the first phase boundary and reply LN3112 too.
     reapConnections(true);
-    pool_->drain(ThreadPool::DrainPolicy::RunQueued);
 
     memCache_.clear();
     if (!options_.cacheDir.empty())
@@ -208,7 +208,7 @@ Server::shutdownPhase(ServeStats &stats)
                     std::to_string(stats.deadlineMisses)}});
     obs::flightrec::note("serve", "stop");
 
-    // Observability artifacts are written after the last worker is
+    // Observability artifacts are written after the last handler is
     // gone, so the trace and exposition are complete snapshots.
     if (!options_.tracePath.empty()) {
         std::ofstream out(options_.tracePath, std::ios::binary);
@@ -329,8 +329,7 @@ Server::handleConnection(net::Connection conn)
         // every request is greppable in the event log either way.
         if (request->rid.empty())
             request->rid = "s" + std::to_string(ridCounter_.fetch_add(1) + 1);
-        obs::RequestScope scope(request->rid, request->traceId,
-                                request->spanId);
+        obs::RequestScope scope(request->rid);
         obs::logEvent(obs::LogLevel::Info, "serve.request",
                       {{"kind", requestKindName(request->kind)},
                        {"id", request->id}});
@@ -385,7 +384,10 @@ Server::handleRequest(const Request &request, std::string &outcome)
         mc.set("misses", memCache_.misses());
         obj.set("memCache", std::move(mc));
         obj.set("inFlight", uint64_t(inFlight_.load()));
-        obj.set("queueDepth", uint64_t(pool_ ? pool_->queuedCount() : 0));
+        {
+            std::lock_guard<std::mutex> lock(slotMutex_);
+            obj.set("queueDepth", uint64_t(slotWaiters_));
+        }
         obj.set("admissionMax", uint64_t(options_.admissionMax));
         obj.set("draining", draining_.load());
         // Lifetime tallies, mirrored live (ServeStats only materializes
@@ -590,70 +592,43 @@ Server::compileReply(const Request &request, std::string &outcome,
         cache_span.arg("tier", "miss");
     }
 
-    driver::CompileOptions opts = request.options;
-    opts.cancel = &token;
-    auto tech = shared_.techlibFor(opts.timingMode);
-    opts.techlib = tech.get();
-    std::shared_ptr<const scaiev::Datasheet> sheet;
-    if (!opts.datasheet) {
-        sheet = shared_.datasheetFor(opts.coreName);
-        if (sheet)
-            opts.datasheet = sheet.get();
-    }
-
-    auto summary = std::make_shared<driver::CompileSummary>();
-    // The done-handshake state is shared-owned by both the handler and
-    // the pool task: the worker's notify_all() may still be executing
-    // when the handler wakes and returns, so stack storage would be
-    // destroyed under it.
-    struct DoneState {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool done = false;
-    };
-    auto done = std::make_shared<DoneState>();
-    auto submitted_at = Clock::now();
-    // The worker runs on a pool thread with no request context of its
-    // own; re-enter the handler's scope there so phase spans, log
-    // records and flight-recorder notes from the compile carry this
-    // request's rid.
-    obs::RequestContext ctx = obs::currentRequest();
-    bool accepted = pool_->submit([&, summary, done, submitted_at, ctx] {
-        obs::RequestScope scope(ctx.rid, ctx.traceId, ctx.parentSpan);
-        if (obs::enabled()) {
-            // Synthetic span covering the time the request sat in the
-            // pool queue: submit time to pickup time, recorded on the
-            // worker's track.
-            obs::TraceEvent wait;
-            wait.name = "queue.wait";
-            wait.startUs = obs::traceTimeUs(submitted_at);
-            wait.durUs = obs::traceNowUs() - wait.startUs;
-            wait.tid = obs::traceThreadId();
-            if (!ctx.rid.empty())
-                wait.args.emplace_back("rid", ctx.rid);
-            obs::observe("serve.queue_wait_ms", wait.durUs / 1000.0);
-            obs::Tracer::instance().record(std::move(wait));
-        }
-        auto compiled =
-            driver::compile(request.source, request.target, opts);
-        *summary = driver::summarize(compiled);
-        {
-            std::lock_guard<std::mutex> lock(done->mutex);
-            done->done = true;
-        }
-        done->cv.notify_all();
-    });
-    if (!accepted) {
-        drainRejects_.fetch_add(1);
-        obs::count("serve.drain_rejects");
-        outcome = "drain";
-        return emitErrorReply(codeDraining,
-                              "server draining; no new work accepted",
-                              request.id, -1, request.rid);
-    }
+    // Compile slot: at most `jobs` fresh compiles run at once; the rest
+    // wait here. The token is already registered, so drain's cancel
+    // reaches a waiting request too.
+    std::shared_ptr<driver::CompileSummary> summary;
     {
-        std::unique_lock<std::mutex> lock(done->mutex);
-        done->cv.wait(lock, [&] { return done->done; });
+        {
+            obs::TraceSpan wait_span("queue.wait");
+            auto wait_start = Clock::now();
+            std::unique_lock<std::mutex> lock(slotMutex_);
+            ++slotWaiters_;
+            slotFreed_.wait(lock, [this] { return freeSlots_ > 0; });
+            --slotWaiters_;
+            --freeSlots_;
+            lock.unlock();
+            obs::observe("serve.queue_wait_ms",
+                         std::chrono::duration<double, std::milli>(
+                             Clock::now() - wait_start)
+                             .count());
+        }
+        struct SlotGuard
+        {
+            Server &server;
+            ~SlotGuard()
+            {
+                {
+                    std::lock_guard<std::mutex> lock(server.slotMutex_);
+                    ++server.freeSlots_;
+                }
+                server.slotFreed_.notify_one();
+            }
+        } slot_guard{*this};
+
+        driver::CompileOptions opts = request.options;
+        opts.cancel = &token;
+        summary = std::make_shared<driver::CompileSummary>(
+            driver::summarize(
+                driver::compile(request.source, request.target, opts)));
     }
     compiles_.fetch_add(1);
     obs::count("serve.compiles");

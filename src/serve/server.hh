@@ -5,11 +5,11 @@
  * A long-running daemon on a Unix-domain socket: clients send
  * length-prefixed JSON compile requests (serve/protocol.hh) and get
  * back the same deterministic CompileSummary the one-shot CLI renders,
- * byte-identical artifacts included. Concurrency comes from one
- * handler thread per connection dispatching compile work onto a shared
- * work-stealing ThreadPool; artifacts come from a three-tier lookup
- * (in-memory LRU, then the on-disk content-addressed store, then a
- * fresh compile).
+ * byte-identical artifacts included. Each connection has a handler
+ * thread, and a fresh compile runs on it once it holds one of `jobs`
+ * compile slots; artifacts come from a three-tier lookup (in-memory
+ * LRU, then the on-disk content-addressed store, then a fresh
+ * compile).
  *
  * Robustness properties (each pinned by tests/serve/):
  *
@@ -34,6 +34,7 @@
 #define LONGNAIL_SERVE_SERVER_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,12 +43,10 @@
 #include <thread>
 #include <vector>
 
-#include "driver/batch.hh"
 #include "serve/memcache.hh"
 #include "serve/protocol.hh"
 #include "support/cancel.hh"
 #include "support/socket.hh"
-#include "support/threadpool.hh"
 
 namespace longnail {
 namespace serve {
@@ -55,7 +54,8 @@ namespace serve {
 struct ServeOptions
 {
     std::string socketPath;
-    /** Compile worker threads; 0 = one per hardware thread. */
+    /** At most this many fresh compiles run at once; 0 = one per
+     * hardware thread. */
     unsigned jobs = 0;
     /** Max concurrently admitted compile requests; beyond this the
      * server sheds with LN3110 instead of queueing unboundedly. */
@@ -159,9 +159,15 @@ class Server
 
     ServeOptions options_;
     MemCache memCache_;
-    std::unique_ptr<ThreadPool> pool_;
-    driver::SharedInputs shared_;
     net::Listener listener_;
+
+    /** Compile slots: a handler takes one of `jobs` before a fresh
+     * compile and waits while none is free; the waiting count is the
+     * stats reply's queueDepth. */
+    std::mutex slotMutex_;
+    std::condition_variable slotFreed_;
+    unsigned freeSlots_ = 0;
+    unsigned slotWaiters_ = 0;
 
     /** Self-pipe: written once at drain start; never drained, so every
      * blocked recvFrame/accept poll sees it (level-triggered). */

@@ -12,7 +12,7 @@
  *     blocking accept/read loops (the compile server) wake immediately
  *     instead of waiting for their timeout.
  *
- * The CLI uses this for graceful Ctrl-C: cancel outstanding pool work,
+ * The CLI uses this for graceful Ctrl-C: cancel outstanding batch units,
  * remove in-progress cache temp files, exit with the deterministic
  * interrupt code (docs/failure-model.md). The compile server uses the
  * same facility for graceful drain (docs/compile-server.md).

@@ -1,27 +1,28 @@
 /**
  * @file
  * Tests for parallel batch compilation (docs/batch-compilation.md):
- * the work-stealing thread pool, jobs-count determinism, the
+ * jobs-count determinism, the worker loop (never more workers than
+ * units, one compile per unit under its sorted-slot rid), the
  * content-addressed artifact cache (hit/miss/invalidation, fail-soft
- * corruption handling, the `cache` failpoint), and the LP warm-start
- * used on the scheduler fallback path.
+ * corruption handling, the `cache` failpoint), and cooperative
+ * cancellation.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 
 #include "driver/batch.hh"
 #include "driver/isax_catalog.hh"
-#include "sched/lpsolver.hh"
-#include "sched/scheduler.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "support/failpoint.hh"
-#include "support/threadpool.hh"
 
 using namespace longnail;
 using namespace longnail::driver;
@@ -92,74 +93,6 @@ fingerprint(const BatchResult &result)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Thread pool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 0; i < 1000; ++i)
-        pool.submit([&sum, i] { sum.fetch_add(i); });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 999 * 1000 / 2);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 5; ++round) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (round + 1) * 50);
-    }
-}
-
-TEST(ThreadPool, TasksMaySubmitTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 20; ++i)
-        pool.submit([&pool, &count] {
-            count.fetch_add(1);
-            pool.submit([&count] { count.fetch_add(1); });
-        });
-    // wait() covers tasks spawned by tasks: outstanding_ is bumped
-    // before the child is queued.
-    pool.wait();
-    EXPECT_EQ(count.load(), 40);
-}
-
-TEST(ThreadPool, SingleTaskSubmitWaitNeverHangs)
-{
-    // Regression: submit() used to publish the wake-up generation
-    // before enqueuing the task, so a worker could observe the new
-    // generation, miss the task on its scan, and sleep through the
-    // notify -- hanging wait() forever. A lone task per round is the
-    // worst case (no second submit to rescue the sleeper).
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 2000; ++round) {
-        pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-    }
-    EXPECT_EQ(count.load(), 2000);
-}
-
-TEST(ThreadPool, SwallowsExceptions)
-{
-    ThreadPool pool(2);
-    std::atomic<int> after{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([] { throw std::runtime_error("boom"); });
-    pool.submit([&after] { after.store(1); });
-    pool.wait();
-    EXPECT_EQ(after.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
 // Batch determinism
 // ---------------------------------------------------------------------------
 
@@ -184,6 +117,122 @@ TEST(Batch, IdenticalForAnyJobsCount)
         EXPECT_EQ(base, fingerprint(compileBatch(smallBatch(), options)))
             << "jobs=" << jobs;
     }
+}
+
+TEST(Batch, NeverStartsMoreWorkersThanUnits)
+{
+    obs::ScopedEnable on;
+    obs::Registry::instance().clear();
+    BatchOptions options;
+    options.jobs = 32;
+    BatchResult result = compileBatch(smallBatch(), options);
+    ASSERT_EQ(result.units.size(), 4u);
+    EXPECT_TRUE(result.allOk());
+    EXPECT_EQ(obs::Registry::instance().gauges().at("batch.jobs"), 4.0);
+
+    // jobs = 0 means one per hardware thread, still capped by units.
+    obs::Registry::instance().clear();
+    options.jobs = 0;
+    result = compileBatch(smallBatch(), options);
+    EXPECT_TRUE(result.allOk());
+    unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(obs::Registry::instance().gauges().at("batch.jobs"),
+              double(std::min(hardware, 4u)));
+    obs::Registry::instance().clear();
+}
+
+TEST(Batch, EachUnitCompilesOnceUnderItsSortedSlotRid)
+{
+    // Submitted in reverse: the rid is the unit's slot in name order,
+    // whichever worker takes it.
+    std::vector<BatchRequest> requests = smallBatch();
+    std::reverse(requests.begin(), requests.end());
+    std::vector<std::string> sorted;
+    for (const auto &req : requests)
+        sorted.push_back(req.unitName);
+    std::sort(sorted.begin(), sorted.end());
+
+    obs::ScopedEnable on;
+    for (unsigned jobs : {1u, 4u}) {
+        obs::Tracer::instance().clear();
+        BatchOptions options;
+        options.jobs = jobs;
+        BatchResult result = compileBatch(requests, options);
+        ASSERT_TRUE(result.allOk()) << "jobs=" << jobs;
+
+        std::map<std::string, std::string> unit_by_rid;
+        for (const auto &e : obs::Tracer::instance().events()) {
+            if (e.name != "compile")
+                continue;
+            std::map<std::string, std::string> args(e.args.begin(),
+                                                    e.args.end());
+            EXPECT_TRUE(unit_by_rid
+                            .emplace(args["rid"],
+                                     args["isax"] + "@" + args["core"])
+                            .second)
+                << "rid " << args["rid"] << " compiled twice, jobs="
+                << jobs;
+        }
+        ASSERT_EQ(unit_by_rid.size(), sorted.size()) << "jobs=" << jobs;
+        for (size_t i = 0; i < sorted.size(); ++i)
+            EXPECT_EQ(unit_by_rid["r" + std::to_string(i + 1)], sorted[i])
+                << "jobs=" << jobs;
+    }
+    obs::Tracer::instance().clear();
+}
+
+TEST(Batch, WorkerSpansNestPerThreadAndCarryTheirUnitRid)
+{
+    // Every unit runs start to finish on one worker, so one thread's
+    // spans nest or are disjoint, and every span inside a unit's
+    // `compile` span belongs to that unit.
+    obs::ScopedEnable on;
+    obs::Tracer::instance().clear();
+    BatchOptions options;
+    options.jobs = 4;
+    ASSERT_TRUE(compileBatch(smallBatch(), options).allOk());
+    std::vector<obs::TraceEvent> events = obs::Tracer::instance().events();
+    obs::Tracer::instance().clear();
+
+    auto rid_of = [](const obs::TraceEvent &e) {
+        for (const auto &[key, value] : e.args)
+            if (key == "rid")
+                return value;
+        return std::string();
+    };
+    // Same tolerance as tests/obs/check_trace.py.
+    constexpr double eps = 1e-6;
+    auto inside = [](const obs::TraceEvent &inner,
+                     const obs::TraceEvent &outer) {
+        return inner.startUs >= outer.startUs - eps &&
+               inner.startUs + inner.durUs <=
+                   outer.startUs + outer.durUs + eps;
+    };
+    size_t compiles = 0;
+    for (size_t a = 0; a < events.size(); ++a) {
+        const obs::TraceEvent &x = events[a];
+        if (x.name == "compile") {
+            ++compiles;
+            EXPECT_FALSE(rid_of(x).empty());
+        }
+        for (size_t b = a + 1; b < events.size(); ++b) {
+            const obs::TraceEvent &y = events[b];
+            if (x.tid != y.tid)
+                continue;
+            bool disjoint = y.startUs >= x.startUs + x.durUs - eps ||
+                            x.startUs >= y.startUs + y.durUs - eps;
+            EXPECT_TRUE(disjoint || inside(x, y) || inside(y, x))
+                << "spans '" << x.name << "' and '" << y.name
+                << "' partially overlap on thread " << x.tid;
+            if (x.name == "compile" && inside(y, x)) {
+                EXPECT_EQ(rid_of(y), rid_of(x)) << y.name;
+            }
+            if (y.name == "compile" && inside(x, y)) {
+                EXPECT_EQ(rid_of(x), rid_of(y)) << x.name;
+            }
+        }
+    }
+    EXPECT_EQ(compiles, 4u);
 }
 
 TEST(Batch, FailedUnitKeepsDiagnosticsAndBatchContinues)
@@ -425,204 +474,8 @@ TEST(Cache, FaultInjectionBypassesCache)
 }
 
 // ---------------------------------------------------------------------------
-// Shared input memoization
+// Cooperative cancellation (docs/compile-server.md)
 // ---------------------------------------------------------------------------
-
-TEST(SharedInputs, MemoizesDatasheetAndTechlib)
-{
-    SharedInputs shared;
-    auto a = shared.datasheetFor("VexRiscv");
-    auto b = shared.datasheetFor("VexRiscv");
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_EQ(shared.datasheetFor("no-such-core"), nullptr);
-
-    auto t1 = shared.techlibFor(sched::TimingMode::Uniform);
-    auto t2 = shared.techlibFor(sched::TimingMode::Uniform);
-    auto t3 = shared.techlibFor(sched::TimingMode::Library);
-    EXPECT_EQ(t1.get(), t2.get());
-    EXPECT_NE(t1.get(), t3.get());
-}
-
-// ---------------------------------------------------------------------------
-// LP warm-starts
-// ---------------------------------------------------------------------------
-
-TEST(WarmStart, FeasibleHintSkipsBellmanFord)
-{
-    // t1 >= t0 + 2, t2 >= t1 + 3, minimize the sum.
-    sched::DifferenceLP lp(3);
-    lp.weights = {1, 1, 1};
-    lp.addConstraint(0, 1, 2);
-    lp.addConstraint(1, 2, 3);
-
-    sched::LPResult cold = sched::solveDifferenceLP(lp);
-    ASSERT_EQ(cold.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(cold.warmStarted);
-    ASSERT_EQ(cold.feasiblePoint.size(), 3u);
-
-    sched::LPResult warm =
-        sched::solveDifferenceLP(lp, 0, &cold.feasiblePoint);
-    ASSERT_EQ(warm.status, sched::LPResult::Status::Optimal);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_EQ(warm.values, cold.values);
-    EXPECT_EQ(warm.objective, cold.objective);
-    // Validating the hint costs one work unit and replaces the
-    // Bellman-Ford feasibility pass.
-    EXPECT_LT(warm.workUnits, cold.workUnits);
-}
-
-TEST(WarmStart, InfeasibleHintIsIgnored)
-{
-    sched::DifferenceLP lp(2);
-    lp.weights = {1, 1};
-    lp.addConstraint(0, 1, 5);
-
-    std::vector<int> bogus = {0, 0}; // violates t1 >= t0 + 5
-    sched::LPResult r = sched::solveDifferenceLP(lp, 0, &bogus);
-    ASSERT_EQ(r.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(r.warmStarted);
-    EXPECT_EQ(r.values[1] - r.values[0], 5);
-
-    std::vector<int> wrong_size = {0};
-    r = sched::solveDifferenceLP(lp, 0, &wrong_size);
-    ASSERT_EQ(r.status, sched::LPResult::Status::Optimal);
-    EXPECT_FALSE(r.warmStarted);
-}
-
-TEST(WarmStart, AsapLPMatchesListAsap)
-{
-    using namespace longnail::sched;
-    auto build = [] {
-        LongnailProblem p;
-        unsigned src = p.addOperatorType({"src", 0, 0, 0, 0,
-                                          noUpperBound});
-        unsigned mid = p.addOperatorType({"mid", 2, 0, 0, 0,
-                                          noUpperBound});
-        unsigned snk = p.addOperatorType({"snk", 1, 0, 0, 1,
-                                          noUpperBound});
-        unsigned a = p.addOperation({"a", src, {}, {}});
-        unsigned b = p.addOperation({"b", mid, {}, {}});
-        unsigned c = p.addOperation({"c", mid, {}, {}});
-        unsigned d = p.addOperation({"d", snk, {}, {}});
-        p.addDependence(a, b);
-        p.addDependence(a, c);
-        p.addDependence(b, d);
-        p.addDependence(c, d);
-        return p;
-    };
-
-    LongnailProblem list = build();
-    ASSERT_EQ(scheduleAsap(list), "");
-    LongnailProblem lp = build();
-    ASSERT_EQ(scheduleAsapLP(lp), "");
-    for (size_t i = 0; i < list.numOperations(); ++i)
-        EXPECT_EQ(list.operation(i).startTime, lp.operation(i).startTime)
-            << "operation " << i;
-
-    // Warm-started from the optimal attempt's feasible point, the LP
-    // path still lands on the identical least solution.
-    LongnailProblem opt = build();
-    std::vector<int> warm;
-    ASSERT_EQ(scheduleOptimal(opt, 0, nullptr, &warm), "");
-    ASSERT_FALSE(warm.empty());
-    LongnailProblem warmed = build();
-    ASSERT_EQ(scheduleAsapLP(warmed, true, &warm), "");
-    for (size_t i = 0; i < list.numOperations(); ++i)
-        EXPECT_EQ(list.operation(i).startTime,
-                  warmed.operation(i).startTime)
-            << "operation " << i;
-}
-
-// ---------------------------------------------------------------------------
-// Pool drain & cooperative cancellation (docs/compile-server.md)
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, DrainRunsQueuedTasksThenRejectsSubmits)
-{
-    ThreadPool pool(1);
-    std::atomic<bool> release{false};
-    std::atomic<int> ran{0};
-    // The blocker pins the sole worker so the follow-up tasks are
-    // still queued when drain() starts.
-    ASSERT_TRUE(pool.submit([&] {
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
-
-    std::thread releaser([&] {
-        while (!pool.draining())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        release.store(true);
-    });
-    size_t discarded = pool.drain(ThreadPool::DrainPolicy::RunQueued);
-    releaser.join();
-
-    EXPECT_EQ(discarded, 0u);
-    EXPECT_EQ(ran.load(), 8);
-    EXPECT_TRUE(pool.draining());
-    EXPECT_FALSE(pool.submit([&] { ran.fetch_add(1); }));
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, DrainDiscardsQueuedTasksDeterministically)
-{
-    ThreadPool pool(1);
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    std::atomic<int> ran{0};
-    ASSERT_TRUE(pool.submit([&] {
-        started.store(true);
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
-    // Only queue the victims once the blocker is actually running, so
-    // the worker is pinned and the sweep sees exactly 8 queued tasks.
-    while (!started.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
-
-    std::thread releaser([&] {
-        while (!pool.draining())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        release.store(true);
-    });
-    size_t discarded =
-        pool.drain(ThreadPool::DrainPolicy::DiscardQueued);
-    releaser.join();
-
-    EXPECT_EQ(discarded, 8u);
-    EXPECT_EQ(ran.load(), 0);
-    // Idempotent: a second drain has nothing left to discard.
-    EXPECT_EQ(pool.drain(ThreadPool::DrainPolicy::DiscardQueued), 0u);
-}
-
-TEST(ThreadPool, TaskSpawningTasksDuringDrainDoesNotHang)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    // A self-perpetuating chain: each run resubmits itself until the
-    // pool starts draining and rejects the resubmit. drain() must
-    // terminate even though running tasks keep trying to spawn work.
-    auto chain = std::make_shared<std::function<void()>>();
-    *chain = [&pool, &ran, chain] {
-        ran.fetch_add(1);
-        (void)pool.submit(*chain);
-    };
-    ASSERT_TRUE(pool.submit(*chain));
-    while (ran.load() < 10)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    pool.drain(ThreadPool::DrainPolicy::RunQueued);
-    int settled = ran.load();
-    EXPECT_GE(settled, 10);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    // Nothing runs after drain() returned.
-    EXPECT_EQ(ran.load(), settled);
-}
 
 TEST(Cancel, PreCancelledTokenFailsSoftWithLN3011)
 {

@@ -11,8 +11,6 @@
 
 #include "driver/isax_catalog.hh"
 #include "driver/longnail.hh"
-#include "obs/metrics.hh"
-#include "obs/obs.hh"
 #include "support/failpoint.hh"
 
 using namespace longnail;
@@ -127,31 +125,48 @@ TEST_F(FailsoftTest, LpBudgetExhaustionFallsBackToAsap)
               std::string::npos);
 }
 
-TEST_F(FailsoftTest, LpBudgetExhaustedAfterFeasibilityWarmStartsAsap)
+TEST_F(FailsoftTest, LpBudgetExhaustedAfterFeasibilityFallsBackToAsap)
 {
-    // A limit one unit short of the full solve: the feasibility check
-    // fits, the min-cost-flow phases do not. The feasible point the
-    // exhausted attempt proved must then warm-start the ASAP re-solve.
-    CompiledIsax unlimited = compileCatalogIsax("dotp");
-    ASSERT_TRUE(unlimited.ok()) << unlimited.errors;
-    ASSERT_EQ(unlimited.units.size(), 1u);
-    uint64_t full_solve = unlimited.units[0].lpWorkUnits;
-    ASSERT_GT(full_solve, 2u);
+    // A limit one unit short of a unit's full solve: the feasibility
+    // check fits, the min-cost-flow phases do not. The fallback is the
+    // list scheduler's ASAP schedule, the same one a failed optimal
+    // attempt falls back to.
+    for (const char *isax : {"dotp", "sqrt_tightly", "autoinc"}) {
+        for (const std::string &core : scaiev::Datasheet::knownCores()) {
+            CompileOptions options;
+            options.coreName = core;
+            CompiledIsax unlimited = compileCatalogIsax(isax, options);
+            ASSERT_TRUE(unlimited.ok()) << unlimited.errors;
+            CompiledIsax list = [&] {
+                failpoint::Scoped scoped("sched-optimal", Mode::Fail);
+                return compileCatalogIsax(isax, options);
+            }();
+            ASSERT_TRUE(list.ok()) << list.errors;
+            ASSERT_EQ(list.units.size(), unlimited.units.size());
 
-    obs::ScopedEnable on;
-    obs::Registry::instance().clear();
-    CompileOptions options;
-    options.schedBudget.lpWorkLimit = full_solve - 1;
-    CompiledIsax compiled = compileCatalogIsax("dotp", options);
-    ASSERT_TRUE(compiled.ok()) << compiled.errors;
-    ASSERT_EQ(compiled.units.size(), 1u);
-    EXPECT_EQ(compiled.units[0].quality,
-              sched::ScheduleQuality::Fallback);
-    EXPECT_NE(compiled.units[0].fallbackReason.find("budget"),
-              std::string::npos);
-    EXPECT_GT(compiled.units[0].lpWorkUnits, full_solve - 1);
-    EXPECT_GT(obs::Registry::instance().counter("sched.lp_warm_start_hits"),
-              0u);
+            for (size_t u = 0; u < unlimited.units.size(); ++u) {
+                std::string where = std::string(isax) + " unit " +
+                                    std::to_string(u) + " on " + core;
+                uint64_t full_solve = unlimited.units[u].lpWorkUnits;
+                ASSERT_GT(full_solve, 2u) << where;
+                CompileOptions limited = options;
+                limited.schedBudget.lpWorkLimit = full_solve - 1;
+                CompiledIsax compiled = compileCatalogIsax(isax, limited);
+                ASSERT_TRUE(compiled.ok()) << where << ": "
+                                           << compiled.errors;
+                const auto &unit = compiled.units[u];
+                EXPECT_NE(unit.quality, sched::ScheduleQuality::Optimal)
+                    << where;
+                EXPECT_EQ(unit.quality, list.units[u].quality) << where;
+                EXPECT_NE(unit.fallbackReason.find("budget"),
+                          std::string::npos)
+                    << where;
+                EXPECT_GT(unit.lpWorkUnits, full_solve - 1) << where;
+                EXPECT_EQ(unit.systemVerilog, list.units[u].systemVerilog)
+                    << where;
+            }
+        }
+    }
 }
 
 /**

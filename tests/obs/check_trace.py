@@ -73,11 +73,7 @@ def check_structure(events):
                     "order)" % (tid, span["name"], end, prev_end))
             prev_end = max(prev_end, end)
         # Scoped spans on one thread either nest or are disjoint;
-        # partial overlap would mean a corrupted scope stack. The
-        # synthetic `queue.wait` span is exempt: it starts at submit
-        # time on the *submitting* thread's clock and may straddle the
-        # previous task this worker ran.
-        spans = [s for s in spans if s["name"] != "queue.wait"]
+        # partial overlap would mean a corrupted scope stack.
         for i, a in enumerate(spans):
             a0, a1 = a["ts"], a["ts"] + a["dur"]
             for b in spans[i + 1:]:

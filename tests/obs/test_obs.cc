@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -91,6 +92,47 @@ TEST_F(ObsTraceTest, SpansNestAndRecordChildrenFirst)
     }
     // All on the same (first) tracing thread.
     EXPECT_EQ(events[0].tid, events[2].tid);
+}
+
+TEST_F(ObsTraceTest, SpansCarryTheInnermostRequestScopeRid)
+{
+    obs::ScopedEnable on;
+    EXPECT_EQ(obs::currentRid(), "");
+    {
+        obs::RequestScope outer("s1");
+        {
+            obs::RequestScope inner("s2");
+            EXPECT_EQ(obs::currentRid(), "s2");
+            obs::TraceSpan span("in.inner");
+        }
+        EXPECT_EQ(obs::currentRid(), "s1");
+        obs::TraceSpan span("in.outer");
+        std::thread other([] {
+            // The rid is per thread: a new thread starts outside any
+            // scope.
+            EXPECT_EQ(obs::currentRid(), "");
+            obs::TraceSpan span("other.thread");
+        });
+        other.join();
+    }
+    EXPECT_EQ(obs::currentRid(), "");
+    {
+        obs::TraceSpan span("after");
+    }
+
+    std::map<std::string, std::string> rid_by_span;
+    for (const auto &e : obs::Tracer::instance().events()) {
+        std::string rid;
+        for (const auto &[key, value] : e.args)
+            if (key == "rid")
+                rid = value;
+        rid_by_span[e.name] = rid;
+    }
+    ASSERT_EQ(rid_by_span.size(), 4u);
+    EXPECT_EQ(rid_by_span.at("in.inner"), "s2");
+    EXPECT_EQ(rid_by_span.at("in.outer"), "s1");
+    EXPECT_EQ(rid_by_span.at("other.thread"), "");
+    EXPECT_EQ(rid_by_span.at("after"), "");
 }
 
 TEST_F(ObsTraceTest, EscapeJsonHandlesSpecialCharacters)
@@ -764,6 +806,36 @@ TEST_F(ObsFlightRecTest, RingKeepsOnlyTheNewestEvents)
     // The oldest 50 fell off the ring; the newest survives.
     EXPECT_STREQ(events.back().msg, std::to_string(total - 1).c_str());
     EXPECT_STREQ(events.front().msg, "50");
+}
+
+TEST_F(ObsFlightRecTest, ExitedThreadsFoldIntoOneBoundedRing)
+{
+    // More events than the retired ring holds, each thread's fitting
+    // in its own ring.
+    const size_t threads = 8, per_thread = 200;
+    for (size_t t = 0; t < threads; ++t)
+        std::thread([t] {
+            for (size_t i = 0; i < per_thread; ++i)
+                obs::flightrec::note("exited", std::to_string(t) + "." +
+                                                   std::to_string(i));
+        }).join();
+    obs::flightrec::note("live", "main");
+
+    auto events = obs::flightrec::snapshot();
+    // The newest retiredCapacity events of the exited threads, then
+    // this thread's one.
+    ASSERT_EQ(events.size(), obs::flightrec::retiredCapacity + 1);
+    const size_t first = threads * per_thread -
+                         obs::flightrec::retiredCapacity;
+    EXPECT_STREQ(events.front().msg,
+                 (std::to_string(first / per_thread) + "." +
+                  std::to_string(first % per_thread))
+                     .c_str());
+    EXPECT_STREQ(events[events.size() - 2].msg,
+                 (std::to_string(threads - 1) + "." +
+                  std::to_string(per_thread - 1))
+                     .c_str());
+    EXPECT_STREQ(events.back().kind, "live");
 }
 
 TEST_F(ObsFlightRecTest, PostmortemWritesFileNamingTheRid)

@@ -2,9 +2,9 @@
  * @file
  * In-process compile-server tests (docs/compile-server.md): request
  * dispatch, the tiered artifact cache, per-request deadlines,
- * admission control, fault isolation, hostile clients against a live
- * daemon, graceful drain, and the concurrent soak with failpoints
- * armed that pins "a bad request never kills the server".
+ * admission control, compile slots, fault isolation, hostile clients
+ * against a live daemon, graceful drain, and the concurrent soak with
+ * failpoints armed that pins "a bad request never kills the server".
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -457,6 +458,311 @@ TEST(Serve, ShutdownRequestDrainsTheServer)
     EXPECT_FALSE(fs::exists(ts.options.socketPath));
 }
 
+TEST(Serve, AtMostJobsCompilesRunAtOnce)
+{
+    obs::ScopedEnable on;
+    obs::Tracer::instance().clear();
+    TestServer ts("jobs1");
+    ts.options.jobs = 1;
+    ts.options.memCacheEntries = 0;
+    ts.start();
+
+    // Three cores => three cache keys => three fresh compiles, sent at
+    // once to a server with a single compile slot.
+    const std::vector<std::string> cores = {"VexRiscv", "ORCA",
+                                            "Piccolo"};
+    std::vector<std::optional<serve::Reply>> replies(cores.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < cores.size(); ++i)
+        clients.emplace_back([&, i] {
+            serve::Request request =
+                compileRequest("sqrt_tightly", cores[i]);
+            request.options.optLevel = 1;
+            net::Connection conn = connectTo(ts);
+            replies[i] = roundTrip(conn, request);
+        });
+    for (auto &client : clients)
+        client.join();
+    {
+        // Idle again: the stats reply reports an empty slot queue.
+        net::Connection conn = connectTo(ts);
+        auto stats =
+            roundTrip(conn, simpleRequest(serve::RequestKind::Stats));
+        ASSERT_TRUE(stats);
+        ASSERT_NE(stats->raw.find("queueDepth"), nullptr);
+        EXPECT_EQ(stats->raw.getNumber("queueDepth", -1.0), 0.0);
+    }
+    ts.stop();
+
+    for (size_t i = 0; i < cores.size(); ++i) {
+        ASSERT_TRUE(replies[i]) << cores[i];
+        ASSERT_EQ(replies[i]->type, "result") << cores[i];
+        EXPECT_TRUE(replies[i]->summary.ok) << cores[i];
+    }
+    EXPECT_EQ(ts.stats.compiles, 3u);
+
+    std::vector<obs::TraceEvent> compiles;
+    size_t queue_waits = 0;
+    for (const auto &e : obs::Tracer::instance().events()) {
+        if (e.name == "compile")
+            compiles.push_back(e);
+        if (e.name == "queue.wait")
+            ++queue_waits;
+    }
+    ASSERT_EQ(compiles.size(), 3u);
+    for (size_t a = 0; a < compiles.size(); ++a)
+        for (size_t b = a + 1; b < compiles.size(); ++b) {
+            const obs::TraceEvent &x = compiles[a], &y = compiles[b];
+            EXPECT_TRUE(y.startUs >= x.startUs + x.durUs ||
+                        x.startUs >= y.startUs + y.durUs)
+                << "compiles " << a << " and " << b << " overlap";
+        }
+    EXPECT_EQ(queue_waits, 3u);
+}
+
+TEST(Serve, FlightRecorderStaysBoundedAcrossConnections)
+{
+    // One connection per compile, as `--connect` clients make them:
+    // every compile notes its phases on a handler thread that then
+    // exits.
+    obs::flightrec::resetForTests();
+    TestServer ts("flightrec");
+    ts.options.memCacheEntries = 0;
+    ts.start();
+    const int connections = 300;
+    for (int i = 0; i < connections; ++i) {
+        serve::Request request = compileRequest("autoinc");
+        request.rid = "fr" + std::to_string(i);
+        net::Connection conn = connectTo(ts);
+        auto reply = roundTrip(conn, request);
+        ASSERT_TRUE(reply) << request.rid;
+        ASSERT_EQ(reply->type, "result") << request.rid;
+    }
+    ts.stop();
+    EXPECT_EQ(ts.stats.compiles, uint64_t(connections));
+
+    // Every handler and the server thread have exited; only this
+    // thread still owns a ring.
+    auto events = obs::flightrec::snapshot();
+    EXPECT_LE(events.size(), obs::flightrec::retiredCapacity +
+                                 obs::flightrec::ringCapacity);
+    // The retired ring keeps the newest events: the last compile's.
+    bool last_phase_kept = false;
+    for (const auto &e : events)
+        last_phase_kept |= std::string(e.kind) == "phase" &&
+                           std::string(e.rid) ==
+                               "fr" + std::to_string(connections - 1);
+    EXPECT_TRUE(last_phase_kept);
+}
+
+TEST(Serve, EveryCompileOutcomeReleasesItsSlot)
+{
+    TestServer ts("slotrelease");
+    ts.options.jobs = 1;
+    ts.start();
+    net::Connection conn = connectTo(ts);
+    auto send = [&](const serve::Request &request) {
+        auto reply = roundTrip(conn, request, 60000);
+        if (!reply) {
+            // A leaked slot also blocks the drain, so stop() would
+            // never return: report and end the test process here.
+            ADD_FAILURE() << "no reply to '" << request.id
+                          << "' within 60 s: a compile slot leaked";
+            std::_Exit(1);
+        }
+        return reply;
+    };
+
+    // A source error, a scheduler fault and a deadline miss each end a
+    // compile that held the only slot; the next compile must get it.
+    serve::Request bad;
+    bad.kind = serve::RequestKind::Compile;
+    bad.id = "bad";
+    bad.unitName = "broken";
+    bad.source = "InstructionSet Broken { this is not CoreDSL }";
+    auto parse_error = send(bad);
+    ASSERT_TRUE(parse_error);
+    ASSERT_EQ(parse_error->type, "result");
+    EXPECT_FALSE(parse_error->summary.ok);
+    {
+        failpoint::Scoped fault("sched", failpoint::Mode::Fail);
+        auto sched_error = send(compileRequest("autoinc"));
+        ASSERT_TRUE(sched_error);
+        ASSERT_EQ(sched_error->type, "result");
+        EXPECT_FALSE(sched_error->summary.ok);
+    }
+    auto late = send(compileRequest("autoinc", "ORCA", 0));
+    ASSERT_TRUE(late);
+    EXPECT_EQ(late->type, "error");
+    EXPECT_EQ(late->code, serve::codeDeadline);
+
+    auto ok = send(compileRequest("autoinc"));
+    ASSERT_TRUE(ok) << "the healthy compile never got the slot";
+    ASSERT_EQ(ok->type, "result");
+    EXPECT_TRUE(ok->summary.ok) << ok->summary.errorsText;
+
+    auto stats = send(simpleRequest(serve::RequestKind::Stats));
+    ASSERT_TRUE(stats);
+    EXPECT_EQ(stats->raw.getNumber("queueDepth", -1.0), 0.0);
+    EXPECT_EQ(stats->raw.getNumber("inFlight", -1.0), 0.0);
+    ts.stop();
+    EXPECT_EQ(ts.stats.compiles, 4u);
+}
+
+TEST(Serve, DrainCancelsRequestsWaitingForACompileSlot)
+{
+    TestServer ts("slotdrain");
+    ts.options.jobs = 1;
+    ts.options.drainGraceMs = 0;
+    ts.start();
+
+    // Eight cache keys => eight fresh compiles behind a single slot.
+    std::vector<serve::Request> requests;
+    for (unsigned opt : {0u, 1u})
+        for (const char *core :
+             {"VexRiscv", "ORCA", "Piccolo", "PicoRV32"}) {
+            serve::Request request = compileRequest("sqrt_tightly", core);
+            request.options.optLevel = opt;
+            request.options.validate = true;
+            requests.push_back(request);
+        }
+    std::vector<std::optional<serve::Reply>> replies(requests.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < requests.size(); ++i)
+        clients.emplace_back([&, i] {
+            net::Connection conn = connectTo(ts);
+            replies[i] = roundTrip(conn, requests[i]);
+        });
+
+    // Drain once the server has received every compile request and at
+    // least two of them wait for the slot. The lifetime request tally
+    // counts the stats polls too.
+    bool waiting = false;
+    {
+        net::Connection conn = connectTo(ts);
+        for (unsigned polls = 1; polls <= 6000 && !waiting; ++polls) {
+            auto stats = roundTrip(
+                conn, simpleRequest(serve::RequestKind::Stats));
+            if (!stats)
+                break;
+            const json::Value *server = stats->raw.find("server");
+            double received =
+                server ? server->getNumber("requests", 0.0) - polls : 0.0;
+            waiting = received >= double(requests.size()) &&
+                      stats->raw.getNumber("queueDepth", 0.0) >= 2.0;
+            if (!waiting)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        }
+    }
+    ts.server->requestStop();
+    for (auto &client : clients)
+        client.join();
+    ts.thread.join();
+    ASSERT_TRUE(waiting) << "never saw two requests wait for the slot";
+    EXPECT_TRUE(ts.runOk) << ts.runError;
+
+    // Every client gets an answer: a result if its compile finished
+    // before the cancel, else LN3112. The drain cancels the compile in
+    // the slot and every request still waiting for it: each takes the
+    // slot in turn and stops at the first phase boundary ("compile
+    // cancelled"). The cancel follows the last poll by far less than a
+    // compile, so the two waiters seen there are among them.
+    size_t cancelled = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_TRUE(replies[i]) << requests[i].id;
+        if (replies[i]->type == "result") {
+            EXPECT_TRUE(replies[i]->summary.ok) << requests[i].id;
+            continue;
+        }
+        EXPECT_EQ(replies[i]->type, "error") << requests[i].id;
+        EXPECT_EQ(replies[i]->code, serve::codeDraining)
+            << requests[i].id << ": " << replies[i]->message;
+        if (replies[i]->message.find("cancelled") != std::string::npos)
+            ++cancelled;
+    }
+    EXPECT_GE(cancelled, 2u);
+    EXPECT_GE(ts.stats.drainRejects, cancelled);
+}
+
+TEST(Serve, QueueWaitIsAScopedSpanOnTheHandlerThread)
+{
+    obs::ScopedEnable on;
+    obs::Tracer::instance().clear();
+    obs::Registry::instance().clear();
+    TestServer ts("queuewait");
+    ts.options.jobs = 1;
+    ts.start();
+
+    // Two fresh compiles at once behind one slot, then a memory hit
+    // each, which never waits for a slot.
+    const std::vector<std::string> rids = {"q1", "q2"};
+    const std::vector<std::string> cores = {"VexRiscv", "ORCA"};
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < rids.size(); ++i)
+        clients.emplace_back([&, i] {
+            serve::Request request =
+                compileRequest("sqrt_tightly", cores[i]);
+            request.options.optLevel = 1;
+            request.rid = rids[i];
+            net::Connection conn = connectTo(ts);
+            auto fresh = roundTrip(conn, request);
+            EXPECT_TRUE(fresh && fresh->cacheTier == "fresh") << rids[i];
+            auto hit = roundTrip(conn, request);
+            EXPECT_TRUE(hit && hit->cacheTier == "mem") << rids[i];
+        });
+    for (auto &client : clients)
+        client.join();
+    ts.stop();
+
+    auto rid_of = [](const obs::TraceEvent &e) {
+        for (const auto &[key, value] : e.args)
+            if (key == "rid")
+                return value;
+        return std::string();
+    };
+    double wait_us = 0.0;
+    for (const std::string &rid : rids) {
+        std::vector<obs::TraceEvent> requests, waits, compiles;
+        for (const auto &e : obs::Tracer::instance().events()) {
+            if (rid_of(e) != rid)
+                continue;
+            if (e.name == "request")
+                requests.push_back(e);
+            else if (e.name == "queue.wait")
+                waits.push_back(e);
+            else if (e.name == "compile")
+                compiles.push_back(e);
+        }
+        ASSERT_EQ(requests.size(), 2u) << rid;
+        ASSERT_EQ(waits.size(), 1u) << rid;
+        ASSERT_EQ(compiles.size(), 1u) << rid;
+
+        // The wait and then the compile run inside the first request's
+        // span, on its thread.
+        const obs::TraceEvent &request =
+            requests[0].startUs <= requests[1].startUs ? requests[0]
+                                                       : requests[1];
+        const obs::TraceEvent &wait = waits[0], &compile = compiles[0];
+        EXPECT_EQ(wait.tid, request.tid) << rid;
+        EXPECT_EQ(compile.tid, request.tid) << rid;
+        EXPECT_GT(wait.depth, request.depth) << rid;
+        EXPECT_GE(wait.startUs, request.startUs) << rid;
+        EXPECT_LE(wait.startUs + wait.durUs, compile.startUs) << rid;
+        EXPECT_LE(compile.startUs + compile.durUs,
+                  request.startUs + request.durUs)
+            << rid;
+        wait_us += wait.durUs;
+    }
+    // serve.queue_wait_ms observes the interval the spans enclose.
+    obs::HistogramStats waited =
+        obs::Registry::instance().histograms().at("serve.queue_wait_ms");
+    EXPECT_EQ(waited.count, 2u);
+    EXPECT_LE(waited.sum * 1000.0, wait_us + 1e-3);
+    obs::Tracer::instance().clear();
+    obs::Registry::instance().clear();
+}
+
 /**
  * The headline robustness soak (ISSUE acceptance): 8 concurrent
  * clients x 26 requests with failpoints armed -- injected serve
@@ -638,7 +944,7 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
         request.rid = out.rid;
         request.traceId = out.traceId;
         request.spanId = out.spanId;
-        obs::RequestScope scope(out.rid, out.traceId, out.spanId);
+        obs::RequestScope scope(out.rid);
         std::optional<serve::Reply> reply;
         {
             obs::TraceSpan span("client.request");
@@ -786,7 +1092,7 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
             << e.name;
     }
     EXPECT_GE(blocker_phases, 5u) << "expected per-phase spans";
-    // The queue-wait span the worker synthesized is among them.
+    // The queue-wait span around its compile-slot wait is among them.
     bool queue_wait_seen = false;
     for (const auto &e : events)
         if (e.name == "queue.wait" && arg_of(e, "rid") == seen[0].rid)

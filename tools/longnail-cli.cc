@@ -438,7 +438,7 @@ runServe(const std::string &socket_path, unsigned jobs,
     serve::ServeOptions so;
     so.socketPath = socket_path;
     // Unlike one-shot batch (default -j1), a daemon defaults to one
-    // worker per hardware thread.
+    // compile slot per hardware thread.
     so.jobs = jobs_given ? jobs : 0;
     // 0 is a valid (shed-everything) setting used by shed tests.
     if (admission_max >= 0)
@@ -530,8 +530,7 @@ runClient(const std::string &connect_path,
     request.rid = "c" + pid + "-1";
     request.traceId = "t" + pid;
     request.spanId = request.rid + "-s1";
-    obs::RequestScope rid_scope(request.rid, request.traceId,
-                                request.spanId);
+    obs::RequestScope rid_scope(request.rid);
     obs::logEvent(obs::LogLevel::Info, "client.request",
                   {{"kind", request_type}, {"socket", connect_path}});
 
