@@ -9,7 +9,7 @@
  * catalog matrix through driver::compileBatch() at --jobs 1/2/4/8,
  * cold cache and warm cache, timed with plain chrono and recorded
  * through bench/report.hh (the bench-report target folds the records
- * into BENCH_longnail.json). Speedups are measured, not assumed: on a
+ * into build/BENCH_records.json). Speedups are measured, not assumed: on a
  * single-hardware-thread host the cold-cache parallel speedup is ~1x
  * by physics, while warm-cache replay speedups are machine-independent.
  */

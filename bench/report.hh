@@ -1,6 +1,6 @@
 /**
  * @file
- * Machine-readable benchmark reporting (ISSUE 3 / docs/observability.md).
+ * Machine-readable benchmark reporting (docs/observability.md).
  *
  * Every bench/ binary funnels its headline numbers through a
  * ReportWriter so runs land in BENCH_*.json as JSON Lines: one record
@@ -13,7 +13,7 @@
  * Destination:
  *   - $LONGNAIL_BENCH_REPORT set: append to that file (so the
  *     bench-report CMake target can fold several binaries into one
- *     BENCH_longnail.json);
+ *     build/BENCH_records.json);
  *   - otherwise: truncate-write BENCH_<bench>.json in the CWD.
  *
  * The commit stamp comes from $LONGNAIL_COMMIT, else the LN_GIT_COMMIT

@@ -1,6 +1,5 @@
 #include "analysis/verifier.hh"
 
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -523,41 +522,27 @@ reportIssues(const std::vector<VerifyIssue> &issues,
 
 namespace {
 
-bool g_verifyOverridden = false;
-bool g_verifyValue = false;
-
-bool
-envEnabled()
-{
-    const char *env = std::getenv("LONGNAIL_VERIFY_IR");
-    return env && *env && std::string(env) != "0";
-}
+/** Per thread: a compile runs on one thread, so concurrent compiles
+ * with different CompileOptions::verifyIr never see each other's
+ * setting. */
+thread_local bool t_verifyIr = false;
 
 } // namespace
 
 bool
 verifyIrEnabled()
 {
-    return g_verifyOverridden ? g_verifyValue : envEnabled();
+    return t_verifyIr;
 }
 
-void
-setVerifyIr(bool enable)
+ScopedVerifyIr::ScopedVerifyIr(bool enable) : prev_(t_verifyIr)
 {
-    g_verifyOverridden = true;
-    g_verifyValue = enable;
-}
-
-ScopedVerifyIr::ScopedVerifyIr(bool enable)
-    : prevOverride_(g_verifyOverridden), prevValue_(g_verifyValue)
-{
-    setVerifyIr(enable);
+    t_verifyIr = enable;
 }
 
 ScopedVerifyIr::~ScopedVerifyIr()
 {
-    g_verifyOverridden = prevOverride_;
-    g_verifyValue = prevValue_;
+    t_verifyIr = prev_;
 }
 
 void

@@ -12,9 +12,10 @@
  *  - required attributes present and well-formed (LN4005);
  *  - dialect-level purity and terminator placement (LN4006).
  *
- * It runs as part of the analysis pipeline phase, and — under the
- * LONGNAIL_VERIFY_IR option — after every transform in hir/transforms
- * so a transform bug is caught at the transform that introduced it.
+ * It runs as part of the analysis pipeline phase, and — under
+ * CompileOptions::verifyIr (CLI: --verify-ir) — after every transform
+ * in hir/transforms and every pass, so a transform bug is caught at
+ * the transform that introduced it.
  */
 
 #ifndef LONGNAIL_ANALYSIS_VERIFIER_HH
@@ -65,14 +66,14 @@ void reportIssues(const std::vector<VerifyIssue> &issues,
                   const std::string &what, DiagnosticEngine &diags);
 
 /**
- * Whether transforms re-verify their result. Defaults to the
- * LONGNAIL_VERIFY_IR environment variable (any non-empty value other
- * than "0"); setVerifyIr() overrides the environment.
+ * Whether transforms on the calling thread re-verify their result.
+ * Off unless a ScopedVerifyIr on this thread turns it on; compile()
+ * holds one for CompileOptions::verifyIr.
  */
 bool verifyIrEnabled();
-void setVerifyIr(bool enable);
 
-/** RAII enable/restore of the verify-after-transform option. */
+/** RAII enable/restore of the verify-after-transform option on the
+ * calling thread. */
 class ScopedVerifyIr
 {
   public:
@@ -82,8 +83,7 @@ class ScopedVerifyIr
     ScopedVerifyIr &operator=(const ScopedVerifyIr &) = delete;
 
   private:
-    bool prevOverride_;
-    bool prevValue_;
+    bool prev_;
 };
 
 /**

@@ -15,26 +15,6 @@ using scaiev::SubInterface;
 
 namespace {
 
-/** The module's program when the compiled engine is the default, else
- * null (interpret). Decided once per module, at attach time. */
-std::shared_ptr<const rtl::simjit::Program>
-programForDefaultEngine(const GeneratedModule &mod)
-{
-    if (rtl::defaultSimEngine() != rtl::SimEngine::Compiled)
-        return nullptr;
-    return rtl::simjit::Program::compile(mod.module);
-}
-
-std::unique_ptr<rtl::Simulator>
-newSimulator(const GeneratedModule &mod,
-             const std::shared_ptr<const rtl::simjit::Program> &program)
-{
-    if (program)
-        return std::make_unique<rtl::Simulator>(mod.module, program);
-    return std::make_unique<rtl::Simulator>(mod.module,
-                                            rtl::SimEngine::Interp);
-}
-
 rtl::NetId
 inputNet(const GeneratedModule &mod, const std::string &name)
 {
@@ -147,7 +127,7 @@ Core::attachIsax(std::shared_ptr<IsaxBundle> bundle)
     }
     for (const auto &always : bundle->alwaysBlocks) {
         AlwaysUnit unit;
-        unit.sim = newSimulator(always, programForDefaultEngine(always));
+        unit.sim = std::make_unique<rtl::Simulator>(always.module);
         unit.sim->reset();
         unit.ports = resolvePorts(always);
         alwaysUnits_.push_back(std::move(unit));
@@ -158,7 +138,7 @@ Core::attachIsax(std::shared_ptr<IsaxBundle> bundle)
         const GeneratedModule &gm = unit.module;
         auto mod = std::make_unique<InstrModule>();
         mod->unit = &unit;
-        mod->program = programForDefaultEngine(gm);
+        mod->program = rtl::simjit::Program::compile(gm.module);
         for (const std::string &name : gm.stallInputs)
             if (!name.empty())
                 mod->stallInputs.push_back(inputNet(gm, name));
@@ -195,7 +175,8 @@ Core::takeSimulator(InstrModule &mod)
 {
     std::unique_ptr<rtl::Simulator> sim;
     if (mod.idleSims.empty()) {
-        sim = newSimulator(mod.unit->module, mod.program);
+        sim = std::make_unique<rtl::Simulator>(mod.unit->module.module,
+                                               mod.program);
     } else {
         sim = std::move(mod.idleSims.back());
         mod.idleSims.pop_back();

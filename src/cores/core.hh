@@ -92,8 +92,7 @@ class Core
     explicit Core(const scaiev::Datasheet &sheet, CoreTiming timing = {});
 
     /** Attach a compiled ISAX; attach order fixes arbitration
-     * priority. Each module's simulation engine is the process-wide
-     * default at this point (rtl::defaultSimEngine()). */
+     * priority. Its modules run on the compiled simulation engine. */
     void attachIsax(std::shared_ptr<IsaxBundle> bundle);
 
     /** Copy a program into memory and point the PC at it. */
@@ -139,8 +138,7 @@ class Core
     struct InstrModule
     {
         const IsaxInstrUnit *unit = nullptr;
-        /** Shared by all simulators of the module; null when the
-         * interpreter was the default engine at attach time. */
+        /** Shared by all simulators of the module. */
         std::shared_ptr<const rtl::simjit::Program> program;
         std::vector<rtl::NetId> stallInputs;
         std::vector<std::vector<PortNets>> stagePorts; ///< index = stage

@@ -108,8 +108,6 @@ compileBatch(std::vector<BatchRequest> requests,
             const BatchUnitOutcome &out;
             ~DoneLog()
             {
-                if (!obs::EventLog::instance().active())
-                    return;
                 obs::logEvent(
                     obs::LogLevel::Info, "batch.unit.done",
                     {{"name", out.unitName},

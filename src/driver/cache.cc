@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <concepts>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -21,14 +20,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char *entrySuffix = ".lnc";
-
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
 
 /** Strict member access for fromJson(): the first failure names the
  * member and stops decoding. */
@@ -107,6 +98,37 @@ struct StrictReader
         return true;
     }
 };
+
+/** Read a string-array member into @p out; absent = leave empty. */
+bool
+readStringArray(const json::Value &obj, const std::string &key,
+                std::vector<std::string> &out, std::string &error)
+{
+    const json::Value *v = obj.find(key);
+    if (!v)
+        return true;
+    if (!v->isArray()) {
+        error = "'" + key + "' must be an array of strings";
+        return false;
+    }
+    for (const auto &item : v->items()) {
+        if (!item.isString()) {
+            error = "'" + key + "' must be an array of strings";
+            return false;
+        }
+        out.push_back(item.str());
+    }
+    return true;
+}
+
+json::Value
+stringArray(const std::vector<std::string> &items)
+{
+    json::Value arr = json::Value::array();
+    for (const auto &s : items)
+        arr.push(s);
+    return arr;
+}
 
 fs::path
 entryPath(const std::string &dir, const std::string &key)
@@ -275,55 +297,117 @@ fromJson(const json::Value &doc, CompileSummary &out, std::string &error)
     return true;
 }
 
+json::Value
+toJson(const CompileOptions &options)
+{
+    json::Value obj = json::Value::object();
+    obj.set("core", options.coreName);
+    obj.set("timing", options.timingMode == sched::TimingMode::Library
+                          ? "library"
+                          : "uniform");
+    if (options.cycleTimeNs != 0.0)
+        obj.set("cycleTimeNs", options.cycleTimeNs);
+    if (options.baseSetName != "RV32I")
+        obj.set("baseSet", options.baseSetName);
+    if (options.maxErrors != 0)
+        obj.set("maxErrors", uint64_t(options.maxErrors));
+    if (options.schedBudget.lpWorkLimit != 0)
+        obj.set("lpWorkLimit", options.schedBudget.lpWorkLimit);
+    if (options.optLevel != 0)
+        obj.set("optLevel", uint64_t(options.optLevel));
+    if (options.lintOnly)
+        obj.set("lintOnly", true);
+    if (options.verifyIr)
+        obj.set("verifyIr", true);
+    if (options.validate)
+        obj.set("validate", true);
+    if (options.warningsAsErrors)
+        obj.set("werror", true);
+    if (!options.warningsAsErrorCodes.empty())
+        obj.set("werrorCodes", stringArray(options.warningsAsErrorCodes));
+    if (!options.suppressedWarningCodes.empty())
+        obj.set("noWarnCodes",
+                stringArray(options.suppressedWarningCodes));
+    return obj;
+}
+
+bool
+fromJson(const json::Value &obj, CompileOptions &options,
+         std::string &error)
+{
+    if (!obj.isObject()) {
+        error = "'options' must be an object";
+        return false;
+    }
+    options.coreName = obj.getString("core", options.coreName);
+    std::string timing = obj.getString("timing", "uniform");
+    if (timing == "uniform") {
+        options.timingMode = sched::TimingMode::Uniform;
+    } else if (timing == "library") {
+        options.timingMode = sched::TimingMode::Library;
+    } else {
+        error = "unknown timing mode '" + timing + "'";
+        return false;
+    }
+    options.cycleTimeNs = obj.getNumber("cycleTimeNs", 0.0);
+    if (options.cycleTimeNs < 0.0) {
+        error = "'cycleTimeNs' must be >= 0";
+        return false;
+    }
+    options.baseSetName = obj.getString("baseSet", "RV32I");
+    options.maxErrors = size_t(obj.getNumber("maxErrors", 0.0));
+    options.schedBudget.lpWorkLimit =
+        uint64_t(obj.getNumber("lpWorkLimit", 0.0));
+    double opt_level = obj.getNumber("optLevel", 0.0);
+    if (opt_level < 0.0 || opt_level > 1.0) {
+        error = "'optLevel' must be 0 or 1";
+        return false;
+    }
+    options.optLevel = unsigned(opt_level);
+    options.lintOnly = obj.getBool("lintOnly", false);
+    options.verifyIr = obj.getBool("verifyIr", false);
+    options.validate = obj.getBool("validate", false);
+    options.warningsAsErrors = obj.getBool("werror", false);
+    if (!readStringArray(obj, "werrorCodes",
+                         options.warningsAsErrorCodes, error))
+        return false;
+    if (!readStringArray(obj, "noWarnCodes",
+                         options.suppressedWarningCodes, error))
+        return false;
+    return true;
+}
+
 std::string
 compilerVersion()
 {
     // Bump on every change that can alter artifacts for unchanged
-    // inputs (scheduler tweaks, codegen changes, diagnostics wording)
-    // or the entry format.
-    return "longnail-json1";
+    // inputs (scheduler tweaks, codegen changes, diagnostics wording),
+    // the entry format or the key's encoding.
+    return "longnail-json2";
 }
 
 std::string
 cacheKey(const std::string &source, const std::string &target,
          const CompileOptions &options)
 {
-    hash::Sha256 h;
-    h.updateField(compilerVersion());
-    h.updateField(source);
-    h.updateField(target);
-    h.updateField(options.coreName);
     // Resolve the datasheet exactly like compile() does; an unknown
     // core hashes an empty sheet (the compile fails and is not cached).
     const scaiev::Datasheet *sheet = options.datasheet;
     if (!sheet)
         sheet = scaiev::Datasheet::findCore(options.coreName);
+    // The warning-code lists act as sets: their order must not split
+    // the cache.
+    CompileOptions identity = options;
+    std::sort(identity.warningsAsErrorCodes.begin(),
+              identity.warningsAsErrorCodes.end());
+    std::sort(identity.suppressedWarningCodes.begin(),
+              identity.suppressedWarningCodes.end());
+    hash::Sha256 h;
+    h.updateField(compilerVersion());
+    h.updateField(source);
+    h.updateField(target);
     h.updateField(sheet ? sheet->toYaml().emit() : std::string());
-    h.updateField(options.timingMode == sched::TimingMode::Library
-                      ? "library"
-                      : "uniform");
-    h.updateField(formatDouble(options.cycleTimeNs));
-    h.updateField(options.baseSetName);
-    h.updateField(std::to_string(options.maxErrors));
-    h.updateField(std::to_string(options.schedBudget.lpWorkLimit));
-    std::string flags;
-    flags += options.lintOnly ? '1' : '0';
-    flags += options.verifyIr ? '1' : '0';
-    flags += options.validate ? '1' : '0';
-    flags += options.warningsAsErrors ? '1' : '0';
-    h.updateField(flags);
-    // -O0 and -O1 produce different artifacts for the same source
-    // (dumpAnalysisFile deliberately stays out: a debug dump must not
-    // fragment the cache).
-    h.updateField(std::to_string(options.optLevel));
-    auto sorted = [](std::vector<std::string> v) {
-        std::sort(v.begin(), v.end());
-        return v;
-    };
-    for (const auto &code : sorted(options.warningsAsErrorCodes))
-        h.updateField("werror=" + code);
-    for (const auto &code : sorted(options.suppressedWarningCodes))
-        h.updateField("nowarn=" + code);
+    h.updateField(toJson(identity).emit());
     return h.hexDigest();
 }
 

@@ -4,9 +4,8 @@
  *
  * A compile is keyed by the SHA-256 digest of its complete input
  * closure: compiler version, CoreDSL source, target definition, the
- * virtual datasheet (serialized), the technology-library mode and
- * every CompileOptions field that can influence artifacts or
- * diagnostics. Two compiles share an entry exactly when they are
+ * virtual datasheet (serialized) and the options that identify a
+ * compile, in their one encoding (toJson(CompileOptions)). Two compiles share an entry exactly when they are
  * guaranteed to produce byte-identical outputs, so replaying a cached
  * entry is indistinguishable from recompiling -- the determinism
  * guarantee the `-j1` vs `-j8` byte-equality tests rely on.
@@ -109,6 +108,27 @@ bool fromJson(const json::Value &doc, CompileSummary &out,
               std::string &error);
 
 /**
+ * The one encoding of the CompileOptions that identify a compile:
+ * core, timing mode, cycle time, base set, error cap, LP work limit,
+ * optimization level, the lint-only, verify-ir, validate and Werror
+ * flags, and the warning-code lists. A JSON object that omits members
+ * at their defaults; the compile server's request carries it and
+ * cacheKey() hashes it. The datasheet pointer, the analysis dump file
+ * and the cancel token are not part of it.
+ */
+json::Value toJson(const CompileOptions &options);
+
+/**
+ * Decode toJson()'s object into @p options. Absent members take their
+ * defaults (an absent core keeps @p options' core); a non-object, an
+ * unknown timing mode, a negative cycle time, an optimization level
+ * other than 0 or 1, or a code list that is not an array of strings
+ * fails with @p error set.
+ */
+bool fromJson(const json::Value &obj, CompileOptions &options,
+              std::string &error);
+
+/**
  * Version string folded into every cache key; bump whenever a compiler
  * change can alter artifacts without any input changing.
  */
@@ -116,8 +136,9 @@ std::string compilerVersion();
 
 /**
  * Cache key of compiling @p source/@p target under @p options: 64 hex
- * chars, covering the full input closure (see file comment). The
- * datasheet is resolved exactly like compile() resolves it
+ * chars, the SHA-256 of the compiler version, the source, the target,
+ * the datasheet YAML and toJson(options) with its code lists sorted.
+ * The datasheet is resolved exactly like compile() resolves it
  * (options.datasheet, else the built-in sheet for options.coreName).
  */
 std::string cacheKey(const std::string &source, const std::string &target,

@@ -11,7 +11,6 @@
 #include "driver/isax_catalog.hh"
 #include "hir/transforms.hh"
 #include "ir/ir.hh"
-#include "obs/flightrec.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -66,9 +65,9 @@ PhaseReport::addTime(const std::string &name, double ms)
 namespace {
 
 /**
- * Times one pipeline phase into a PhaseReport entry and, when obs is
- * enabled, opens a trace span and records the per-phase wall-time
- * histogram plus the peak-RSS gauge for the phase.
+ * Times one pipeline phase into a PhaseReport entry, records a `phase`
+ * event and, when obs is enabled, opens a trace span and records the
+ * per-phase wall-time histogram plus the peak-RSS gauge for the phase.
  */
 class PhaseTimer
 {
@@ -89,13 +88,10 @@ class PhaseTimer
             obs::gaugeMax(("rss.peak_kb." + name_).c_str(),
                           double(obs::peakRssKb()));
         }
-        if (obs::EventLog::instance().active()) {
-            char ms_text[32];
-            std::snprintf(ms_text, sizeof(ms_text), "%.3f", ms);
-            obs::logEvent(obs::LogLevel::Debug, "phase",
-                          {{"name", name_}, {"ms", ms_text}});
-        }
-        obs::flightrec::note("phase", name_);
+        char ms_text[32];
+        std::snprintf(ms_text, sizeof(ms_text), "%.3f", ms);
+        obs::logEvent(obs::LogLevel::Debug, "phase",
+                      {{"name", name_}, {"ms", ms_text}});
     }
 
     PhaseTimer(const PhaseTimer &) = delete;
@@ -133,13 +129,11 @@ cancelRequested(const CompileOptions &options, DiagnosticEngine &diags,
     obs::logEvent(obs::LogLevel::Warn, "compile.cancelled",
                   {{"boundary", boundary},
                    {"reason", options.cancel->reason()}});
-    obs::flightrec::note("cancel", std::string(options.cancel->reason()) +
-                                       " at " + boundary);
     if (options.cancel->deadlineExpired()) {
         obs::count("driver.deadline_misses");
         // A deadline firing mid-pipeline is exactly the moment the
         // flight recorder exists for: capture the lead-up while the
-        // rings still hold it.
+        // ring still holds it.
         obs::flightrec::writePostmortem("deadline");
     }
     return true;
@@ -465,7 +459,7 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
                      violation.message);
         // The scheduling rewrites (chain breaking, zero-delay-op
         // sinking) must leave the LIL graph itself untouched; re-run
-        // the IR verifier here under LONGNAIL_VERIFY_IR to close the
+        // the IR verifier here under --verify-ir to close the
         // verifier gap between LIL lowering and hardware generation.
         analysis::verifyAfterTransform(graph->graph, "sched");
 
@@ -542,7 +536,6 @@ compileInto(CompiledIsax &result, DiagnosticEngine &diags,
                 obs::count("tv.refuted");
                 obs::logEvent(obs::LogLevel::Error, "tv.refuted",
                               {{"unit", graph->name}});
-                obs::flightrec::note("tv-refuted", graph->name);
                 obs::flightrec::writePostmortem("tv-refuted");
             }
             obs::count("tv.cex_cycles", tv.equiv.cexCycles);

@@ -74,8 +74,9 @@ struct CompileOptions
      * carries the elaborated ISA, HIR/LIL modules and all lint
      * diagnostics, but no schedule or hardware. */
     bool lintOnly = false;
-    /** Re-run the IR verifier after every HIR transform, in addition
-     * to the analysis phase (also: LONGNAIL_VERIFY_IR). */
+    /** Re-run the IR verifier after every HIR transform and LIL pass,
+     * in addition to the analysis phase (CLI: --verify-ir). Applies
+     * to this compile only: the switch is per thread. */
     bool verifyIr = false;
     /** Run per-unit translation validation (CLI: --validate): schedule
      * legality re-checking, LIL<->netlist equivalence and netlist

@@ -76,8 +76,8 @@ const std::string &currentRid();
 
 /**
  * RAII request-id scope (docs/observability.md). Every TraceSpan
- * completed, log record written and flight-recorder note taken on this
- * thread while the scope is alive is tagged with the scope's rid --
+ * completed and every event recorded (obs::logEvent) on this thread
+ * while the scope is alive is tagged with the scope's rid --
  * that is how one `grep rid=...` reconstructs a request.
  *
  * The rid is the end-to-end request id: minted by the one-shot CLI

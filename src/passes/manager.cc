@@ -6,7 +6,7 @@
  * the effect summaries (analysis/effects.hh) prove the decoupled
  * partition cannot interfere with the in-order partition; otherwise
  * they compile as lowered. Each pass application gets a
- * trace span, a passes.<name>.rewrites counter, a LONGNAIL_VERIFY_IR
+ * trace span, a passes.<name>.rewrites counter, a --verify-ir
  * re-verification, and — under --validate — a signature check that
  * re-proves the transform against a baseline captured once per graph
  * (docs/pass-pipeline.md).

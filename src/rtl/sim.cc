@@ -1,38 +1,10 @@
 #include "rtl/sim.hh"
 
-#include <atomic>
-
 #include "obs/metrics.hh"
 #include "support/logging.hh"
 
 namespace longnail {
 namespace rtl {
-
-namespace {
-std::atomic<SimEngine> g_default_engine{SimEngine::Compiled};
-} // namespace
-
-SimEngine
-defaultSimEngine()
-{
-    return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultSimEngine(SimEngine engine)
-{
-    g_default_engine.store(engine, std::memory_order_relaxed);
-}
-
-std::optional<SimEngine>
-parseSimEngine(const std::string &name)
-{
-    if (name == "interp")
-        return SimEngine::Interp;
-    if (name == "compiled")
-        return SimEngine::Compiled;
-    return std::nullopt;
-}
 
 const char *
 simEngineName(SimEngine engine)
@@ -41,7 +13,7 @@ simEngineName(SimEngine engine)
 }
 
 Simulator::Simulator(const Module &module)
-    : Simulator(module, defaultSimEngine())
+    : Simulator(module, SimEngine::Compiled)
 {
 }
 

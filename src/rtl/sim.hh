@@ -6,8 +6,9 @@
  * level host-core models.
  *
  * Two engines implement the same API (docs/simulation.md):
- *  - SimEngine::Compiled (the default): the module is lowered once
- *    into a bytecode program run by a threaded-code loop (simjit.hh).
+ *  - SimEngine::Compiled (what Simulator(module) builds): the module
+ *    is lowered once into a bytecode program run by a threaded-code
+ *    loop (simjit.hh).
  *  - SimEngine::Interp: the original node-by-node ApInt interpreter,
  *    retained as the differential oracle for the compiled engine.
  *
@@ -21,7 +22,6 @@
 #define LONGNAIL_RTL_SIM_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,17 +39,13 @@ enum class SimEngine
     Compiled, ///< bytecode + threaded-code dispatch (simjit.hh)
 };
 
-/** Process-wide default engine for new Simulators (initially
- * Compiled; the CLI's --sim-engine flag overrides it). */
-SimEngine defaultSimEngine();
-void setDefaultSimEngine(SimEngine engine);
-/** Parse "interp" / "compiled"; nullopt on anything else. */
-std::optional<SimEngine> parseSimEngine(const std::string &name);
+/** "interp" / "compiled". */
 const char *simEngineName(SimEngine engine);
 
 class Simulator
 {
   public:
+    /** The compiled engine. */
     explicit Simulator(const Module &module);
     Simulator(const Module &module, SimEngine engine);
     /** Compiled engine sharing an already-compiled program (the core

@@ -3,121 +3,6 @@
 namespace longnail {
 namespace serve {
 
-namespace {
-
-/** Read a string-array member into @p out; absent = leave empty. */
-bool
-readStringArray(const json::Value &obj, const std::string &key,
-                std::vector<std::string> &out, std::string &error)
-{
-    const json::Value *v = obj.find(key);
-    if (!v)
-        return true;
-    if (!v->isArray()) {
-        error = "'" + key + "' must be an array of strings";
-        return false;
-    }
-    for (const auto &item : v->items()) {
-        if (!item.isString()) {
-            error = "'" + key + "' must be an array of strings";
-            return false;
-        }
-        out.push_back(item.str());
-    }
-    return true;
-}
-
-json::Value
-stringArray(const std::vector<std::string> &items)
-{
-    json::Value arr = json::Value::array();
-    for (const auto &s : items)
-        arr.push(s);
-    return arr;
-}
-
-} // namespace
-
-json::Value
-encodeOptions(const driver::CompileOptions &options)
-{
-    json::Value obj = json::Value::object();
-    obj.set("core", options.coreName);
-    obj.set("timing", options.timingMode == sched::TimingMode::Library
-                          ? "library"
-                          : "uniform");
-    if (options.cycleTimeNs != 0.0)
-        obj.set("cycleTimeNs", options.cycleTimeNs);
-    if (options.baseSetName != "RV32I")
-        obj.set("baseSet", options.baseSetName);
-    if (options.maxErrors != 0)
-        obj.set("maxErrors", uint64_t(options.maxErrors));
-    if (options.schedBudget.lpWorkLimit != 0)
-        obj.set("lpWorkLimit", options.schedBudget.lpWorkLimit);
-    if (options.optLevel != 0)
-        obj.set("optLevel", uint64_t(options.optLevel));
-    if (options.lintOnly)
-        obj.set("lintOnly", true);
-    if (options.verifyIr)
-        obj.set("verifyIr", true);
-    if (options.validate)
-        obj.set("validate", true);
-    if (options.warningsAsErrors)
-        obj.set("werror", true);
-    if (!options.warningsAsErrorCodes.empty())
-        obj.set("werrorCodes", stringArray(options.warningsAsErrorCodes));
-    if (!options.suppressedWarningCodes.empty())
-        obj.set("noWarnCodes",
-                stringArray(options.suppressedWarningCodes));
-    return obj;
-}
-
-bool
-decodeOptions(const json::Value &obj, driver::CompileOptions &options,
-              std::string &error)
-{
-    if (!obj.isObject()) {
-        error = "'options' must be an object";
-        return false;
-    }
-    options.coreName = obj.getString("core", options.coreName);
-    std::string timing = obj.getString("timing", "uniform");
-    if (timing == "uniform") {
-        options.timingMode = sched::TimingMode::Uniform;
-    } else if (timing == "library") {
-        options.timingMode = sched::TimingMode::Library;
-    } else {
-        error = "unknown timing mode '" + timing + "'";
-        return false;
-    }
-    options.cycleTimeNs = obj.getNumber("cycleTimeNs", 0.0);
-    if (options.cycleTimeNs < 0.0) {
-        error = "'cycleTimeNs' must be >= 0";
-        return false;
-    }
-    options.baseSetName = obj.getString("baseSet", "RV32I");
-    options.maxErrors = size_t(obj.getNumber("maxErrors", 0.0));
-    options.schedBudget.lpWorkLimit =
-        uint64_t(obj.getNumber("lpWorkLimit", 0.0));
-    double opt_level = obj.getNumber("optLevel", 0.0);
-    if (opt_level < 0.0 || opt_level > 1.0) {
-        error = "'optLevel' must be 0 or 1";
-        return false;
-    }
-    options.optLevel = unsigned(opt_level);
-    options.lintOnly = obj.getBool("lintOnly", false);
-    options.verifyIr = obj.getBool("verifyIr", false);
-    options.validate = obj.getBool("validate", false);
-    options.warningsAsErrors = obj.getBool("werror", false);
-    if (!readStringArray(obj, "werrorCodes",
-                         options.warningsAsErrorCodes, error))
-        return false;
-    if (!readStringArray(obj, "noWarnCodes",
-                         options.suppressedWarningCodes, error))
-        return false;
-    return true;
-}
-
 std::optional<Request>
 parseRequest(const std::string &payload, std::string &error)
 {
@@ -174,7 +59,7 @@ parseRequest(const std::string &payload, std::string &error)
     req.unitName = doc->getString("name", "request");
     req.target = doc->getString("target");
     if (const json::Value *opts = doc->find("options")) {
-        if (!decodeOptions(*opts, req.options, error))
+        if (!driver::fromJson(*opts, req.options, error))
             return std::nullopt;
     }
     const json::Value *deadline = doc->find("deadlineMs");
@@ -228,7 +113,7 @@ emitRequest(const Request &request)
         obj.set("source", request.source);
         if (!request.target.empty())
             obj.set("target", request.target);
-        obj.set("options", encodeOptions(request.options));
+        obj.set("options", driver::toJson(request.options));
         if (request.deadlineMs >= 0)
             obj.set("deadlineMs", int64_t(request.deadlineMs));
     }

@@ -109,14 +109,6 @@ std::optional<Request> parseRequest(const std::string &payload,
 /** Serialize @p request (the client side of parseRequest). */
 std::string emitRequest(const Request &request);
 
-/** Encode/decode the CompileOptions subset that travels on the wire
- * (core, timing, cycle time, base set, error caps, lint/validate/
- * verify-ir flags, warning policy). Kept symmetric so client and
- * server agree on the cache key's input closure. */
-json::Value encodeOptions(const driver::CompileOptions &options);
-bool decodeOptions(const json::Value &obj,
-                   driver::CompileOptions &options, std::string &error);
-
 /** Build a "result" reply from the deterministic compile summary.
  * @p rid, when non-empty, is echoed so the client can correlate the
  * reply with the server's log records. */

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "driver/cache.hh"
-#include "obs/flightrec.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -122,7 +121,6 @@ Server::run(ServeStats &stats, std::string &error)
                    {"jobs", std::to_string(freeSlots_)},
                    {"admissionMax",
                     std::to_string(options_.admissionMax)}});
-    obs::flightrec::note("serve", "start " + options_.socketPath);
 
     while (!draining_.load()) {
         if (options_.stopToken && options_.stopToken->stopRequested())
@@ -206,7 +204,6 @@ Server::shutdownPhase(ServeStats &stats)
                    {"shed", std::to_string(stats.shed)},
                    {"deadlineMisses",
                     std::to_string(stats.deadlineMisses)}});
-    obs::flightrec::note("serve", "stop");
 
     // Observability artifacts are written after the last handler is
     // gone, so the trace and exposition are complete snapshots.
@@ -417,7 +414,7 @@ Server::handleRequest(const Request &request, std::string &outcome)
         return obj.emit();
     }
     case RequestKind::Dump: {
-        obs::flightrec::note("dump", "on-demand dump request");
+        obs::logEvent(obs::LogLevel::Info, "serve.dump");
         std::string path = obs::flightrec::writePostmortem("dump");
         json::Value obj = json::Value::object();
         obj.set("type", "dump");
@@ -517,9 +514,9 @@ Server::compileReply(const Request &request, std::string &outcome,
         inFlight_.fetch_sub(1);
         shed_.fetch_add(1);
         obs::count("serve.shed");
-        obs::flightrec::note("shed", "admission over " +
-                                         std::to_string(
-                                             options_.admissionMax));
+        obs::logEvent(obs::LogLevel::Warn, "serve.shed",
+                      {{"admissionMax",
+                        std::to_string(options_.admissionMax)}});
         outcome = "shed";
         return emitErrorReply(
             codeOverloaded,
@@ -652,9 +649,9 @@ Server::compileReply(const Request &request, std::string &outcome,
     if (token.deadlineExpired()) {
         deadlineMisses_.fetch_add(1);
         obs::count("serve.deadline_misses");
-        obs::flightrec::note("deadline",
-                             "LN3111 after " +
-                                 std::to_string(deadline_ms) + " ms");
+        obs::logEvent(obs::LogLevel::Warn, "serve.deadline",
+                      {{"code", "LN3111"},
+                       {"deadlineMs", std::to_string(deadline_ms)}});
         obs::flightrec::writePostmortem("deadline");
         outcome = "deadline";
         return emitErrorReply(

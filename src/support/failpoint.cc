@@ -4,7 +4,7 @@
 #include <map>
 #include <mutex>
 
-#include "obs/flightrec.hh"
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "support/strings.hh"
 
@@ -128,7 +128,7 @@ fire(const char *name)
         return Mode::Off;
       case Mode::Fail:
         obs::count("failpoint.trips");
-        obs::flightrec::note("failpoint", name);
+        obs::logEvent(obs::LogLevel::Warn, "failpoint", {{"name", name}});
         obs::flightrec::writePostmortem("failpoint");
         return Mode::Fail;
       case Mode::Transient:
@@ -136,7 +136,7 @@ fire(const char *name)
             return Mode::Off;
         --site.transientCount;
         obs::count("failpoint.trips");
-        obs::flightrec::note("failpoint", name);
+        obs::logEvent(obs::LogLevel::Warn, "failpoint", {{"name", name}});
         obs::flightrec::writePostmortem("failpoint");
         return Mode::Transient;
     }

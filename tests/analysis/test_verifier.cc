@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <thread>
+
 #include "analysis/verifier.hh"
 #include "hir/transforms.hh"
 #include "ir/ir.hh"
@@ -188,6 +191,33 @@ TEST(Verifier, ScopedVerifyIrControlsTransformChecks)
         EXPECT_FALSE(verifyIrEnabled());
         EXPECT_NO_THROW(verifyAfterTransform(g, "test"));
     }
+}
+
+TEST(Verifier, ScopedVerifyIrIsPerThread)
+{
+    // compile() holds a ScopedVerifyIr for CompileOptions::verifyIr on
+    // the thread it runs on; concurrent compiles must not see it.
+    {
+        ScopedVerifyIr enable(true);
+        bool seen = true;
+        std::thread([&] { seen = verifyIrEnabled(); }).join();
+        EXPECT_FALSE(seen) << "another thread saw this thread's scope";
+    }
+    // A scope that ends on another thread leaves this one in force.
+    std::promise<void> entered, release;
+    std::thread other([&] {
+        ScopedVerifyIr enable(true);
+        entered.set_value();
+        release.get_future().wait();
+    });
+    entered.get_future().wait();
+    {
+        ScopedVerifyIr enable(true);
+        release.set_value();
+        other.join();
+        EXPECT_TRUE(verifyIrEnabled());
+    }
+    EXPECT_FALSE(verifyIrEnabled());
 }
 
 TEST(Verifier, TransformsPreserveValidIr)

@@ -119,6 +119,31 @@ TEST(Batch, IdenticalForAnyJobsCount)
     }
 }
 
+TEST(Batch, VerifyIrUnderFourJobsMatchesSerial)
+{
+    // --verify-ir -j4: every worker's compile holds its own
+    // verify-after-transform switch, so a unit finishing on one worker
+    // cannot switch verification off for the others (the tsan preset
+    // runs this suite).
+    auto verified = [] {
+        std::vector<BatchRequest> requests = smallBatch();
+        for (auto &req : requests) {
+            req.options.verifyIr = true;
+            req.options.optLevel = 1;
+        }
+        return requests;
+    };
+    BatchOptions serial;
+    serial.jobs = 1;
+    BatchResult base = compileBatch(verified(), serial);
+    EXPECT_TRUE(base.allOk());
+    BatchOptions parallel;
+    parallel.jobs = 4;
+    BatchResult result = compileBatch(verified(), parallel);
+    EXPECT_TRUE(result.allOk());
+    EXPECT_EQ(fingerprint(base), fingerprint(result));
+}
+
 TEST(Batch, NeverStartsMoreWorkersThanUnits)
 {
     obs::ScopedEnable on;
@@ -289,6 +314,23 @@ TEST(Cache, KeyCoversInputClosure)
     changed = options;
     changed.schedBudget.lpWorkLimit = 7;
     EXPECT_NE(base, cacheKey(entry->source, entry->target, changed));
+    changed = options;
+    changed.optLevel = 1;
+    EXPECT_NE(base, cacheKey(entry->source, entry->target, changed));
+    changed = options;
+    changed.verifyIr = true;
+    EXPECT_NE(base, cacheKey(entry->source, entry->target, changed));
+
+    // The warning-code lists are sets; a debug dump is not an input.
+    changed = options;
+    changed.warningsAsErrorCodes = {"LN4101", "LN2001"};
+    std::string werror = cacheKey(entry->source, entry->target, changed);
+    EXPECT_NE(base, werror);
+    changed.warningsAsErrorCodes = {"LN2001", "LN4101"};
+    EXPECT_EQ(werror, cacheKey(entry->source, entry->target, changed));
+    changed = options;
+    changed.dumpAnalysisFile = "ranges.yaml";
+    EXPECT_EQ(base, cacheKey(entry->source, entry->target, changed));
 }
 
 TEST(Cache, HitMissStoreRoundTrip)

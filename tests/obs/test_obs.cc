@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -17,7 +18,6 @@
 
 #include "bench/report.hh"
 #include "driver/longnail.hh"
-#include "obs/flightrec.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -769,79 +769,131 @@ struct ObsFlightRecTest : ObsFixture
 
 } // namespace
 
-TEST_F(ObsFlightRecTest, NotesAreRecordedInSequenceOrder)
+TEST_F(ObsFlightRecTest, EventsAreRecordedInSequenceOrder)
 {
-    obs::flightrec::note("phase", "sema");
+    obs::logEvent(obs::LogLevel::Debug, "phase", {{"name", "sema"}});
     {
         obs::RequestScope scope("r7");
-        obs::flightrec::note("cancel", "deadline at sched");
+        obs::logEvent(obs::LogLevel::Warn, "compile.cancelled",
+                      {{"boundary", "sched"},
+                       {"reason", "deadline exceeded"}});
     }
-    obs::flightrec::note("phase", "hwgen");
+    obs::logEvent(obs::LogLevel::Debug, "phase", {{"name", "hwgen"}});
 
     auto events = obs::flightrec::snapshot();
     ASSERT_EQ(events.size(), 3u);
     for (size_t i = 1; i < events.size(); ++i)
         EXPECT_GT(events[i].seq, events[i - 1].seq);
-    EXPECT_STREQ(events[0].kind, "phase");
-    EXPECT_STREQ(events[0].msg, "sema");
+    EXPECT_STREQ(events[0].name, "phase");
+    EXPECT_STREQ(events[0].msg, "name=sema");
     EXPECT_STREQ(events[0].rid, "");
-    EXPECT_STREQ(events[1].kind, "cancel");
+    EXPECT_STREQ(events[1].name, "compile.cancelled");
     EXPECT_STREQ(events[1].rid, "r7");
-    EXPECT_STREQ(events[2].msg, "hwgen");
+    EXPECT_STREQ(events[2].msg, "name=hwgen");
 
     std::string text = obs::flightrec::renderEvents(events);
-    EXPECT_NE(text.find("[cancel] rid=r7 deadline at sched"),
+    EXPECT_NE(text.find("[compile.cancelled] rid=r7 boundary=sched "
+                        "reason=deadline exceeded"),
               std::string::npos);
-    EXPECT_NE(text.find("[phase] sema"), std::string::npos);
+    EXPECT_NE(text.find("[phase] name=sema"), std::string::npos);
+}
+
+TEST_F(ObsFlightRecTest, RecordsWhatTheSinkDoesNotWrite)
+{
+    auto &log = obs::EventLog::instance();
+    ASSERT_FALSE(log.active());
+    obs::logEvent(obs::LogLevel::Info, "no.sink",
+                  {{"k", "v"}, {"long", std::string(200, 'x')}});
+
+    // With a sink open, records below its level or over its rate
+    // limit still reach the ring.
+    std::string path = dir + "/events.jsonl";
+    std::string error;
+    ASSERT_TRUE(log.open(path, error)) << error;
+    const uint64_t suppressed = log.linesSuppressed();
+    log.setLevel(obs::LogLevel::Warn);
+    log.setRateLimit(1);
+    obs::logEvent(obs::LogLevel::Debug, "below.level");
+    obs::logEvent(obs::LogLevel::Warn, "limited");
+    obs::logEvent(obs::LogLevel::Warn, "limited");
+    log.close();
+    log.setRateLimit(1000);
+    log.setLevel(obs::LogLevel::Info);
+
+    auto events = obs::flightrec::snapshot();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_STREQ(events[0].name, "no.sink");
+    // Fields render as `k=v`, cut to fit the fixed-size record.
+    const std::string msg = events[0].msg;
+    EXPECT_EQ(msg.size(), sizeof(events[0].msg) - 1);
+    EXPECT_EQ(msg.rfind("k=v long=xxx", 0), 0u) << msg;
+    EXPECT_STREQ(events[1].name, "below.level");
+    EXPECT_STREQ(events[2].name, "limited");
+    EXPECT_STREQ(events[3].name, "limited");
+    EXPECT_EQ(log.linesSuppressed(), suppressed + 1);
 }
 
 TEST_F(ObsFlightRecTest, RingKeepsOnlyTheNewestEvents)
 {
-    const size_t total = obs::flightrec::ringCapacity + 50;
+    const size_t total = obs::flightrec::capacity + 50;
     for (size_t i = 0; i < total; ++i)
-        obs::flightrec::note("tick", std::to_string(i));
+        obs::logEvent(obs::LogLevel::Debug, "tick",
+                      {{"i", std::to_string(i)}});
     auto events = obs::flightrec::snapshot();
-    // Only this thread has recorded since the reset.
-    ASSERT_EQ(events.size(), obs::flightrec::ringCapacity);
+    ASSERT_EQ(events.size(), obs::flightrec::capacity);
     // The oldest 50 fell off the ring; the newest survives.
-    EXPECT_STREQ(events.back().msg, std::to_string(total - 1).c_str());
-    EXPECT_STREQ(events.front().msg, "50");
+    EXPECT_EQ(std::string(events.back().msg),
+              "i=" + std::to_string(total - 1));
+    EXPECT_STREQ(events.front().msg, "i=50");
 }
 
-TEST_F(ObsFlightRecTest, ExitedThreadsFoldIntoOneBoundedRing)
+TEST_F(ObsFlightRecTest, ExitedThreadsStayUntilNewerEventsEvictThem)
 {
-    // More events than the retired ring holds, each thread's fitting
-    // in its own ring.
+    // A thread's events outlive the thread.
+    std::thread([] {
+        for (int i = 0; i < 10; ++i)
+            obs::logEvent(obs::LogLevel::Debug, "early",
+                          {{"i", std::to_string(i)}});
+    }).join();
+    auto events = obs::flightrec::snapshot();
+    ASSERT_EQ(events.size(), 10u);
+    EXPECT_STREQ(events.front().name, "early");
+
+    // More events than the ring holds, from threads that all exit,
+    // then one from this thread: the snapshot is the newest capacity
+    // events in recording order, and the early ones are gone.
     const size_t threads = 8, per_thread = 200;
     for (size_t t = 0; t < threads; ++t)
         std::thread([t] {
             for (size_t i = 0; i < per_thread; ++i)
-                obs::flightrec::note("exited", std::to_string(t) + "." +
-                                                   std::to_string(i));
+                obs::logEvent(obs::LogLevel::Debug, "exited",
+                              {{"at", std::to_string(t) + "." +
+                                          std::to_string(i)}});
         }).join();
-    obs::flightrec::note("live", "main");
+    obs::logEvent(obs::LogLevel::Debug, "live");
 
-    auto events = obs::flightrec::snapshot();
-    // The newest retiredCapacity events of the exited threads, then
-    // this thread's one.
-    ASSERT_EQ(events.size(), obs::flightrec::retiredCapacity + 1);
+    events = obs::flightrec::snapshot();
+    ASSERT_EQ(events.size(), obs::flightrec::capacity);
+    for (size_t i = 1; i < events.size(); ++i)
+        EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+    for (const auto &e : events)
+        EXPECT_STRNE(e.name, "early");
     const size_t first = threads * per_thread -
-                         obs::flightrec::retiredCapacity;
-    EXPECT_STREQ(events.front().msg,
-                 (std::to_string(first / per_thread) + "." +
-                  std::to_string(first % per_thread))
-                     .c_str());
-    EXPECT_STREQ(events[events.size() - 2].msg,
-                 (std::to_string(threads - 1) + "." +
-                  std::to_string(per_thread - 1))
-                     .c_str());
-    EXPECT_STREQ(events.back().kind, "live");
+                         (obs::flightrec::capacity - 1);
+    EXPECT_EQ(std::string(events.front().msg),
+              "at=" + std::to_string(first / per_thread) + "." +
+                  std::to_string(first % per_thread));
+    EXPECT_EQ(std::string(events[events.size() - 2].msg),
+              "at=" + std::to_string(threads - 1) + "." +
+                  std::to_string(per_thread - 1));
+    EXPECT_STREQ(events.back().name, "live");
 }
 
 TEST_F(ObsFlightRecTest, PostmortemWritesFileNamingTheRid)
 {
     obs::RequestScope scope("r99");
-    obs::flightrec::note("cancel", "deadline exceeded");
+    obs::logEvent(obs::LogLevel::Warn, "compile.cancelled",
+                  {{"reason", "deadline exceeded"}});
     std::string path = obs::flightrec::writePostmortem("deadline");
     ASSERT_FALSE(path.empty());
     EXPECT_NE(path.find("longnail-postmortem-deadline-"),
@@ -854,13 +906,60 @@ TEST_F(ObsFlightRecTest, PostmortemWritesFileNamingTheRid)
     std::string text = ss.str();
     EXPECT_NE(text.find("# reason: deadline"), std::string::npos);
     EXPECT_NE(text.find("# rid: r99"), std::string::npos);
-    EXPECT_NE(text.find("[cancel] rid=r99 deadline exceeded"),
+    EXPECT_NE(text.find("[compile.cancelled] rid=r99 "
+                        "reason=deadline exceeded"),
               std::string::npos);
+}
+
+TEST_F(ObsFlightRecTest, DeadlinePostmortemHoldsPhasesAndCancellation)
+{
+    // A deadline that expires mid-pipeline: the compile runs phases,
+    // stops at the next boundary and dumps the ring. sqrt_tightly at
+    // -O1 spends ~0.3 ms in sema and ~40 ms in passes, so 5 ms nearly
+    // always expires in between; where it stops still depends on the
+    // clock, so a run that stopped before its first phase or finished
+    // first is retried with another deadline.
+    std::string text;
+    for (long deadline_ms : {5L, 20L, 1L, 50L}) {
+        obs::flightrec::resetForTests();
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        CancelToken token;
+        driver::CompileOptions options;
+        options.coreName = "VexRiscv";
+        options.optLevel = 1;
+        options.cancel = &token;
+        obs::RequestScope scope("dl1");
+        token.setDeadlineAfterMs(deadline_ms);
+        driver::CompiledIsax compiled =
+            driver::compileCatalogIsax("sqrt_tightly", options);
+        if (compiled.ok())
+            continue;
+        ASSERT_NE(compiled.errors.find("LN3011"), std::string::npos)
+            << compiled.errors;
+        for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+            std::ifstream in(entry.path());
+            std::stringstream ss;
+            ss << in.rdbuf();
+            text = ss.str();
+        }
+        if (text.find("[phase] rid=dl1") != std::string::npos)
+            break;
+    }
+    EXPECT_NE(text.find("# rid: dl1"), std::string::npos) << text;
+    EXPECT_NE(text.find("[phase] rid=dl1 name=sema ms="),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("[compile.cancelled] rid=dl1 boundary="),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("reason=deadline exceeded"), std::string::npos)
+        << text;
 }
 
 TEST_F(ObsFlightRecTest, PostmortemsAreCappedPerReason)
 {
-    obs::flightrec::note("k", "m");
+    obs::logEvent(obs::LogLevel::Info, "k", {{"m", "1"}});
     int written = 0;
     for (int i = 0; i < 10; ++i)
         if (!obs::flightrec::writePostmortem("deadline").empty())
@@ -873,7 +972,7 @@ TEST_F(ObsFlightRecTest, PostmortemsAreCappedPerReason)
 TEST_F(ObsFlightRecTest, NoDirMeansNoFiles)
 {
     obs::flightrec::setPostmortemDir("");
-    obs::flightrec::note("k", "m");
+    obs::logEvent(obs::LogLevel::Info, "k", {{"m", "1"}});
     EXPECT_TRUE(obs::flightrec::writePostmortem("deadline").empty());
 }
 

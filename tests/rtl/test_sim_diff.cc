@@ -455,19 +455,12 @@ TEST(SimDiffTest, SharedProgramAcrossMachines)
 
 TEST(SimDiffTest, EngineSelectionDefaults)
 {
-    EXPECT_EQ(parseSimEngine("interp"), SimEngine::Interp);
-    EXPECT_EQ(parseSimEngine("compiled"), SimEngine::Compiled);
-    EXPECT_FALSE(parseSimEngine("fast").has_value());
     EXPECT_STREQ(simEngineName(SimEngine::Interp), "interp");
     EXPECT_STREQ(simEngineName(SimEngine::Compiled), "compiled");
 
     Module m("def");
     NetId a = m.addInput("a", 8);
     m.addOutput("a2", m.addNode(NodeKind::Add, 8, {a, a}));
-    SimEngine saved = defaultSimEngine();
-    setDefaultSimEngine(SimEngine::Interp);
-    EXPECT_EQ(Simulator(m).engine(), SimEngine::Interp);
-    setDefaultSimEngine(SimEngine::Compiled);
     EXPECT_EQ(Simulator(m).engine(), SimEngine::Compiled);
-    setDefaultSimEngine(saved);
+    EXPECT_EQ(Simulator(m, SimEngine::Interp).engine(), SimEngine::Interp);
 }

@@ -82,8 +82,8 @@ grep -q 'longnail_serve_outcome_fault_total 3' obs_e2e/metrics.txt
 grep -q 'longnail_serve_outcome_deadline_total 1' obs_e2e/metrics.txt
 
 "$LN" --connect obs_e2e/obs.sock --request dump > obs_e2e/dump.txt
-grep -q '\[serve\]' obs_e2e/dump.txt
-grep -q '\[deadline\]' obs_e2e/dump.txt
+grep -q '\[serve.start\]' obs_e2e/dump.txt
+grep -q '\[serve.deadline\]' obs_e2e/dump.txt
 # The on-demand dump also landed as a postmortem file.
 ls obs_e2e/postmortems | grep -q '^longnail-postmortem-dump-'
 

@@ -204,8 +204,7 @@ TEST(Protocol, OptionsRoundTripPreservesCacheKey)
 
     driver::CompileOptions back;
     std::string error;
-    ASSERT_TRUE(
-        serve::decodeOptions(serve::encodeOptions(opts), back, error))
+    ASSERT_TRUE(driver::fromJson(driver::toJson(opts), back, error))
         << error;
     EXPECT_EQ(driver::cacheKey("src", "tgt", opts),
               driver::cacheKey("src", "tgt", back));

@@ -21,7 +21,7 @@
 #include <thread>
 
 #include "driver/isax_catalog.hh"
-#include "obs/flightrec.hh"
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "serve/server.hh"
@@ -523,7 +523,7 @@ TEST(Serve, AtMostJobsCompilesRunAtOnce)
 TEST(Serve, FlightRecorderStaysBoundedAcrossConnections)
 {
     // One connection per compile, as `--connect` clients make them:
-    // every compile notes its phases on a handler thread that then
+    // every compile records its phases on a handler thread that then
     // exits.
     obs::flightrec::resetForTests();
     TestServer ts("flightrec");
@@ -541,15 +541,14 @@ TEST(Serve, FlightRecorderStaysBoundedAcrossConnections)
     ts.stop();
     EXPECT_EQ(ts.stats.compiles, uint64_t(connections));
 
-    // Every handler and the server thread have exited; only this
-    // thread still owns a ring.
+    // Every handler and the server thread have exited; their events
+    // share the one ring.
     auto events = obs::flightrec::snapshot();
-    EXPECT_LE(events.size(), obs::flightrec::retiredCapacity +
-                                 obs::flightrec::ringCapacity);
-    // The retired ring keeps the newest events: the last compile's.
+    EXPECT_LE(events.size(), obs::flightrec::capacity);
+    // The ring keeps the newest events: the last compile's.
     bool last_phase_kept = false;
     for (const auto &e : events)
-        last_phase_kept |= std::string(e.kind) == "phase" &&
+        last_phase_kept |= std::string(e.name) == "phase" &&
                            std::string(e.rid) ==
                                "fr" + std::to_string(connections - 1);
     EXPECT_TRUE(last_phase_kept);
@@ -1112,7 +1111,9 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
     }
 
     // --- Flight recorder: the deadline produced a postmortem naming
-    // the deadline request's rid.
+    // the deadline request's rid and holding its request, cancellation
+    // and deadline records (the deadline had expired before the first
+    // phase, so the compile stopped at 'start').
     bool postmortem_found = false;
     for (const auto &entry : fs::directory_iterator(dir)) {
         std::string name = entry.path().filename().string();
@@ -1121,8 +1122,19 @@ TEST(ServeObsSoak, LogTraceMetricsAndPostmortemEndToEnd)
         std::ifstream in(entry.path());
         std::stringstream ss;
         ss << in.rdbuf();
-        if (ss.str().find(seen[8].rid) != std::string::npos)
-            postmortem_found = true;
+        std::string text = ss.str();
+        const std::string &rid = seen[8].rid;
+        if (text.find("[serve.deadline] rid=" + rid + " code=LN3111") ==
+            std::string::npos)
+            continue;
+        postmortem_found = true;
+        EXPECT_NE(text.find("[serve.request] rid=" + rid + " kind=compile"),
+                  std::string::npos)
+            << text;
+        EXPECT_NE(text.find("[compile.cancelled] rid=" + rid +
+                            " boundary=start reason=deadline exceeded"),
+                  std::string::npos)
+            << text;
     }
     EXPECT_TRUE(postmortem_found)
         << "no deadline postmortem names rid " << seen[8].rid;

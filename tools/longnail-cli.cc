@@ -123,11 +123,9 @@
 #include "asic/flow.hh"
 #include "driver/batch.hh"
 #include "driver/longnail.hh"
-#include "obs/flightrec.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
-#include "rtl/sim.hh"
 #include "serve/server.hh"
 #include "support/failpoint.hh"
 #include "support/signals.hh"
@@ -191,7 +189,6 @@ printUsage()
                  "                [-O0|-O1] [--dump-analysis=FILE]\n"
                  "                [--lint] [--validate] [--verify-ir] "
                  "[--Werror[=CODE]] [--no-warn=CODE]\n"
-                 "                [--sim-engine=interp|compiled]\n"
                  "                [--trace-json=FILE] [--stats=FILE|-] "
                  "[--quiet]\n"
                  "                [--log=FILE|-] [--metrics-out=FILE] "
@@ -278,6 +275,29 @@ renderCompile(const driver::CompileSummary &summary, bool lint_only,
                   summary.configYaml);
     }
     return exitOk;
+}
+
+/** The `--report` line naming a compile's scheduler outcome. */
+void
+printSchedulerLine(const driver::CompileSummary &summary)
+{
+    std::printf("  scheduler: %s, %llu LP work units consumed, "
+                "%u fallback event%s\n",
+                summary.chosenScheduler.c_str(),
+                static_cast<unsigned long long>(summary.lpWorkUnits),
+                summary.fallbackEvents,
+                summary.fallbackEvents == 1 ? "" : "s");
+}
+
+/** The `--report` line of one unit: kind, stages, registers, schedule. */
+void
+printUnitLine(const driver::CompileSummary::UnitSummary &unit)
+{
+    std::printf("  %-16s %s, stages %d..%d, %u pipeline registers, "
+                "objective %.0f, %s schedule\n",
+                unit.name.c_str(), unit.isAlways ? "always" : "instruction",
+                unit.firstStage, unit.lastStage, unit.numRegisters,
+                unit.objective, unit.quality.c_str());
 }
 
 /**
@@ -385,22 +405,10 @@ runBatch(const std::vector<std::string> &inputs,
         for (const auto &unit : result.units) {
             if (!unit.ok)
                 continue;
-            const driver::CompileSummary &summary = unit.summary;
             std::printf("\n%s\n", unit.unitName.c_str());
-            std::printf("  scheduler: %s, %llu LP work units consumed, "
-                        "%u fallback event%s\n",
-                        summary.chosenScheduler.c_str(),
-                        static_cast<unsigned long long>(
-                            summary.lpWorkUnits),
-                        summary.fallbackEvents,
-                        summary.fallbackEvents == 1 ? "" : "s");
-            for (const auto &u : summary.units)
-                std::printf("  %-16s %s, stages %d..%d, %u pipeline "
-                            "registers, objective %.0f, %s schedule\n",
-                            u.name.c_str(),
-                            u.isAlways ? "always" : "instruction",
-                            u.firstStage, u.lastStage, u.numRegisters,
-                            u.objective, u.quality.c_str());
+            printSchedulerLine(unit.summary);
+            for (const auto &u : unit.summary.units)
+                printUnitLine(u);
         }
     }
 
@@ -762,17 +770,6 @@ run(int argc, char **argv)
             return exitOk;
         } else if (arg == "--validate") {
             options.validate = true;
-        } else if (arg.rfind("--sim-engine=", 0) == 0) {
-            auto engine = rtl::parseSimEngine(
-                arg.substr(std::strlen("--sim-engine=")));
-            if (!engine)
-                usage();
-            rtl::setDefaultSimEngine(*engine);
-        } else if (arg == "--sim-engine") {
-            auto engine = rtl::parseSimEngine(next());
-            if (!engine)
-                usage();
-            rtl::setDefaultSimEngine(*engine);
         } else if (arg == "--verify-ir") {
             options.verifyIr = true;
         } else if (arg == "--Werror") {
@@ -1065,21 +1062,15 @@ run(int argc, char **argv)
         return exitInterrupted;
     }
 
-    int code = renderCompile(driver::summarize(compiled),
-                             options.lintOnly, out_dir, to_stdout);
+    driver::CompileSummary summary = driver::summarize(compiled);
+    int code = renderCompile(summary, options.lintOnly, out_dir, to_stdout);
     if (code != exitOk || options.lintOnly)
         return code;
 
     if (report) {
         std::printf("\n%s on %s\n", compiled.name.c_str(),
                     compiled.coreName.c_str());
-        std::printf("  scheduler: %s, %llu LP work units consumed, "
-                    "%u fallback event%s\n",
-                    compiled.report.chosenScheduler.c_str(),
-                    static_cast<unsigned long long>(
-                        compiled.report.lpWorkUnits),
-                    compiled.report.fallbackEvents,
-                    compiled.report.fallbackEvents == 1 ? "" : "s");
+        printSchedulerLine(summary);
         if (options.optLevel >= 1) {
             std::printf("  optimizer: %llu rewrite%s, %u proved, "
                         "%u cosim-agreed, %u spawn graph%s optimized, "
@@ -1117,16 +1108,10 @@ run(int argc, char **argv)
                         entry.wallMs);
         std::printf("\n");
         std::vector<const hwgen::GeneratedModule *> modules;
-        for (const auto &unit : compiled.units) {
+        for (size_t i = 0; i < compiled.units.size(); ++i) {
+            const driver::CompiledUnit &unit = compiled.units[i];
             modules.push_back(&unit.module);
-            std::printf("  %-16s %s, stages %d..%d, %u pipeline "
-                        "registers, objective %.0f, %s schedule\n",
-                        unit.name.c_str(),
-                        unit.isAlways ? "always" : "instruction",
-                        unit.module.firstStage, unit.module.lastStage,
-                        unit.module.module.numRegisters(),
-                        unit.objective,
-                        sched::scheduleQualityName(unit.quality));
+            printUnitLine(summary.units[i]);
             for (const auto &port : unit.module.ports)
                 std::printf("    %-16s stage %2d  %s\n",
                             scaiev::ScheduledUse{
