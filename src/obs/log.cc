@@ -8,7 +8,9 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string_view>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -271,6 +273,8 @@ struct PostmortemState
     std::string dir;
     std::map<std::string, int> perReason;
     int total = 0;
+    /** The file each (reason, rid) wrote; at most maxTotal entries. */
+    std::map<std::pair<std::string, std::string>, std::string> written;
 };
 
 PostmortemState &
@@ -320,33 +324,46 @@ setPostmortemDir(const std::string &dir)
     PostmortemState &s = postmortemState();
     std::lock_guard<std::mutex> lock(s.mutex);
     s.dir = dir;
+    s.written.clear();
 }
 
 std::string
 writePostmortem(const std::string &reason)
 {
     PostmortemState &s = postmortemState();
+    const std::string &rid = currentRid();
     std::string path;
     {
         std::lock_guard<std::mutex> lock(s.mutex);
         if (s.dir.empty())
             return "";
-        int &count = s.perReason[reason];
-        if (count >= maxPerReason || s.total >= maxTotal)
-            return "";
-        ++count;
-        ++s.total;
-        char name[160];
-        long pid =
+        // One request leaves one file per reason: a second postmortem
+        // for it (a deadline both the compile and the server record)
+        // replaces the first, holding everything the first held.
+        auto key = std::make_pair(reason, rid);
+        auto it = rid.empty() ? s.written.end() : s.written.find(key);
+        if (it != s.written.end()) {
+            path = it->second;
+        } else {
+            int &count = s.perReason[reason];
+            if (count >= maxPerReason || s.total >= maxTotal)
+                return "";
+            ++count;
+            ++s.total;
+            char name[160];
+            long pid =
 #if defined(__unix__) || defined(__APPLE__)
-            long(getpid());
+                long(getpid());
 #else
-            0;
+                0;
 #endif
-        std::snprintf(name, sizeof(name),
-                      "/longnail-postmortem-%s-%010.0f-%ld-%d.log",
-                      reason.c_str(), traceNowUs(), pid, s.total);
-        path = s.dir + name;
+            std::snprintf(name, sizeof(name),
+                          "/longnail-postmortem-%s-%010.0f-%ld-%d.log",
+                          reason.c_str(), traceNowUs(), pid, s.total);
+            path = s.dir + name;
+            if (!rid.empty())
+                s.written.emplace(key, path);
+        }
     }
     std::vector<Event> events = snapshot();
     std::FILE *file = std::fopen(path.c_str(), "w");
@@ -354,7 +371,6 @@ writePostmortem(const std::string &reason)
         return "";
     std::fprintf(file, "# longnail flight-recorder postmortem\n");
     std::fprintf(file, "# reason: %s\n", reason.c_str());
-    const std::string &rid = currentRid();
     if (!rid.empty())
         std::fprintf(file, "# rid: %s\n", rid.c_str());
     std::fprintf(file, "# t: %.0fus since trace epoch\n", traceNowUs());
@@ -408,6 +424,7 @@ resetForTests()
     std::lock_guard<std::mutex> lock(s.mutex);
     s.perReason.clear();
     s.total = 0;
+    s.written.clear();
 }
 
 } // namespace flightrec

@@ -174,7 +174,11 @@ std::string renderEvents(const std::vector<Event> &events);
 void setPostmortemDir(const std::string &dir);
 
 /**
- * Dump the current snapshot to a new postmortem file.
+ * Dump the current snapshot to a new postmortem file. At most 4 files
+ * per reason and 64 in all are written. A second postmortem for the
+ * same reason and request id overwrites that request's file with the
+ * newer snapshot and does not count against the caps, so one request
+ * leaves one file per reason.
  * @param reason short slug naming the trigger ("crash", "deadline",
  *        "failpoint", "tv-refuted", "dump"); becomes part of the file
  *        name and the header.

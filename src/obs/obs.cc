@@ -64,7 +64,10 @@ threadRid()
 double
 traceNowUs()
 {
-    return microsSince(traceEpoch(), std::chrono::steady_clock::now());
+    // Pin the epoch before reading the clock: as two arguments of one
+    // call, the two could run in either order.
+    auto epoch = traceEpoch();
+    return microsSince(epoch, std::chrono::steady_clock::now());
 }
 
 uint32_t

@@ -62,6 +62,8 @@ Simulator::~Simulator()
 {
     if (cycles_ > 0)
         obs::count("sim.cycles", cycles_);
+    if (machine_ && machine_->opsExecuted() > 0)
+        obs::count("sim.ops", machine_->opsExecuted());
 }
 
 void

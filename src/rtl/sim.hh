@@ -53,7 +53,9 @@ class Simulator
      * module's simulators). The program must be for @p module. */
     Simulator(const Module &module,
               std::shared_ptr<const simjit::Program> program);
-    /** Flushes this instance's cycle count to the obs registry. */
+    /** Flushes this instance's clock edges (`sim.cycles`) and, on the
+     * compiled engine, its executed instructions (`sim.ops`) to the obs
+     * registry. */
     ~Simulator();
 
     SimEngine engine() const
@@ -73,13 +75,15 @@ class Simulator
 
     /**
      * Evaluate all combinational logic with the current inputs and
-     * register states. Safe to call repeatedly within a cycle. On the
-     * compiled engine it is a no-op when nothing changed since the last
-     * call: no clockEdge(), no reset(), no setInput() of a new value.
+     * register states. Safe to call repeatedly within a cycle. The
+     * compiled engine is activity-driven: it runs only the logic
+     * downstream of the inputs and registers that changed since the
+     * last call, and nothing when none did (docs/simulation.md).
      */
     void evalComb();
 
-    /** Capture register inputs (call after evalComb). */
+    /** Capture register inputs (call after evalComb). A register's net
+     * shows the captured value from the next evalComb() on. */
     void clockEdge();
 
     /** evalComb + clockEdge. */

@@ -1,6 +1,7 @@
 #include "rtl/simjit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "obs/metrics.hh"
@@ -121,6 +122,147 @@ cmpEval2(ir::ICmpPred pred, u128 a, u128 b, unsigned width)
 // Compilation
 // ---------------------------------------------------------------------------
 
+namespace {
+
+inline void
+setBit(uint64_t *words, uint32_t bit)
+{
+    words[bit >> 6] |= uint64_t(1) << (bit & 63);
+}
+
+/** Call @p fn with the index of every set bit of @p words, ascending. */
+template <typename Fn>
+inline void
+forEachBit(const uint64_t *words, size_t count, Fn fn)
+{
+    for (size_t w = 0; w < count; ++w)
+        for (uint64_t bits = words[w]; bits; bits &= bits - 1)
+            fn(uint32_t(w * 64 + unsigned(std::countr_zero(bits))));
+}
+
+} // namespace
+
+/**
+ * Number the sources and, for programs of at least minActivityOps
+ * instructions where some source's cone is under half the program,
+ * build the groups, cones and reaches (simjit.hh). @p insn_node maps
+ * each instruction (Halt excluded) to its node.
+ */
+void
+Program::buildActivityTables(Program &p,
+                             const std::vector<uint32_t> &insn_node)
+{
+    const Module &module = *p.module_;
+    const auto &nodes = module.nodes();
+    size_t num_nets = module.numNets();
+    uint32_t num_narrow = uint32_t(p.regsN_.size());
+    uint32_t num_wide2 = uint32_t(p.regs2_.size());
+    p.numRegs_ = num_narrow + num_wide2 + uint32_t(p.regsW_.size());
+
+    // Registers take the index of their entry in their lane's list,
+    // offset by the lists before it; every list is in node order.
+    std::vector<uint32_t> src_of_net(num_nets, ~0u);
+    uint32_t next_n = 0, next_2 = 0, next_w = num_narrow + num_wide2;
+    for (const Node &node : nodes) {
+        if (node.kind != NodeKind::Register)
+            continue;
+        Lane lane = p.loc_[node.result].lane;
+        src_of_net[node.result] = lane == Lane::Narrow ? next_n++
+                                  : lane == Lane::Wide2
+                                      ? num_narrow + next_2++
+                                      : next_w++;
+    }
+    p.inputOfNet_.assign(num_nets, ~0u);
+    for (uint32_t i = 0; i < p.inputs_.size(); ++i) {
+        NetId net = p.inputs_[i];
+        unsigned width = module.widthOf(net);
+        p.inputOfNet_[net] = i;
+        p.inputSlots_.push_back(
+            {p.loc_[net].slot, p.loc_[net].lane, width, maskOf(width)});
+        src_of_net[net] = p.numRegs_ + i;
+    }
+    // Until the tables exist, the program is one group, and its one
+    // source 0 stands for every source.
+    p.numSources_ = 1;
+    size_t num_ops = p.insns_.size() - 1;
+    if (num_ops < minActivityOps)
+        return;
+
+    // The sources each net depends on, through comb logic only. The
+    // index after the inputs is the initial evaluation.
+    const uint32_t initial_src = p.numRegs_ + uint32_t(p.inputs_.size());
+    const size_t src_words = (initial_src + 1 + 63) / 64;
+    std::vector<uint64_t> deps(num_nets * src_words, 0);
+    auto deps_of = [&](NetId net) { return &deps[net * src_words]; };
+    for (const Node &node : nodes) {
+        uint64_t *out = deps_of(node.result);
+        if (node.kind == NodeKind::Input ||
+            node.kind == NodeKind::Register) {
+            setBit(out, src_of_net[node.result]);
+        } else if (node.kind != NodeKind::Constant) {
+            for (NetId operand : node.operands) {
+                const uint64_t *in = deps_of(operand);
+                for (size_t w = 0; w < src_words; ++w)
+                    out[w] |= in[w];
+            }
+        }
+    }
+    auto insn_deps = [&](size_t i) {
+        return deps_of(nodes[insn_node[i]].result);
+    };
+
+    // A change runs less than the whole stream only when its cones
+    // cover less than half of it (evalComb()); when no single source's
+    // cone does, the tables would cost without ever paying.
+    std::vector<uint32_t> cone_ops(initial_src + 1, 0);
+    for (size_t i = 0; i < num_ops; ++i)
+        forEachBit(insn_deps(i), src_words,
+                   [&](uint32_t src) { ++cone_ops[src]; });
+    if (std::none_of(cone_ops.begin(), cone_ops.begin() + initial_src,
+                     [&](uint32_t ops) { return 2 * ops < num_ops; }))
+        return;
+    p.activity_ = true;
+    p.numSources_ = initial_src + 1;
+    for (uint32_t i = 0; i < p.inputs_.size(); ++i)
+        p.inputSlots_[i].src = p.numRegs_ + i;
+    cone_ops[initial_src] = uint32_t(num_ops);
+    p.coneOps_ = std::move(cone_ops);
+
+    // Groups: runs of consecutive instructions with equal source sets.
+    for (size_t i = 0; i < num_ops; ++i)
+        if (i == 0 || !std::equal(insn_deps(i), insn_deps(i) + src_words,
+                                  insn_deps(i - 1)))
+            p.groupStart_.push_back(uint32_t(i));
+    p.groupStart_.push_back(uint32_t(num_ops));
+    size_t num_groups = p.groupStart_.size() - 1;
+
+    p.groupWords_ = uint32_t((num_groups + 63) / 64);
+    p.regWords_ = uint32_t((p.numRegs_ + 63) / 64);
+    p.cones_.assign(size_t(p.numSources_) * p.groupWords_, 0);
+    p.reach_.assign(size_t(p.numSources_) * p.regWords_, 0);
+    for (uint32_t g = 0; g < num_groups; ++g)
+        forEachBit(insn_deps(p.groupStart_[g]), src_words,
+                   [&](uint32_t src) {
+                       setBit(&p.cones_[size_t(src) * p.groupWords_], g);
+                   });
+    // The initial source stands for the first evaluation, which no
+    // net has seen yet: its cone is every group, its reach every
+    // register. This also covers the logic that reads no source.
+    for (uint32_t g = 0; g < num_groups; ++g)
+        setBit(&p.cones_[size_t(initial_src) * p.groupWords_], g);
+    for (uint32_t reg = 0; reg < p.numRegs_; ++reg)
+        setBit(&p.reach_[size_t(initial_src) * p.regWords_], reg);
+    for (const Node &node : nodes) {
+        if (node.kind != NodeKind::Register)
+            continue;
+        uint32_t reg = src_of_net[node.result];
+        for (NetId operand : node.operands)
+            forEachBit(deps_of(operand), src_words, [&](uint32_t src) {
+                setBit(&p.reach_[size_t(src) * p.regWords_], reg);
+            });
+    }
+}
+
 std::shared_ptr<const Program>
 Program::compile(const Module &module)
 {
@@ -235,6 +377,7 @@ Program::compile(const Module &module)
         p.insns_.push_back(insn);
     };
 
+    std::vector<uint32_t> insn_node; // per instruction: its node
     for (size_t ni = 0; ni < nodes.size(); ++ni) {
         const Node &node = nodes[ni];
         NetId res = node.result;
@@ -547,8 +690,11 @@ Program::compile(const Module &module)
             break;
           }
         }
+        if (p.insns_.size() > insn_node.size()) // at most one per node
+            insn_node.push_back(uint32_t(ni));
     }
     p.insns_.push_back(Insn{}); // Halt
+    buildActivityTables(p, insn_node);
 
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -564,7 +710,8 @@ Program::compile(const Module &module)
 // ---------------------------------------------------------------------------
 
 Machine::Machine(std::shared_ptr<const Program> program)
-    : prog_(std::move(program))
+    : prog_(std::move(program)), activity_(prog_->activity_),
+      hasRegs_(prog_->numRegs_ > 0)
 {
     const Program &p = *prog_;
     regs_.assign(p.numNarrow_, 0);
@@ -578,80 +725,258 @@ Machine::Machine(std::shared_ptr<const Program> program)
         w2_[slot] = value;
     for (const auto &[slot, value] : p.constW_)
         wide_[slot] = value;
-    nextN_.assign(p.regsN_.size(), 0);
-    next2_.assign(p.regs2_.size(), 0);
-    nextW_.reserve(p.regsW_.size());
+    stateN_.assign(p.regsN_.size(), 0);
+    state2_.assign(p.regs2_.size(), 0);
+    stateW_.reserve(p.regsW_.size());
     for (const auto &reg : p.regsW_)
-        nextW_.push_back(reg.init);
+        stateW_.push_back(reg.init);
     size_t num_nets = p.module_->numNets();
     mat_.reserve(num_nets);
     for (NetId net = 0; net < num_nets; ++net)
         mat_.emplace_back(p.module_->widthOf(net), 0);
+    pendGroups_.assign(p.groupWords_, 0);
+    capture_.assign(p.regWords_, 0);
+    // No net has been evaluated yet: every source is pending, so the
+    // first evalComb() runs every cone, i.e. every instruction.
+    pendSrc_.assign((p.numSources_ + 63) / 64, 0);
+    for (uint32_t src = 0; src < p.numSources_; ++src)
+        markSource(src);
     reset();
 }
 
 void
 Machine::reset()
 {
-    for (const auto &reg : prog_->regsN_)
-        regs_[reg.slot] = reg.init;
-    for (const auto &reg : prog_->regs2_)
-        w2_[reg.slot] = reg.init;
-    for (const auto &reg : prog_->regsW_)
-        wide_[reg.slot] = reg.init;
-    for (NetId net : prog_->inputs_) {
-        const NetLoc &loc = prog_->loc_[net];
-        if (loc.lane == Lane::Narrow)
-            regs_[loc.slot] = 0;
-        else if (loc.lane == Lane::Wide2)
-            w2_[loc.slot] = 0;
-        else
-            wide_[loc.slot].setValue(0);
+    const Program &p = *prog_;
+    for (size_t i = 0; i < p.regsN_.size(); ++i)
+        stateN_[i] = p.regsN_[i].init;
+    for (size_t i = 0; i < p.regs2_.size(); ++i)
+        state2_[i] = p.regs2_[i].init;
+    for (size_t i = 0; i < p.regsW_.size(); ++i)
+        stateW_[i] = p.regsW_[i].init;
+    // The nets keep their values until evalComb() commits the states,
+    // as on the interpreter; commit() skips a state its net holds.
+    if (activity_) {
+        for (uint32_t reg = 0; reg < p.numRegs_; ++reg)
+            markSource(reg);
+    } else if (hasRegs_) {
+        markSource(0);
     }
-    stale_ = true;
+    for (uint32_t i = 0; i < p.inputSlots_.size(); ++i) {
+        const Program::InputSlot &in = p.inputSlots_[i];
+        if (in.lane == Lane::Narrow) {
+            if (regs_[in.slot] == 0)
+                continue;
+            regs_[in.slot] = 0;
+        } else if (in.lane == Lane::Wide2) {
+            if (w2_[in.slot] == 0)
+                continue;
+            w2_[in.slot] = 0;
+        } else {
+            if (wide_[in.slot].isZero())
+                continue;
+            wide_[in.slot].setValue(0);
+        }
+        markSource(in.src);
+    }
+    // The states no longer follow from the nets they were captured
+    // from, so the next edge captures every register.
+    captureAll_ = true;
+}
+
+namespace {
+
+[[noreturn, gnu::cold, gnu::noinline]] void
+notAnInput(const Module &module, NetId net)
+{
+    LN_PANIC("net ", net, " is not an input of module '", module.name(),
+             "'");
+}
+
+} // namespace
+
+/** The inputs_ index of @p net; panics on any other net. */
+inline uint32_t
+Machine::inputIndex(NetId net) const
+{
+    const Program &p = *prog_;
+    uint32_t index = net < p.inputOfNet_.size() ? p.inputOfNet_[net] : ~0u;
+    if (index == ~0u) [[unlikely]]
+        notAnInput(*p.module_, net);
+    return index;
+}
+
+inline void
+Machine::inputChanged(uint32_t src)
+{
+    const Program &p = *prog_;
+    markSource(src);
+    // An input driven after the last evaluation reaches the registers
+    // that read it directly at the next edge, before any evaluation.
+    if (activity_) {
+        const uint64_t *reach = &p.reach_[size_t(src) * p.regWords_];
+        for (uint32_t w = 0; w < p.regWords_; ++w)
+            capture_[w] |= reach[w];
+    }
+}
+
+/** Store @p value into a u128- or ApInt-lane input; false when the
+ * input already holds it. Out of line, to keep the narrow path lean. */
+[[gnu::noinline]] bool
+Machine::setPackedInput(const Program::InputSlot &in, const ApInt &value)
+{
+    if (in.lane == Lane::Wide2) {
+        u128 packed;
+        if (value.width() == in.width) {
+            packed = make128(value.word(0), value.word(1));
+        } else {
+            ApInt t = value.zextOrTrunc(in.width);
+            packed = make128(t.word(0), t.word(1));
+        }
+        if (w2_[in.slot] == packed)
+            return false;
+        w2_[in.slot] = packed;
+        return true;
+    }
+    ApInt sized = value.zextOrTrunc(in.width);
+    if (wide_[in.slot] == sized)
+        return false;
+    wide_[in.slot] = std::move(sized);
+    return true;
 }
 
 void
 Machine::setInput(NetId net, const ApInt &value)
 {
-    const NetLoc &loc = prog_->loc_[net];
-    unsigned width = prog_->module_->widthOf(net);
-    if (loc.lane == Lane::Narrow) {
-        uint64_t masked = value.toUint64() & maskOf(width);
-        stale_ |= regs_[loc.slot] != masked;
-        regs_[loc.slot] = masked;
-    } else if (loc.lane == Lane::Wide2) {
-        u128 packed;
-        if (value.width() == width) {
-            packed = make128(value.word(0), value.word(1));
-        } else {
-            ApInt t = value.zextOrTrunc(width);
-            packed = make128(t.word(0), t.word(1));
-        }
-        stale_ |= w2_[loc.slot] != packed;
-        w2_[loc.slot] = packed;
-    } else {
-        wide_[loc.slot] = value.zextOrTrunc(width);
-        stale_ = true;
+    const Program &p = *prog_;
+    uint32_t index = inputIndex(net);
+    const Program::InputSlot &in = p.inputSlots_[index];
+    if (in.lane == Lane::Narrow) {
+        uint64_t masked = value.toUint64() & in.mask;
+        if (regs_[in.slot] == masked)
+            return;
+        regs_[in.slot] = masked;
+    } else if (!setPackedInput(in, value)) {
+        return;
     }
+    inputChanged(in.src);
 }
 
 void
 Machine::setInput(NetId net, uint64_t value)
 {
-    const NetLoc &loc = prog_->loc_[net];
-    unsigned width = prog_->module_->widthOf(net);
-    if (loc.lane == Lane::Narrow) {
-        uint64_t masked = value & maskOf(width);
-        stale_ |= regs_[loc.slot] != masked;
-        regs_[loc.slot] = masked;
-    } else if (loc.lane == Lane::Wide2) {
-        stale_ |= w2_[loc.slot] != u128(value); // zero-extended; width > 64
-        w2_[loc.slot] = value;
-    } else {
-        wide_[loc.slot] = ApInt(width, value);
-        stale_ = true;
+    const Program &p = *prog_;
+    uint32_t index = inputIndex(net);
+    const Program::InputSlot &in = p.inputSlots_[index];
+    if (in.lane == Lane::Narrow) {
+        uint64_t masked = value & in.mask;
+        if (regs_[in.slot] == masked)
+            return;
+        regs_[in.slot] = masked;
+    } else if (!setPackedInput(in, ApInt(in.width, value))) {
+        return;
     }
+    inputChanged(in.src);
+}
+
+/** Copy every register's state into its net. */
+inline void
+Machine::commitAll()
+{
+    const Program &p = *prog_;
+    for (size_t i = 0; i < p.regsN_.size(); ++i)
+        regs_[p.regsN_[i].slot] = stateN_[i];
+    for (size_t i = 0; i < p.regs2_.size(); ++i)
+        w2_[p.regs2_[i].slot] = state2_[i];
+    for (size_t i = 0; i < p.regsW_.size(); ++i)
+        wide_[p.regsW_[i].slot] = stateW_[i];
+}
+
+/** Copy register @p reg's state into its net; false when the net
+ * already holds it. */
+bool
+Machine::commit(uint32_t reg)
+{
+    const Program &p = *prog_;
+    if (reg < p.regsN_.size()) {
+        uint64_t &net = regs_[p.regsN_[reg].slot];
+        if (net == stateN_[reg])
+            return false;
+        net = stateN_[reg];
+        return true;
+    }
+    reg -= uint32_t(p.regsN_.size());
+    if (reg < p.regs2_.size()) {
+        u128 &net = w2_[p.regs2_[reg].slot];
+        if (net == state2_[reg])
+            return false;
+        net = state2_[reg];
+        return true;
+    }
+    reg -= uint32_t(p.regs2_.size());
+    ApInt &net = wide_[p.regsW_[reg].slot];
+    if (net == stateW_[reg])
+        return false;
+    net = stateW_[reg];
+    return true;
+}
+
+void
+Machine::evalComb()
+{
+    if (activity_) {
+        evalCones();
+        return;
+    }
+    // One group: anything pending runs the whole stream.
+    if (!pendSrc_[0])
+        return;
+    pendSrc_[0] = 0;
+    if (hasRegs_)
+        commitAll();
+    run<false>();
+}
+
+/** evalComb() of an activity-driven program. */
+void
+Machine::evalCones()
+{
+    const Program &p = *prog_;
+    // Commit the captured registers; drop those whose net already
+    // holds the state. What stays pending changed since the last run.
+    uint64_t pending_ops = 0;
+    bool changed = false;
+    forEachBit(pendSrc_.data(), pendSrc_.size(), [&](uint32_t src) {
+        if (src < p.numRegs_ && !commit(src)) {
+            pendSrc_[src >> 6] &= ~(uint64_t(1) << (src & 63));
+            return;
+        }
+        changed = true;
+        pending_ops += p.coneOps_[src];
+    });
+    if (!changed)
+        return;
+
+    // Whole-stream run when the cones are too large to pay for the
+    // bookkeeping (their sizes summed bound what they cover).
+    if (2 * pending_ops >= p.insns_.size() - 1) {
+        for (uint64_t &word : pendSrc_)
+            word = 0;
+        captureAll_ = true;
+        run<false>();
+        return;
+    }
+    forEachBit(pendSrc_.data(), pendSrc_.size(), [&](uint32_t src) {
+        const uint64_t *cone = &p.cones_[size_t(src) * p.groupWords_];
+        for (uint32_t g = 0; g < p.groupWords_; ++g)
+            pendGroups_[g] |= cone[g];
+        const uint64_t *reach = &p.reach_[size_t(src) * p.regWords_];
+        for (uint32_t r = 0; r < p.regWords_; ++r)
+            capture_[r] |= reach[r];
+    });
+    for (uint64_t &word : pendSrc_)
+        word = 0;
+    run<true>();
 }
 
 // The dispatch loop. With GCC/Clang each opcode body jumps directly to
@@ -663,16 +988,59 @@ Machine::setInput(NetId net, uint64_t value)
 #define LN_SIMJIT_THREADED 0
 #endif
 
+/**
+ * The dispatch loop over the instruction stream. Sparse = false runs
+ * every instruction (ip advances by one until Halt); Sparse = true runs
+ * the groups in pendGroups_, ascending (= program order), and clears
+ * the set.
+ */
+template <bool Sparse>
 void
-Machine::evalComb()
+Machine::run()
 {
-    if (!stale_)
-        return;
-    stale_ = false;
-    const Insn *ip = prog_->insns_.data();
+    const Program &p = *prog_;
+    const Insn *const base = p.insns_.data();
+    const Insn *const halt = base + (p.insns_.size() - 1);
+    const Insn *ip = base;
     uint64_t *R = regs_.data();
     u128 *W = w2_.data();
     (void)W;
+
+    // Sparse state: the current group ends at `end`; `word` holds the
+    // pending groups of pendGroups_[wi] not yet entered.
+    [[maybe_unused]] const Insn *end = nullptr;
+    [[maybe_unused]] size_t wi = 0;
+    [[maybe_unused]] uint64_t word = 0;
+    [[maybe_unused]] auto next_group = [&]() -> const Insn * {
+        while (!word) {
+            if (++wi >= p.groupWords_)
+                return halt;
+            word = pendGroups_[wi];
+            pendGroups_[wi] = 0;
+        }
+        uint32_t g = uint32_t(wi * 64 + unsigned(std::countr_zero(word)));
+        word &= word - 1;
+        uint32_t first = p.groupStart_[g], last = p.groupStart_[g + 1];
+        ops_ += last - first;
+        end = base + last;
+        return base + first;
+    };
+    if constexpr (Sparse) {
+        word = pendGroups_[0];
+        pendGroups_[0] = 0;
+        ip = next_group();
+    } else {
+        ops_ += p.insns_.size() - 1;
+    }
+#define LN_ADVANCE()                                                   \
+    do {                                                               \
+        if constexpr (Sparse) {                                        \
+            if (++ip == end)                                           \
+                ip = next_group();                                     \
+        } else {                                                       \
+            ++ip;                                                      \
+        }                                                              \
+    } while (0)
 
 // Flag-driven operand load for u128-lane ops: bit N of sshift selects
 // the u128 register file, else the narrow one (a zero-extension).
@@ -697,14 +1065,14 @@ Machine::evalComb()
 #define LN_CASE(name) lbl_##name:
 #define LN_NEXT()                                                      \
     do {                                                               \
-        ++ip;                                                          \
+        LN_ADVANCE();                                                  \
         goto *jump[size_t(ip->op)];                                    \
     } while (0)
     goto *jump[size_t(ip->op)];
 #else
 #define LN_CASE(name) case Op::name:
 #define LN_NEXT() break
-    for (;; ++ip) {
+    for (;; LN_ADVANCE()) {
         switch (ip->op) {
 #endif
 
@@ -1044,37 +1412,89 @@ Machine::evalComb()
 #endif
 #undef LN_CASE
 #undef LN_NEXT
+#undef LN_ADVANCE
 #undef LN_W2
 #undef LN_SIMJIT_OPLIST
+}
+
+/** Capture every register of a program without activity tables; its
+ * one pending bit stands for all of them. */
+inline void
+Machine::captureWhole()
+{
+    const Program &p = *prog_;
+    for (size_t i = 0; i < p.regsN_.size(); ++i) {
+        const Program::RegN &r = p.regsN_[i];
+        bool enabled = r.en == ~0u || regs_[r.en] != 0;
+        stateN_[i] = enabled ? regs_[r.d] : stateN_[i];
+    }
+    for (size_t i = 0; i < p.regs2_.size(); ++i) {
+        const Program::Reg2 &r = p.regs2_[i];
+        bool enabled = r.en == ~0u || regs_[r.en] != 0;
+        state2_[i] = enabled ? w2_[r.d] : state2_[i];
+    }
+    for (size_t i = 0; i < p.regsW_.size(); ++i) {
+        const Program::RegW &r = p.regsW_[i];
+        if (r.en == ~0u || regs_[r.en] != 0)
+            stateW_[i] = wide_[r.d];
+    }
+    markSource(0);
+}
+
+/** Capture register @p reg (a source index) into its state; it becomes
+ * pending when the state now differs from its net. */
+void
+Machine::capture(uint32_t reg)
+{
+    const Program &p = *prog_;
+    if (reg < p.regsN_.size()) {
+        const Program::RegN &r = p.regsN_[reg];
+        if (r.en == ~0u || regs_[r.en] != 0)
+            stateN_[reg] = regs_[r.d];
+        if (stateN_[reg] != regs_[r.slot])
+            markSource(reg);
+        return;
+    }
+    uint32_t i = reg - uint32_t(p.regsN_.size());
+    if (i < p.regs2_.size()) {
+        const Program::Reg2 &r = p.regs2_[i];
+        if (r.en == ~0u || regs_[r.en] != 0)
+            state2_[i] = w2_[r.d];
+        if (state2_[i] != w2_[r.slot])
+            markSource(reg);
+        return;
+    }
+    i -= uint32_t(p.regs2_.size());
+    const Program::RegW &r = p.regsW_[i];
+    if (r.en == ~0u || regs_[r.en] != 0)
+        stateW_[i] = wide_[r.d];
+    if (stateW_[i] != wide_[r.slot])
+        markSource(reg);
 }
 
 void
 Machine::clockEdge()
 {
-    const Program &p = *prog_;
-    // Two phases so register chains capture pre-edge values.
-    for (size_t i = 0; i < p.regsN_.size(); ++i) {
-        const Program::RegN &reg = p.regsN_[i];
-        bool enabled = reg.en == ~0u || regs_[reg.en] != 0;
-        nextN_[i] = enabled ? regs_[reg.d] : regs_[reg.slot];
+    // Nets change only at evalComb(), so every capture reads pre-edge
+    // values and the order of captures does not matter.
+    if (!hasRegs_)
+        return;
+    if (!activity_) {
+        captureWhole();
+        return;
     }
-    for (size_t i = 0; i < p.regs2_.size(); ++i) {
-        const Program::Reg2 &reg = p.regs2_[i];
-        bool enabled = reg.en == ~0u || regs_[reg.en] != 0;
-        next2_[i] = enabled ? w2_[reg.d] : w2_[reg.slot];
+    if (captureAll_) {
+        for (uint32_t reg = 0; reg < prog_->numRegs_; ++reg)
+            capture(reg);
+        captureAll_ = false;
+        for (uint64_t &word : capture_)
+            word = 0;
+        return;
     }
-    for (size_t i = 0; i < p.regsW_.size(); ++i) {
-        const Program::RegW &reg = p.regsW_[i];
-        bool enabled = reg.en == ~0u || regs_[reg.en] != 0;
-        nextW_[i] = enabled ? wide_[reg.d] : wide_[reg.slot];
-    }
-    for (size_t i = 0; i < p.regsN_.size(); ++i)
-        regs_[p.regsN_[i].slot] = nextN_[i];
-    for (size_t i = 0; i < p.regs2_.size(); ++i)
-        w2_[p.regs2_[i].slot] = next2_[i];
-    for (size_t i = 0; i < p.regsW_.size(); ++i)
-        wide_[p.regsW_[i].slot] = nextW_[i];
-    stale_ = true;
+    forEachBit(capture_.data(), capture_.size(),
+               [&](uint32_t reg) { capture(reg); });
+    for (uint64_t &word : capture_)
+        word = 0;
 }
 
 uint64_t

@@ -12,10 +12,11 @@
  * common case for RV32 ISAXes), a packed `unsigned __int128` word for
  * widths 65..128 (multi-cycle datapaths like the sqrt ISAXes), and an
  * ApInt spill lane for anything wider -- and emits one dense
- * instruction per combinational node. Constants
- * are preloaded into their slots at compile time, registers hold their
- * state directly in their result slot, and a handful of superops fuse
- * common shapes (compare feeding a mux, shifts by a constant amount).
+ * instruction per combinational node. Constants are preloaded into
+ * their slots at compile time, and a handful of superops fuse common
+ * shapes (compare feeding a mux, shifts by a constant amount).
+ * Evaluation is activity-driven: only the instructions downstream of
+ * the inputs and registers that changed run (Program, Machine).
  *
  * The program is immutable after compilation and can be shared by many
  * Machine instances (the core models share one program among the
@@ -157,23 +158,44 @@ struct NetLoc
  * An immutable compiled program for one Module. Compile once, execute
  * through any number of Machines. The Module must outlive the Program
  * (the wide-net fallback and lazy materialization consult its nodes).
+ *
+ * Besides the instruction stream the program holds the activity tables
+ * that let a Machine evaluate only what changed (docs/simulation.md,
+ * "Activity-driven evaluation"). A *source* is a register or an input
+ * net, plus one pseudo-source, the initial evaluation. The
+ * instructions are cut into groups, maximal runs of consecutive
+ * instructions that read the same sources. For each source the program
+ * keeps its *cone*, a bitset over the groups that read it through
+ * combinational logic, and its *reach*, a bitset over the registers
+ * whose data or enable net it reaches. A program builds no tables, and
+ * every evaluation runs the whole stream, when it has fewer than
+ * minActivityOps instructions or when every source's cone covers at
+ * least half of it (then no change could run less).
  */
 class Program
 {
   public:
     static std::shared_ptr<const Program> compile(const Module &module);
 
+    /** Below this many instructions a program is run whole on every
+     * evaluation: the bookkeeping would cost more than it skips. */
+    static constexpr size_t minActivityOps = 64;
+
     const Module &module() const { return *module_; }
     size_t numOps() const { return insns_.size(); }
     const NetLoc &locOf(NetId net) const { return loc_[net]; }
+    /** Whether evaluations run only the cones of changed sources. */
+    bool activityDriven() const { return activity_; }
 
   private:
     friend class Machine;
     Program() = default;
+    static void buildActivityTables(Program &p,
+                                    const std::vector<uint32_t> &insnNode);
 
     struct RegN ///< register with narrow result
     {
-        uint32_t slot = 0;       ///< state lives in the result slot
+        uint32_t slot = 0;       ///< the register's net
         uint32_t d = 0;          ///< narrow slot of the data operand
         uint32_t en = ~0u;       ///< narrow slot of enable, ~0u if none
         uint64_t init = 0;
@@ -192,6 +214,14 @@ class Program
         uint32_t en = ~0u;       ///< narrow slot of enable, ~0u if none
         u128 init = 0;
     };
+    struct InputSlot ///< where an input lives, for setInput()
+    {
+        uint32_t slot = 0;
+        Lane lane = Lane::Narrow;
+        unsigned width = 0;
+        uint64_t mask = 0; ///< narrow lane: (1 << width) - 1
+        uint32_t src = 0;  ///< its source index
+    };
     struct PoolEnt ///< one ConcatN/ConcatN2 operand
     {
         uint32_t slot = 0;
@@ -202,6 +232,8 @@ class Program
     const Module *module_ = nullptr;
     std::vector<Insn> insns_; ///< ends with Halt
     std::vector<NetId> inputs_; ///< input nets, zeroed by reset()
+    std::vector<InputSlot> inputSlots_; ///< per inputs_ entry
+    std::vector<uint32_t> inputOfNet_;  ///< per net: inputs_ index or ~0u
     std::vector<NetLoc> loc_; ///< per net
     std::vector<uint32_t> lazyNode_; ///< per net: node index or ~0u
     uint32_t numNarrow_ = 0;
@@ -217,6 +249,24 @@ class Program
     std::vector<std::vector<uint64_t>> romTables_; ///< pre-masked
     std::vector<std::vector<u128>> romTables2_;
     std::vector<PoolEnt> concatPool_;
+
+    // Activity tables. Sources are numbered registers first (regsN_,
+    // regs2_, regsW_, in that order), then inputs (in inputs_ order),
+    // then the initial evaluation, whose cone is every group (a new
+    // Machine has evaluated nothing, not even the logic that reads no
+    // source). A program without tables is one group, and its one
+    // source 0 stands for every source.
+    bool activity_ = false;
+    uint32_t numRegs_ = 0;
+    uint32_t numSources_ = 0;
+    /** Group g is insns_[groupStart_[g], groupStart_[g + 1]). Empty
+     * when the program is not activity-driven. */
+    std::vector<uint32_t> groupStart_;
+    uint32_t groupWords_ = 0;          ///< words per cone
+    uint32_t regWords_ = 0;            ///< words per reach
+    std::vector<uint64_t> cones_;      ///< per source, groupWords_ words
+    std::vector<uint64_t> reach_;      ///< per source, regWords_ words
+    std::vector<uint32_t> coneOps_;    ///< per source, instructions
 };
 
 /**
@@ -228,10 +278,17 @@ class Program
  * caller simulating many executions of one module reuses a Machine
  * through reset().
  *
- * evalComb() is change-driven: its result is a pure function of the
- * inputs and the register state, so it runs the program only when one
- * of them may have changed since the last run -- after clockEdge(),
- * reset(), or a setInput() that stored a different value.
+ * Evaluation is activity-driven. A register's state is kept apart from
+ * its net, which takes the state at the next evalComb(), as on the
+ * interpreter. The machine keeps a pending set of sources: inputs
+ * whose value changed, and registers whose captured state differs
+ * from their net. evalComb() commits those registers, runs the cones
+ * of the sources that changed in program order, and is a no-op when
+ * the set is empty. When those cones cover most of the program, or
+ * the program has no activity tables, it runs the whole stream
+ * instead. clockEdge() captures only the registers in the reach of a
+ * source that changed since the last edge, and all of them after
+ * reset() or a whole-stream evaluation.
  */
 class Machine
 {
@@ -245,18 +302,24 @@ class Machine
      * evalComb(). */
     void reset();
 
-    /** Drive an input. Marks the machine stale when the masked value
-     * differs from the one the input holds (an ApInt-lane input always
-     * marks it). */
+    /** Drive an input. The input becomes pending when the masked value
+     * differs from the one it holds. Panics on a net that is not an
+     * input. */
     void setInput(NetId net, const ApInt &value);
     void setInput(NetId net, uint64_t value);
 
-    /** Run the bytecode program once (= evaluate all comb logic); a
-     * no-op when nothing changed since the last run. */
+    /** Evaluate the comb logic: commit the registers captured since
+     * the last call and run the cones of the sources that changed; a
+     * no-op when nothing did. */
     void evalComb();
 
-    /** Capture register data inputs (two-phase; chains are safe). */
+    /** Capture register data inputs into the register states. The
+     * nets read are those of the last evalComb() (inputs as last
+     * driven), so chains capture pre-edge values. */
     void clockEdge();
+
+    /** Instructions executed since construction (Halt excluded). */
+    uint64_t opsExecuted() const { return ops_; }
 
     /**
      * Current value of a net as an ApInt at its declared width. Valid
@@ -270,21 +333,44 @@ class Machine
     uint64_t netU64(NetId net) const;
 
   private:
+    template <bool Sparse> void run();
+    uint32_t inputIndex(NetId net) const;
+    bool setPackedInput(const Program::InputSlot &in, const ApInt &value);
+    void inputChanged(uint32_t src);
+    void evalCones();
+    bool commit(uint32_t reg);
+    void commitAll();
+    void capture(uint32_t reg);
+    void captureWhole();
+    void markSource(uint32_t src)
+    {
+        pendSrc_[src >> 6] |= uint64_t(1) << (src & 63);
+    }
     void execWide(uint32_t nodeIndex);
     ApInt loadNet(NetId net) const;
     void storeNet(NetId net, const ApInt &value);
     uint64_t lazyValue(NetId net) const;
 
     std::shared_ptr<const Program> prog_;
+    // The program's shape, kept here for the per-tick paths.
+    bool activity_ = false; ///< prog_->activityDriven()
+    bool hasRegs_ = false;  ///< prog_ has registers
     std::vector<uint64_t> regs_;   ///< narrow lane, invariantly masked
     std::vector<u128> w2_;         ///< u128 lane, invariantly masked
     std::vector<ApInt> wide_;      ///< wide lane, declared widths
-    std::vector<uint64_t> nextN_;  ///< clockEdge double-buffer
-    std::vector<u128> next2_;
-    std::vector<ApInt> nextW_;
+    std::vector<uint64_t> stateN_; ///< register states, per regsN_
+    std::vector<u128> state2_;     ///< per regs2_
+    std::vector<ApInt> stateW_;    ///< per regsW_
     mutable std::vector<ApInt> mat_; ///< netRef materialization cache
-    /** Inputs or registers may have changed since the last evalComb(). */
-    bool stale_ = true;
+    /** The pending set: bitset over sources that changed since the
+     * last evalComb(). */
+    std::vector<uint64_t> pendSrc_;
+    std::vector<uint64_t> pendGroups_; ///< evalComb() scratch
+    /** Registers whose data or enable may have changed since the last
+     * clockEdge(). */
+    std::vector<uint64_t> capture_;
+    bool captureAll_ = true; ///< after reset() or a whole-stream run
+    uint64_t ops_ = 0;
 };
 
 } // namespace simjit

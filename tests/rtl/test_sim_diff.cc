@@ -7,9 +7,11 @@
  * stimulus, plus targeted edge cases (wide nets, ROM out-of-bounds,
  * division by zero, oversized shifts, enable registers, fused
  * compare/mux chains, register chains). Two further properties keep
- * simulator reuse and skipped evaluations exact: a reset() simulator is
- * indistinguishable from a freshly constructed one, and sparse,
- * repeated or unchanged stimulus with holds still matches the oracle.
+ * simulator reuse and activity-driven evaluation exact: a reset()
+ * simulator is indistinguishable from a freshly constructed one, and
+ * sparse, repeated or unchanged stimulus with holds, late inputs,
+ * back-to-back edges and resets still matches the oracle. The activity
+ * tests pin how much of its program the compiled engine runs.
  */
 
 #include <gtest/gtest.h>
@@ -125,8 +127,10 @@ runResetEqualsFresh(const Module &module, SimEngine engine, uint64_t seed,
 /** Differential run under sparse stimulus: each cycle re-drives a
  * random subset of the inputs (often none, sometimes with the value a
  * port already holds, sometimes through the uint64_t overload with
- * bits above the port width), evaluates one to three times, and
- * sometimes holds instead of clocking. */
+ * bits above the port width) and evaluates up to three times. Then it
+ * sometimes re-drives an input after the last evaluation, sometimes
+ * holds instead of clocking, and now and then resets both engines.
+ * A cycle with no evaluation puts two clock edges back to back. */
 void
 runSparseDifferential(const Module &module, unsigned cycles,
                       uint64_t seed, const std::string &what)
@@ -166,7 +170,9 @@ runSparseDifferential(const Module &module, unsigned cycles,
                 break;
             }
         }
-        unsigned evals = 1 + unsigned(rng() % 3);
+        unsigned evals = unsigned(rng() % 4);
+        if (cycle == 0 && evals == 0)
+            evals = 1; // clockEdge() follows at least one evalComb()
         for (unsigned e = 0; e < evals; ++e) {
             oracle.evalComb();
             compiled.evalComb();
@@ -174,9 +180,24 @@ runSparseDifferential(const Module &module, unsigned cycles,
             if (::testing::Test::HasFatalFailure())
                 return;
         }
+        if (rng() % 4 == 0) { // re-drive after the evaluation
+            size_t i = rng() % (held.size() + 1);
+            if (i < held.size()) {
+                NetId net = module.inputs()[i].second;
+                held[i] = randomValue(rng, module.widthOf(net));
+                oracle.setInput(net, held[i]);
+                compiled.setInput(net, held[i]);
+            }
+        }
         if (rng() % 4 != 0) {
             oracle.clockEdge();
             compiled.clockEdge();
+        }
+        if (rng() % 64 == 0) { // reset mid-run
+            oracle.reset();
+            compiled.reset();
+            for (ApInt &value : held)
+                value = ApInt(value.width(), 0);
         }
     }
 }
@@ -276,6 +297,97 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
+// Activity: how much of its program the compiled engine runs.
+
+TEST(SimActivityTest, SqrtExecutionRunsOnlyChangedCones)
+{
+    driver::CompileOptions options; // VexRiscv, -O0
+    driver::CompiledIsax isax =
+        driver::compileCatalogIsax("sqrt_tightly", options);
+    ASSERT_TRUE(isax.ok()) << isax.errors;
+    const hwgen::GeneratedModule &gm = isax.units.front().module;
+    const Module &m = gm.module;
+    auto program = simjit::Program::compile(m);
+    ASSERT_TRUE(program->activityDriven());
+    const uint64_t whole = program->numOps() - 1; // Halt excluded
+    simjit::Machine machine(program);
+    auto input = [&](const std::string &name) {
+        std::optional<NetId> net = m.findInput(name);
+        EXPECT_TRUE(net.has_value()) << name;
+        return net.value_or(0);
+    };
+
+    // Two executions driven the way hwgen::runIsolated drives one: the
+    // operands held from the start, then per stage the stall inputs
+    // cleared, two evaluations and an edge. The second execution runs
+    // on the reset() machine, as the core models recycle simulators.
+    for (uint64_t rs1 : {0x12345678ull, 0xFFFFFFF0ull}) {
+        SCOPED_TRACE(rs1);
+        machine.reset();
+        for (const auto &port : gm.ports) {
+            if (port.iface == scaiev::SubInterface::RdRS1)
+                machine.setInput(input(port.dataPort), rs1);
+            else if (port.iface == scaiev::SubInterface::RdInstr)
+                machine.setInput(input(port.dataPort), uint64_t(0x0000200B));
+        }
+        uint64_t later = 0;
+        for (int stage = 0; stage <= gm.lastStage; ++stage) {
+            for (const std::string &name : gm.stallInputs)
+                if (!name.empty())
+                    machine.setInput(input(name), uint64_t(0));
+            uint64_t before = machine.opsExecuted();
+            machine.evalComb();
+            uint64_t ran = machine.opsExecuted() - before;
+            machine.evalComb(); // nothing changed: runs nothing
+            EXPECT_EQ(machine.opsExecuted() - before, ran)
+                << "stage " << stage;
+            if (stage == 0 && rs1 == 0x12345678ull)
+                EXPECT_EQ(ran, whole); // a new machine evaluates all
+            else if (stage > 0)
+                later += ran;
+            machine.clockEdge();
+        }
+        // In the sqrt kernel these evaluations run 31 of the 646
+        // instructions on average; running them whole would read 100%.
+        EXPECT_LT(double(later) / gm.lastStage, 0.2 * double(whole));
+    }
+}
+
+TEST(SimActivityTest, TinyModulesRunTheWholeStream)
+{
+    // The Sec. 5.5 kernel's hot modules: too small for cones to pay.
+    driver::CompileOptions options;
+    driver::CompiledIsax isax =
+        driver::compileCatalogIsax("autoinc_zol", options);
+    ASSERT_TRUE(isax.ok()) << isax.errors;
+    unsigned checked = 0;
+    for (const auto &unit : isax.units) {
+        if (unit.name != "lw_autoinc" && unit.name != "zol")
+            continue;
+        SCOPED_TRACE(unit.name);
+        ++checked;
+        const Module &m = unit.module.module;
+        auto program = simjit::Program::compile(m);
+        EXPECT_LT(program->numOps(), simjit::Program::minActivityOps);
+        EXPECT_FALSE(program->activityDriven());
+        // Every evaluation that runs at all runs every instruction.
+        simjit::Machine machine(program);
+        std::mt19937_64 rng(42);
+        for (unsigned cycle = 0; cycle < 50; ++cycle) {
+            const auto &[name, net] =
+                m.inputs()[rng() % m.inputs().size()];
+            machine.setInput(net, randomValue(rng, m.widthOf(net)));
+            uint64_t before = machine.opsExecuted();
+            machine.evalComb();
+            uint64_t ran = machine.opsExecuted() - before;
+            EXPECT_TRUE(ran == 0 || ran == program->numOps() - 1) << ran;
+            machine.clockEdge();
+        }
+    }
+    EXPECT_EQ(checked, 2u);
+}
+
+// ---------------------------------------------------------------------
 // Targeted edge cases on hand-built netlists.
 
 TEST(SimDiffTest, WideArithmeticAndConcat)
@@ -349,16 +461,38 @@ TEST(SimDiffTest, EnableRegistersAndRegisterChains)
     Module m("regs");
     NetId d = m.addInput("d", 16);
     NetId en = m.addInput("en", 1);
+    NetId hold = m.addInput("hold", 1);
+    NetId wd = m.addInput("wd", 160);
     // Enabled register, then an always-on register fed by it: the
     // chain must capture pre-edge values (two-phase clock edge).
     NetId r1 = m.addRegister(d, en, ApInt(16, 0x1234));
     NetId r2 = m.addRegister(r1, invalidNet, ApInt(16, 0));
     NetId r3 = m.addRegister(r2, invalidNet, ApInt(16, 0xFFFF));
+    // An enable that toggles while the data stays constant.
+    NetId r4 = m.addRegister(m.addConstant(ApInt(16, 0xBEEF)), hold,
+                             ApInt(16, 1));
+    // Data straight from an input, with no enable.
+    NetId r5 = m.addRegister(d, invalidNet, ApInt(16, 7));
+    // An ApInt-lane register and a chain behind it.
+    NetId rw = m.addRegister(wd, en, ApInt(160, 5));
+    NetId rw2 = m.addRegister(rw, invalidNet, ApInt(160, 0));
     m.addOutput("r1", r1);
     m.addOutput("r2", r2);
     m.addOutput("r3", r3);
     m.addOutput("sum", m.addNode(NodeKind::Add, 16, {r1, r3}));
+    m.addOutput("r4r5", m.addNode(NodeKind::Xor, 16, {r4, r5}));
+    m.addOutput("wide", m.addNode(NodeKind::Xor, 160, {rw, rw2}));
+    m.addOutput("wlo", m.addExtract(rw2, 0, 16));
+    // A long chain on its own input makes the program big enough for
+    // activity tables, so the cases above run through the cones.
+    NetId chain = m.addInput("pad", 16);
+    for (unsigned i = 0; i < 80; ++i)
+        chain = m.addNode(i % 2 ? NodeKind::Add : NodeKind::Xor, 16,
+                          {chain, m.addConstant(ApInt(16, i + 1))});
+    m.addOutput("chain", chain);
+    ASSERT_TRUE(simjit::Program::compile(m)->activityDriven());
     runDifferential(m, 500, 5, "regs");
+    runSparseDifferential(m, 2000, 15, "regs/sparse");
 }
 
 TEST(SimDiffTest, FusedCompareMuxAndExportedCompare)

@@ -111,11 +111,18 @@ grep '"ev":"serve.reply"' obs_e2e/serve.jsonl \
 grep '"ev":"serve.reply"' obs_e2e/serve.jsonl \
     | grep '"outcome":"fault"' | grep -q '"rid":"c'
 
-# The deadline postmortem names the client-minted rid.
-dpm=$(ls obs_e2e/postmortems | grep '^longnail-postmortem-deadline-' \
-      | head -1)
-test -n "$dpm"
+# The one deadline miss left one postmortem, naming the client-minted
+# rid.
+test "$(ls obs_e2e/postmortems | grep -c '^longnail-postmortem-deadline-')" \
+    -eq 1
+dpm=$(ls obs_e2e/postmortems | grep '^longnail-postmortem-deadline-')
 grep -q 'rid=c' "obs_e2e/postmortems/$dpm"
+
+# Every timestamp counts from the trace epoch, the first taken.
+if grep -h ' t=-' obs_e2e/postmortems/*; then
+    echo "negative timestamp in a postmortem" >&2
+    exit 1
+fi
 
 # The final exposition carries the same non-zero counters.
 grep -q 'longnail_serve_outcome_fault_total 3' obs_e2e/serve.prom

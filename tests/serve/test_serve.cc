@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -303,6 +304,56 @@ TEST(Serve, DeadlineExceededWhileConcurrentRequestCompletes)
     ASSERT_TRUE(healthy);
     ASSERT_EQ(healthy->type, "result");
     EXPECT_TRUE(healthy->summary.ok);
+}
+
+TEST(Serve, EachDeadlineMissLeavesOnePostmortem)
+{
+    // The compile records the cancellation and the server the miss;
+    // both write the request's one deadline postmortem, so three
+    // misses leave three files, under the cap of four per reason.
+    std::string dir = ::testing::TempDir() + "/ln_serve_deadline_pm";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    obs::flightrec::resetForTests();
+    TestServer ts("deadlinepm");
+    ts.options.postmortemDir = dir;
+    ts.start();
+    std::vector<std::string> rids;
+    for (const char *core : {"ORCA", "Piccolo", "PicoRV32"}) {
+        net::Connection conn = connectTo(ts);
+        auto reply = roundTrip(conn, compileRequest("autoinc", core, 0));
+        ASSERT_TRUE(reply);
+        EXPECT_EQ(reply->code, serve::codeDeadline) << core;
+        rids.push_back(reply->rid);
+    }
+    ts.stop();
+    obs::flightrec::setPostmortemDir("");
+
+    std::vector<std::string> files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().filename().string().rfind(
+                "longnail-postmortem-deadline-", 0) == 0)
+            files.push_back(entry.path().string());
+    ASSERT_EQ(files.size(), 3u);
+    // Each file is one request's, holding its whole story.
+    std::set<std::string> named;
+    for (const std::string &file : files) {
+        std::ifstream in(file);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        for (const std::string &rid : rids) {
+            if (text.find("# rid: " + rid + "\n") == std::string::npos)
+                continue;
+            named.insert(rid);
+            EXPECT_NE(text.find("[serve.request] rid=" + rid),
+                      std::string::npos) << file;
+            EXPECT_NE(text.find("[compile.cancelled] rid=" + rid),
+                      std::string::npos) << file;
+            EXPECT_NE(text.find("[serve.deadline] rid=" + rid),
+                      std::string::npos) << file;
+        }
+    }
+    EXPECT_EQ(named.size(), 3u);
 }
 
 TEST(Serve, AdmissionControlShedsWithRetryHint)
