@@ -2,6 +2,7 @@
 
 #include "ir/comb.hh"
 #include "ir/eval.hh"
+#include "ir/iface.hh"
 
 namespace longnail {
 namespace analysis {
@@ -535,10 +536,12 @@ DemandedBitsLattice::transferBackward(
     if (op.numResults() != 1)
         return demandAll();
 
-    // A memory read is architecturally observable through its address
+    // A read the interface table keeps when unused (ir/iface.def: a
+    // memory read) is architecturally observable through its address
     // and enable even when the loaded data is dead; a custom-register
     // read is not (reading has no side effect).
-    if (op.kind() == OpKind::LilReadMem)
+    if (const ir::IfaceInfo *iface = ir::ifaceInfo(op.kind());
+        iface && !iface->removable)
         return demandAll();
 
     const ApInt &R = results[0].mask;

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "analysis/dataflow.hh"
+#include "ir/iface.hh"
 
 namespace longnail {
 namespace analysis {
@@ -22,24 +23,6 @@ forEachOp(const Graph &graph, const std::function<void(const Operation &)> &fn)
         fn(*op);
         if (op->subgraph())
             forEachOp(*op->subgraph(), fn);
-    }
-}
-
-/** Predicate operand of a LIL interface op, if it carries one. */
-const Value *
-predOperand(const Operation &op)
-{
-    switch (op.kind()) {
-      case OpKind::LilWriteRd:
-      case OpKind::LilWritePC:
-      case OpKind::LilWriteCustRegData:
-        return op.numOperands() == 2 ? op.operand(1) : nullptr;
-      case OpKind::LilWriteMem:
-        return op.numOperands() == 3 ? op.operand(2) : nullptr;
-      case OpKind::LilReadMem:
-        return op.numOperands() == 2 ? op.operand(1) : nullptr;
-      default:
-        return nullptr;
     }
 }
 
@@ -155,7 +138,8 @@ summarizeGraph(const Graph &graph)
     };
 
     forEachOp(graph, [&](const Operation &op) {
-        if (!ir::isInterfaceOp(op.kind()))
+        const ir::IfaceInfo *iface = ir::ifaceInfo(op.kind());
+        if (!iface)
             return;
 
         bool in_spawn = op.hasAttr("spawn");
@@ -169,20 +153,31 @@ summarizeGraph(const Graph &graph)
         // means the op has no effect at all; a provably true (or
         // absent) predicate makes it a MUST effect.
         bool may = true, must = true;
-        if (const Value *pred = predOperand(op)) {
-            ValueRange r = rangeOf(pred);
+        if (iface->pred >= 0) {
+            ValueRange r = rangeOf(op.operand(iface->pred));
             if (r.isConstZero())
                 may = must = false;
             else
                 must = r.umin >= 1;
         }
-        if (!may)
+        // The address leg of a custom-register write is not an effect
+        // alone: its data write carries the value and predicate.
+        if (!may || !iface->effect)
             return;
+
+        // Core ports by name; custom registers by register.
+        std::string key = ir::ifaceName(
+            iface->effect, iface->perRegister ? op.strAttr("reg") : "");
+        auto &into = iface->perRegister
+                         ? (iface->write ? s.regsWritten : s.regsRead)
+                         : (iface->write ? s.ifaceWrites : s.ifaceReads);
+        joinEffect(into, key, may, must, op.loc());
 
         // Byte-address interval of a memory access: the LIL memory
         // interface moves aligned 32-bit words, so the footprint is
         // [addr, addr + 3] (saturating).
-        auto memInterval = [&](const Value *addr) {
+        if (iface->addr >= 0) {
+            const Value *addr = op.operand(iface->addr);
             ValueRange r = rangeOf(addr);
             MemEffect m;
             m.lo = r.umin;
@@ -190,58 +185,17 @@ summarizeGraph(const Graph &graph)
             m.may = may;
             m.must = must;
             m.loc = op.loc();
-            return m;
-        };
-
-        switch (op.kind()) {
-          case OpKind::LilInstrWord:
-            joinEffect(s.ifaceReads, "instr", may, must, op.loc());
-            break;
-          case OpKind::LilReadRs1:
-            joinEffect(s.ifaceReads, "rs1", may, must, op.loc());
-            break;
-          case OpKind::LilReadRs2:
-            joinEffect(s.ifaceReads, "rs2", may, must, op.loc());
-            break;
-          case OpKind::LilReadPC:
-            joinEffect(s.ifaceReads, "pc", may, must, op.loc());
-            break;
-          case OpKind::LilReadMem:
-            joinEffect(s.ifaceReads, "mem", may, must, op.loc());
-            s.memReads.push_back(memInterval(op.operand(0)));
-            break;
-          case OpKind::LilReadCustReg:
-            joinEffect(s.regsRead, op.strAttr("reg"), may, must,
-                       op.loc());
-            break;
-          case OpKind::LilWriteRd:
-            joinEffect(s.ifaceWrites, "rd", may, must, op.loc());
-            break;
-          case OpKind::LilWritePC:
-            joinEffect(s.ifaceWrites, "pc", may, must, op.loc());
-            break;
-          case OpKind::LilWriteMem: {
-            joinEffect(s.ifaceWrites, "mem", may, must, op.loc());
-            MemEffect m = memInterval(op.operand(0));
-            m.dependsOnMemRead = readsMem(op.operand(0)) ||
-                                 readsMem(op.operand(1));
-            s.memWrites.push_back(m);
-            break;
-          }
-          case OpKind::LilWriteCustRegAddr:
-            // The paired LilWriteCustRegData op carries the value and
-            // predicate; the address leg alone is not an effect.
-            break;
-          case OpKind::LilWriteCustRegData: {
-            const std::string &reg = op.strAttr("reg");
-            joinEffect(s.regsWritten, reg, may, must, op.loc());
-            if (readsReg(op.operand(0), reg))
-                s.regsRmw.insert(reg);
-            break;
-          }
-          default:
-            break;
+            if (iface->write) {
+                m.dependsOnMemRead =
+                    readsMem(addr) || readsMem(op.operand(iface->data));
+                s.memWrites.push_back(m);
+            } else {
+                s.memReads.push_back(m);
+            }
         }
+        if (iface->perRegister && iface->write &&
+            readsReg(op.operand(iface->data), key))
+            s.regsRmw.insert(key);
     });
     return fx;
 }

@@ -46,7 +46,7 @@ forEachOp(const Graph &graph, const std::function<void(const Operation &)> &fn)
 // HIR-level dataflow lints
 // --------------------------------------------------------------------
 
-/** Position of the predicate operand of a state-update op, if any. */
+/** The predicate operand of a state-update op, if any. */
 const Value *
 predOperand(const Operation &op)
 {
@@ -57,16 +57,11 @@ predOperand(const Operation &op)
                                      : nullptr;
       case OpKind::CoredslSetMem:
         return op.numOperands() == 3 ? op.operand(2) : nullptr;
-      case OpKind::LilWriteRd:
-      case OpKind::LilWritePC:
-      case OpKind::LilWriteCustRegData:
-        return op.numOperands() == 2 ? op.operand(1) : nullptr;
-      case OpKind::LilWriteMem:
-        return op.numOperands() == 3 ? op.operand(2) : nullptr;
-      case OpKind::LilReadMem:
-        return op.numOperands() == 2 ? op.operand(1) : nullptr;
-      default:
-        return nullptr;
+      default: {
+        const ir::IfaceInfo *iface = ir::ifaceInfo(op.kind());
+        return iface && iface->pred >= 0 ? op.operand(iface->pred)
+                                         : nullptr;
+      }
     }
 }
 
@@ -574,8 +569,7 @@ checkDatasheet(const lil::LilModule &mod, const scaiev::Datasheet &sheet,
             auto iface = scaiev::subInterfaceFor(op.kind());
             if (!iface || !scaiev::isWriteInterface(*iface))
                 return;
-            if (op.kind() == OpKind::LilWriteCustRegData ||
-                op.kind() == OpKind::LilWriteCustRegAddr)
+            if (scaiev::interfaceInfo(*iface).perRegister)
                 targets.insert("custom register '" +
                                op.strAttr("reg") + "'");
             else

@@ -15,7 +15,6 @@ namespace tv {
 using ir::OpKind;
 using rtl::NetId;
 using rtl::NodeKind;
-using scaiev::SubInterface;
 
 namespace {
 
@@ -26,22 +25,6 @@ struct Obligation
     TermId lil = invalidTerm;
     TermId net = invalidTerm;
 };
-
-/** Canonical shared-variable name for an interface read. */
-std::string
-readVarName(SubInterface iface, const std::string &reg)
-{
-    switch (iface) {
-      case SubInterface::RdInstr: return "instr_word";
-      case SubInterface::RdRS1: return "rs1";
-      case SubInterface::RdRS2: return "rs2";
-      case SubInterface::RdPC: return "pc";
-      case SubInterface::RdMem: return "rdmem_data";
-      case SubInterface::RdCustReg: return "rdreg_data:" + reg;
-      default:
-        return "";
-    }
-}
 
 /**
  * Symbolically evaluate the LIL graph. Interface reads become shared
@@ -81,13 +64,17 @@ evalLilSide(const lil::LilGraph &graph,
             values[op->result()] = builder.comb(*op, values);
             continue;
         }
+        // A read is a free variable shared with the netlist side; only
+        // its name comes from the interface table.
+        auto readVar = [&] {
+            return ir::ifaceName(ir::ifaceInfo(kind)->tvVar, reg);
+        };
         switch (kind) {
           case OpKind::LilInstrWord:
           case OpKind::LilReadRs1:
           case OpKind::LilReadRs2:
           case OpKind::LilReadPC:
-            values[op->result()] = builder.var(
-                readVarName(*scaiev::subInterfaceFor(kind), reg), rw);
+            values[op->result()] = builder.var(readVar(), rw);
             break;
           case OpKind::LilReadMem:
             // The environment drives the data port with the same value
@@ -96,14 +83,12 @@ evalLilSide(const lil::LilGraph &graph,
             // matching the interpreter's predicated-off result).
             oblige(port->addrPort, op->operand(0));
             oblige(port->validPort, op->operand(1));
-            values[op->result()] =
-                builder.var(readVarName(SubInterface::RdMem, ""), rw);
+            values[op->result()] = builder.var(readVar(), rw);
             break;
           case OpKind::LilReadCustReg:
             if (!port->addrPort.empty())
                 oblige(port->addrPort, op->operand(0));
-            values[op->result()] = builder.var(
-                readVarName(SubInterface::RdCustReg, reg), rw);
+            values[op->result()] = builder.var(readVar(), rw);
             break;
           case OpKind::LilWriteRd:
           case OpKind::LilWritePC:
@@ -150,9 +135,9 @@ evalNetlistSide(const hwgen::GeneratedModule &module,
     // Input name -> canonical variable name.
     std::map<std::string, std::string> input_vars;
     for (const auto &port : module.ports) {
-        std::string var = readVarName(port.iface, port.reg);
-        if (!var.empty() && !port.dataPort.empty())
-            input_vars[port.dataPort] = var;
+        const char *var = scaiev::interfaceInfo(port.iface).tvVar;
+        if (var && !port.dataPort.empty())
+            input_vars[port.dataPort] = ir::ifaceName(var, port.reg);
     }
     std::map<std::string, bool> stall_inputs;
     for (const std::string &name : module.stallInputs)

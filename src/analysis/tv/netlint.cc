@@ -23,106 +23,6 @@ where(const rtl::Module &module, const rtl::Node &node, size_t index)
     return s;
 }
 
-/** Per-kind operand/result width rules (LN4602). Empty = no finding. */
-std::string
-widthRule(const rtl::Module &m, const rtl::Node &node)
-{
-    auto w = [&](NetId net) { return m.widthOf(net); };
-    unsigned rw = w(node.result);
-    const auto &ops = node.operands;
-    switch (node.kind) {
-      case NodeKind::Add:
-      case NodeKind::Sub:
-      case NodeKind::Mul:
-      case NodeKind::DivU:
-      case NodeKind::DivS:
-      case NodeKind::ModU:
-      case NodeKind::ModS:
-      case NodeKind::And:
-      case NodeKind::Or:
-      case NodeKind::Xor:
-        if (ops.size() != 2)
-            return "expects exactly two operands";
-        if (w(ops[0]) != rw || w(ops[1]) != rw)
-            return "operand widths " + std::to_string(w(ops[0])) +
-                   "/" + std::to_string(w(ops[1])) +
-                   " do not match result width " + std::to_string(rw);
-        break;
-      case NodeKind::Shl:
-      case NodeKind::ShrU:
-      case NodeKind::ShrS:
-        if (ops.size() != 2)
-            return "expects exactly two operands";
-        if (w(ops[0]) != rw)
-            return "shifted value width " + std::to_string(w(ops[0])) +
-                   " does not match result width " + std::to_string(rw);
-        break;
-      case NodeKind::ICmp:
-        if (ops.size() != 2)
-            return "expects exactly two operands";
-        if (rw != 1)
-            return "result must be one bit";
-        if (w(ops[0]) != w(ops[1]))
-            return "compares operands of widths " +
-                   std::to_string(w(ops[0])) + " and " +
-                   std::to_string(w(ops[1]));
-        break;
-      case NodeKind::Mux:
-        if (ops.size() != 3)
-            return "expects select, then, else operands";
-        if (w(ops[0]) != 1)
-            return "select must be one bit";
-        if (w(ops[1]) != rw || w(ops[2]) != rw)
-            return "arm widths " + std::to_string(w(ops[1])) + "/" +
-                   std::to_string(w(ops[2])) +
-                   " do not match result width " + std::to_string(rw);
-        break;
-      case NodeKind::Extract:
-        if (ops.size() != 1)
-            return "expects exactly one operand";
-        if (node.lo + rw > w(ops[0]))
-            return "extracts bits [" + std::to_string(node.lo) + "+:" +
-                   std::to_string(rw) + "] from a " +
-                   std::to_string(w(ops[0])) + "-bit operand";
-        break;
-      case NodeKind::Concat: {
-        if (ops.size() < 2)
-            return "expects at least two operands";
-        unsigned sum = 0;
-        for (NetId op : ops)
-            sum += w(op);
-        if (sum != rw)
-            return "operand widths sum to " + std::to_string(sum) +
-                   ", result is " + std::to_string(rw) + " bits";
-        break;
-      }
-      case NodeKind::Replicate:
-        if (ops.size() != 1 || w(ops[0]) != 1)
-            return "expects a single one-bit operand";
-        break;
-      case NodeKind::Rom:
-        if (ops.size() != 1)
-            return "expects exactly one index operand";
-        break;
-      case NodeKind::Register:
-        if (ops.empty() || ops.size() > 2)
-            return "expects data [, enable] operands";
-        if (w(ops[0]) != rw)
-            return "data width " + std::to_string(w(ops[0])) +
-                   " does not match register width " +
-                   std::to_string(rw);
-        if (ops.size() == 2 && w(ops[1]) != 1)
-            return "enable must be one bit";
-        break;
-      case NodeKind::Input:
-      case NodeKind::Constant:
-        if (!ops.empty())
-            return "expects no operands";
-        break;
-    }
-    return "";
-}
-
 } // namespace
 
 NetlistLintResult
@@ -183,7 +83,7 @@ lintNetlist(const rtl::Module &module, DiagnosticEngine &diags)
     // Width rules are only meaningful over valid nets.
     if (result.errors == 0) {
         for (size_t i = 0; i < nodes.size(); ++i) {
-            std::string finding = widthRule(module, nodes[i]);
+            std::string finding = rtl::widthRule(module, nodes[i]);
             if (!finding.empty())
                 err("LN4602",
                     where(module, nodes[i], i) + " " + finding);

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ir/iface.hh"
+
 namespace longnail {
 namespace analysis {
 
@@ -323,9 +325,38 @@ class GraphVerifier
                        "predicate");
     }
 
+    /**
+     * A lil.* interface op has exactly the operands of its
+     * ir/iface.def row: lowering always builds that form, and every
+     * consumer indexes the operands the row names.
+     */
+    void
+    checkInterface(const Operation &op, const ir::IfaceInfo &iface)
+    {
+        unsigned n = iface.numOperands();
+        if (checkArity(op, n, n, iface.write ? 0 : 1)) {
+            if (iface.addr >= 0)
+                checkWidth(op, op.operand(iface.addr), 32,
+                           "memory address");
+            if (iface.word && iface.data >= 0)
+                checkWidth(op, op.operand(iface.data), 32,
+                           (std::string(iface.name) + " data").c_str());
+            if (iface.word && !iface.write)
+                checkWidth(op, op.result(), 32, "interface result");
+            if (iface.pred >= 0)
+                checkWidth(op, op.operand(iface.pred), 1, "predicate");
+        }
+        if (iface.perRegister)
+            requireStrAttr(op, "reg");
+    }
+
     void
     verifyOp(const Operation &op)
     {
+        if (const ir::IfaceInfo *iface = ir::ifaceInfo(op.kind())) {
+            checkInterface(op, *iface);
+            return;
+        }
         unsigned rw =
             op.numResults() == 1 ? op.result()->type.width : 0;
         switch (op.kind()) {
@@ -422,52 +453,6 @@ class GraphVerifier
             checkMux(op);
             break;
 
-            // --- lil ---
-          case OpKind::LilInstrWord:
-          case OpKind::LilReadRs1:
-          case OpKind::LilReadRs2:
-          case OpKind::LilReadPC:
-            if (checkArity(op, 0, 0, 1))
-                checkWidth(op, op.result(), 32, "interface result");
-            break;
-          case OpKind::LilReadMem:
-            if (checkArity(op, 1, 2, 1)) {
-                checkWidth(op, op.operand(0), 32, "memory address");
-                checkPred(op, 2);
-            }
-            break;
-          case OpKind::LilWriteRd:
-            if (checkArity(op, 1, 2, 0)) {
-                checkWidth(op, op.operand(0), 32, "rd value");
-                checkPred(op, 2);
-            }
-            break;
-          case OpKind::LilWritePC:
-            if (checkArity(op, 1, 2, 0)) {
-                checkWidth(op, op.operand(0), 32, "pc value");
-                checkPred(op, 2);
-            }
-            break;
-          case OpKind::LilWriteMem:
-            if (checkArity(op, 2, 3, 0)) {
-                checkWidth(op, op.operand(0), 32, "memory address");
-                checkPred(op, 3);
-            }
-            break;
-          case OpKind::LilReadCustReg:
-            checkArity(op, 0, 1, 1);
-            requireStrAttr(op, "reg");
-            break;
-          case OpKind::LilWriteCustRegAddr:
-            checkArity(op, 0, 1, 0);
-            requireStrAttr(op, "reg");
-            break;
-          case OpKind::LilWriteCustRegData:
-            if (checkArity(op, 1, 2, 0))
-                checkPred(op, 2);
-            requireStrAttr(op, "reg");
-            break;
-
             // --- comb ---
           case OpKind::CombAdd:
           case OpKind::CombSub:
@@ -493,6 +478,8 @@ class GraphVerifier
           case OpKind::CombReplicate:
             if (checkArity(op, 1, 1, 1))
                 checkWidth(op, op.operand(0), 1, "replicated value");
+            break;
+          default: // the interface ops, checked by checkInterface()
             break;
         }
     }

@@ -75,44 +75,19 @@ Core::resolvePorts(const GeneratedModule &mod)
     };
     std::vector<PortNets> ports;
     for (const InterfacePort &port : mod.ports) {
+        // A read's data port is an input, a write's an output; the
+        // address and valid ports are outputs (ir/iface.def).
+        const ir::IfaceInfo &iface = scaiev::interfaceInfo(port.iface);
         PortNets r;
         r.iface = port.iface;
         r.stage = port.stage;
-        switch (port.iface) {
-          case SubInterface::RdInstr:
-          case SubInterface::RdRS1:
-          case SubInterface::RdRS2:
-          case SubInterface::RdPC:
-            r.data = inputNet(mod, port.dataPort);
-            break;
-          case SubInterface::RdCustReg:
-            r.data = inputNet(mod, port.dataPort);
-            r.addr = optional_output(port.addrPort);
+        if (!port.dataPort.empty())
+            r.data = iface.write ? outputNet(mod, port.dataPort)
+                                 : inputNet(mod, port.dataPort);
+        r.addr = optional_output(port.addrPort);
+        r.valid = optional_output(port.validPort);
+        if (iface.perRegister)
             r.reg = storage(port.reg);
-            break;
-          case SubInterface::RdMem:
-            r.data = inputNet(mod, port.dataPort);
-            r.addr = outputNet(mod, port.addrPort);
-            r.valid = outputNet(mod, port.validPort);
-            break;
-          case SubInterface::WrMem:
-            r.addr = outputNet(mod, port.addrPort);
-            [[fallthrough]];
-          case SubInterface::WrRD:
-          case SubInterface::WrPC:
-            r.data = outputNet(mod, port.dataPort);
-            r.valid = outputNet(mod, port.validPort);
-            break;
-          case SubInterface::WrCustRegAddr:
-            r.addr = optional_output(port.addrPort);
-            r.reg = storage(port.reg);
-            break;
-          case SubInterface::WrCustRegData:
-            r.data = outputNet(mod, port.dataPort);
-            r.valid = outputNet(mod, port.validPort);
-            r.reg = storage(port.reg);
-            break;
-        }
         ports.push_back(r);
     }
     return ports;

@@ -24,29 +24,6 @@ isConstantOp(OpKind kind)
     return kind == OpKind::HwConstant || kind == OpKind::CombConstant;
 }
 
-/** True for operations that may be deleted when their results are
- * unused. */
-bool
-isRemovableWhenDead(OpKind kind)
-{
-    if (ir::isPureComputation(kind))
-        return true;
-    switch (kind) {
-      case OpKind::CoredslField:
-      case OpKind::CoredslGet:
-      case OpKind::CoredslGetMem:
-      case OpKind::LilInstrWord:
-      case OpKind::LilReadRs1:
-      case OpKind::LilReadRs2:
-      case OpKind::LilReadPC:
-      case OpKind::LilReadMem:
-      case OpKind::LilReadCustReg:
-        return true;
-      default:
-        return false;
-    }
-}
-
 void
 replaceUsesRec(Graph &graph, Value *from, Value *to)
 {
@@ -172,7 +149,7 @@ removeDead(Graph &graph, const std::set<const Value *> &used)
         if (op->subgraph())
             removed += removeDead(*op->subgraph(), used);
     graph.removeIf([&](const Operation &op) {
-        if (!isRemovableWhenDead(op.kind()) || op.numResults() == 0)
+        if (!ir::isRemovableWhenUnused(op.kind()) || op.numResults() == 0)
             return false;
         for (unsigned i = 0; i < op.numResults(); ++i)
             if (used.count(op.result(i)))

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "ir/iface.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "support/logging.hh"
@@ -244,130 +245,69 @@ class Generator
             emitComb(op, *comb, t);
             return;
         }
-        switch (op.kind()) {
-          case OpKind::LilInstrWord: {
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::RdInstr, t);
-            port.dataPort = suffixed("instr_word", t);
-            define(op.result(), t,
-                   out_.addInput(port.dataPort, 32));
+        if (const ir::IfaceInfo *iface = ir::ifaceInfo(op.kind())) {
+            emitInterface(op, *iface, t, result);
             return;
-          }
-          case OpKind::LilReadRs1:
-          case OpKind::LilReadRs2: {
-            SubInterface iface = op.kind() == OpKind::LilReadRs1
-                                     ? SubInterface::RdRS1
-                                     : SubInterface::RdRS2;
-            InterfacePort &port = newPort(result, op, iface, t);
-            port.dataPort = suffixed(
-                iface == SubInterface::RdRS1 ? "rdrs1" : "rdrs2", t);
-            define(op.result(), t, out_.addInput(port.dataPort, 32));
-            return;
-          }
-          case OpKind::LilReadPC: {
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::RdPC, t);
-            port.dataPort = suffixed("rdpc", t);
-            define(op.result(), t, out_.addInput(port.dataPort, 32));
-            return;
-          }
-          case OpKind::LilReadMem: {
-            const sched::OperatorType &type =
-                built_.problem.operatorTypeOf(built_.problem.operation(
-                    built_.indexOf.at(&op)));
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::RdMem, t);
-            port.latency = type.latency;
-            port.addrPort = suffixed("rdmem_addr", t);
-            port.validPort = suffixed("rdmem_valid", t);
-            port.dataPort = suffixed("rdmem_data",
-                                     t + int(type.latency));
-            NetId addr = pipeTo(op.operand(0), t);
-            NetId pred = pipeTo(op.operand(1), t);
-            out_.nameNet(addr, port.addrPort + "_w");
-            out_.addOutput(port.addrPort, addr);
-            out_.addOutput(port.validPort, pred);
-            NetId data = out_.addInput(port.dataPort, 32);
-            define(op.result(), t + int(type.latency), data);
-            return;
-          }
-          case OpKind::LilWriteRd: {
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::WrRD, t);
-            port.dataPort = suffixed("wrrd_data", t);
-            port.validPort = suffixed("wrrd_valid", t);
-            out_.addOutput(port.dataPort, pipeTo(op.operand(0), t));
-            out_.addOutput(port.validPort, pipeTo(op.operand(1), t));
-            return;
-          }
-          case OpKind::LilWritePC: {
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::WrPC, t);
-            port.dataPort = suffixed("wrpc_data", t);
-            port.validPort = suffixed("wrpc_valid", t);
-            out_.addOutput(port.dataPort, pipeTo(op.operand(0), t));
-            out_.addOutput(port.validPort, pipeTo(op.operand(1), t));
-            return;
-          }
-          case OpKind::LilWriteMem: {
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::WrMem, t);
-            port.addrPort = suffixed("wrmem_addr", t);
-            port.dataPort = suffixed("wrmem_data", t);
-            port.validPort = suffixed("wrmem_valid", t);
-            out_.addOutput(port.addrPort, pipeTo(op.operand(0), t));
-            out_.addOutput(port.dataPort, pipeTo(op.operand(1), t));
-            out_.addOutput(port.validPort, pipeTo(op.operand(2), t));
-            return;
-          }
-          case OpKind::LilReadCustReg: {
-            const std::string &reg = op.strAttr("reg");
-            const StateInfo *state = isa_.findState(reg);
-            if (!state)
-                LN_PANIC("unknown custom register ", reg);
-            InterfacePort &port = newPort(result, op,
-                                          SubInterface::RdCustReg, t,
-                                          reg);
-            // Single-element registers do not get a physical address
-            // port (Sec. 4.6).
-            if (state->isArray()) {
-                port.addrPort = suffixed("rd" + reg + "_addr", t);
-                out_.addOutput(port.addrPort, pipeTo(op.operand(0), t));
-            }
-            port.dataPort = suffixed("rd" + reg + "_data", t);
-            NetId data = out_.addInput(port.dataPort,
-                                       state->elementType.width);
-            define(op.result(), t, data);
-            return;
-          }
-          case OpKind::LilWriteCustRegAddr: {
-            const std::string &reg = op.strAttr("reg");
-            const StateInfo *state = isa_.findState(reg);
-            if (!state)
-                LN_PANIC("unknown custom register ", reg);
-            InterfacePort &port = newPort(
-                result, op, SubInterface::WrCustRegAddr, t, reg);
-            if (state->isArray()) {
-                port.addrPort = suffixed("wr" + reg + "_addr", t);
-                out_.addOutput(port.addrPort, pipeTo(op.operand(0), t));
-            }
-            return;
-          }
-          case OpKind::LilWriteCustRegData: {
-            const std::string &reg = op.strAttr("reg");
-            InterfacePort &port = newPort(
-                result, op, SubInterface::WrCustRegData, t, reg);
-            port.dataPort = suffixed("wr" + reg + "_data", t);
-            port.validPort = suffixed("wr" + reg + "_valid", t);
-            out_.addOutput(port.dataPort, pipeTo(op.operand(0), t));
-            out_.addOutput(port.validPort, pipeTo(op.operand(1), t));
-            return;
-          }
-          case OpKind::LilSink:
-            return;
-          default:
+        }
+        if (op.kind() != OpKind::LilSink)
             LN_PANIC("cannot generate hardware for ",
                      ir::opKindName(op.kind()));
+    }
+
+    /**
+     * An interface op becomes the ports of its ir/iface.def row: the
+     * address (or register index), the written data and the predicate
+     * drive outputs, in that order; a read's data comes in, its
+     * latency after the request when the row says so (RdMem).
+     */
+    void
+    emitInterface(const ir::Operation &op, const ir::IfaceInfo &iface,
+                  int t, GeneratedModule &result)
+    {
+        std::string reg;
+        const StateInfo *state = nullptr;
+        if (iface.perRegister) {
+            reg = op.strAttr("reg");
+            state = isa_.findState(reg);
+            if (!state)
+                LN_PANIC("unknown custom register ", reg);
+        }
+        InterfacePort &port = newPort(
+            result, op, *scaiev::subInterfaceFor(op.kind()), t, reg);
+        if (iface.delayedData)
+            port.latency = built_.problem
+                               .operatorTypeOf(built_.problem.operation(
+                                   built_.indexOf.at(&op)))
+                               .latency;
+        int data_at = t + int(port.latency);
+        auto name = [&](const char *spelling, int stage) {
+            return suffixed(ir::ifaceName(spelling, reg), stage);
+        };
+
+        // Single-element registers do not get a physical address port
+        // (Sec. 4.6).
+        if (iface.addrPort && (!state || state->isArray())) {
+            port.addrPort = name(iface.addrPort, t);
+            NetId addr = pipeTo(
+                op.operand(iface.addr >= 0 ? iface.addr : iface.index), t);
+            if (iface.delayedData)
+                out_.nameNet(addr, port.addrPort + "_w");
+            out_.addOutput(port.addrPort, addr);
+        }
+        if (iface.dataPort)
+            port.dataPort = name(iface.dataPort, data_at);
+        if (iface.data >= 0)
+            out_.addOutput(port.dataPort,
+                           pipeTo(op.operand(iface.data), t));
+        if (iface.validPort) {
+            port.validPort = name(iface.validPort, t);
+            out_.addOutput(port.validPort,
+                           pipeTo(op.operand(iface.pred), t));
+        }
+        if (!iface.write) {
+            unsigned width = iface.word ? 32 : state->elementType.width;
+            define(op.result(), data_at,
+                   out_.addInput(port.dataPort, width));
         }
     }
 

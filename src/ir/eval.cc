@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ir/comb.hh"
+#include "ir/iface.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -73,6 +74,15 @@ fitResult(const ApInt &v, unsigned width)
 }
 
 } // namespace
+
+bool
+isRemovableWhenUnused(OpKind kind)
+{
+    if (const IfaceInfo *iface = ifaceInfo(kind))
+        return iface->removable;
+    return isPureComputation(kind) || kind == OpKind::CoredslField ||
+           kind == OpKind::CoredslGet;
+}
 
 std::optional<ApInt>
 evaluate(const Operation &op, const std::vector<ApInt> &operands)

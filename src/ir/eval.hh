@@ -30,6 +30,15 @@ std::optional<ApInt> evaluate(const Operation &op,
 /** True if @p kind is evaluatable by evaluate() (pure computation). */
 bool isPureComputation(OpKind kind);
 
+/**
+ * True for operations that may be deleted when their results are
+ * unused: pure computations, field and state reads, and the interface
+ * reads whose ir/iface.def row is removable. A memory read
+ * (coredsl.get_mem, lil.read_mem) is an effect, since the core sees
+ * the request. hir::canonicalize and -O1's dce both apply this rule.
+ */
+bool isRemovableWhenUnused(OpKind kind);
+
 /** Apply an ICmp predicate to two equally-typed raw values. */
 bool applyICmp(ICmpPred pred, const ApInt &lhs, const ApInt &rhs);
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ir/comb.hh"
+#include "ir/iface.hh"
 #include "support/logging.hh"
 
 namespace longnail {
@@ -20,6 +21,8 @@ opKindName(OpKind kind)
 {
     if (auto comb = combOpOf(kind))
         return combInfo(*comb).irName;
+    if (const IfaceInfo *iface = ifaceInfo(kind))
+        return iface->irName;
     switch (kind) {
       case OpKind::CoredslField: return "coredsl.field";
       case OpKind::CoredslGet: return "coredsl.get";
@@ -46,17 +49,6 @@ opKindName(OpKind kind)
       case OpKind::HwNot: return "hwarith.not";
       case OpKind::HwICmp: return "hwarith.icmp";
       case OpKind::HwMux: return "hwarith.mux";
-      case OpKind::LilInstrWord: return "lil.instr_word";
-      case OpKind::LilReadRs1: return "lil.read_rs1";
-      case OpKind::LilReadRs2: return "lil.read_rs2";
-      case OpKind::LilReadPC: return "lil.read_pc";
-      case OpKind::LilReadMem: return "lil.read_mem";
-      case OpKind::LilWriteRd: return "lil.write_rd";
-      case OpKind::LilWritePC: return "lil.write_pc";
-      case OpKind::LilWriteMem: return "lil.write_mem";
-      case OpKind::LilReadCustReg: return "lil.read_custreg";
-      case OpKind::LilWriteCustRegAddr: return "lil.write_custreg_addr";
-      case OpKind::LilWriteCustRegData: return "lil.write_custreg_data";
       case OpKind::LilSink: return "lil.sink";
       default: break;
     }
@@ -82,39 +74,10 @@ icmpPredName(ICmpPred pred)
 }
 
 bool
-isInterfaceOp(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::LilInstrWord:
-      case OpKind::LilReadRs1:
-      case OpKind::LilReadRs2:
-      case OpKind::LilReadPC:
-      case OpKind::LilReadMem:
-      case OpKind::LilWriteRd:
-      case OpKind::LilWritePC:
-      case OpKind::LilWriteMem:
-      case OpKind::LilReadCustReg:
-      case OpKind::LilWriteCustRegAddr:
-      case OpKind::LilWriteCustRegData:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isStateUpdateOp(OpKind kind)
 {
-    switch (kind) {
-      case OpKind::LilWriteRd:
-      case OpKind::LilWritePC:
-      case OpKind::LilWriteMem:
-      case OpKind::LilWriteCustRegAddr:
-      case OpKind::LilWriteCustRegData:
-        return true;
-      default:
-        return false;
-    }
+    const IfaceInfo *iface = ifaceInfo(kind);
+    return iface && iface->write;
 }
 
 void

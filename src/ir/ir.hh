@@ -81,18 +81,12 @@ enum class OpKind
     HwMux,      ///< operands: cond(i1), true, false
 
     // --- lil dialect (SCAIE-V sub-interfaces, Fig. 5c / Table 1) ---
-    LilInstrWord,       ///< i32 instruction word
-    LilReadRs1,         ///< i32
-    LilReadRs2,         ///< i32
-    LilReadPC,          ///< i32
-    LilReadMem,         ///< operands: addr [, pred] -> i32
-    LilWriteRd,         ///< operands: value [, pred]
-    LilWritePC,         ///< operands: value [, pred]
-    LilWriteMem,        ///< operands: addr, value [, pred]
-    LilReadCustReg,     ///< strAttr=reg; operands: [index] -> iDW
-    LilWriteCustRegAddr,///< strAttr=reg; operands: [index]
-    LilWriteCustRegData,///< strAttr=reg; operands: value [, pred]
-    LilSink,            ///< graph terminator
+    // One enumerator per row of ir/iface.def (LilInstrWord ...
+    // LilWriteMem), which also fixes each op's operands.
+#define LN_IFACE(name, op, ...) Lil##op,
+#include "ir/iface.def"
+#undef LN_IFACE
+    LilSink, ///< graph terminator
 
     // --- comb dialect (signless combinational logic, Fig. 5c/5d) ---
     // One enumerator per row of ir/comb.def (CombConstant ... CombRom).
@@ -108,7 +102,11 @@ const char *opKindName(OpKind kind);
 const char *icmpPredName(ICmpPred pred);
 
 /** True for lil.* operations that touch a SCAIE-V sub-interface. */
-bool isInterfaceOp(OpKind kind);
+inline bool
+isInterfaceOp(OpKind kind)
+{
+    return kind >= OpKind::LilInstrWord && kind < OpKind::LilSink;
+}
 /** True for interface ops that update architectural state. */
 bool isStateUpdateOp(OpKind kind);
 

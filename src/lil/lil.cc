@@ -21,6 +21,20 @@ using ir::OpKind;
 using ir::Value;
 using ir::WireType;
 
+void
+LilGraph::collectCustomRegs()
+{
+    std::set<std::string> reads, writes;
+    for (const auto &op : graph.ops()) {
+        if (op->kind() == OpKind::LilReadCustReg)
+            reads.insert(op->strAttr("reg"));
+        if (op->kind() == OpKind::LilWriteCustRegData)
+            writes.insert(op->strAttr("reg"));
+    }
+    customRegsRead.assign(reads.begin(), reads.end());
+    customRegsWritten.assign(writes.begin(), writes.end());
+}
+
 bool
 LilGraph::hasSpawnOps() const
 {
@@ -81,15 +95,7 @@ class LilLowerer
             LN_PANIC("LIL verification failed for ", out.name, ": ",
                      err);
         // Record custom register usage for the SCAIE-V configuration.
-        std::set<std::string> reads, writes;
-        for (const auto &op : out.graph.ops()) {
-            if (op->kind() == OpKind::LilReadCustReg)
-                reads.insert(op->strAttr("reg"));
-            if (op->kind() == OpKind::LilWriteCustRegData)
-                writes.insert(op->strAttr("reg"));
-        }
-        out.customRegsRead.assign(reads.begin(), reads.end());
-        out.customRegsWritten.assign(writes.begin(), writes.end());
+        out.collectCustomRegs();
         return true;
     }
 
@@ -645,7 +651,11 @@ checkInterfaceUsage(const LilGraph &graph, DiagnosticEngine &diags)
     std::map<std::string, unsigned> uses;
     std::map<std::string, SourceLoc> first_use;
     for (const auto &op : graph.graph.ops()) {
-        if (!ir::isInterfaceOp(op->kind()))
+        // The instruction word may feed many extracts but is a single
+        // port; multiple lil.instr_word ops would still be one port,
+        // so only true sub-interface duplicates are errors.
+        if (!ir::isInterfaceOp(op->kind()) ||
+            op->kind() == OpKind::LilInstrWord)
             continue;
         std::string key = op->name();
         if (op->hasAttr("reg"))
@@ -655,10 +665,7 @@ checkInterfaceUsage(const LilGraph &graph, DiagnosticEngine &diags)
     }
     bool ok = true;
     for (const auto &[key, count] : uses) {
-        // The instruction word may feed many extracts but is a single
-        // port; multiple lil.instr_word ops would still be one port,
-        // so only true sub-interface duplicates are errors.
-        if (count > 1 && key != "lil.instr_word") {
+        if (count > 1) {
             diags.error(first_use[key],
                         "'" + graph.name + "' uses sub-interface " +
                             key + " " + std::to_string(count) +

@@ -35,6 +35,8 @@ struct LilGraph
     std::vector<std::string> customRegsRead;
     std::vector<std::string> customRegsWritten;
 
+    /** Recompute customRegsRead/Written from the graph's ops. */
+    void collectCustomRegs();
     bool hasSpawnOps() const;
     std::string print() const;
 };

@@ -10,9 +10,11 @@
  *    constant 0 its interpretation already is (the read itself is
  *    observable through mem_read_used, so only the provably-disabled
  *    form may disappear);
- *  - pure computations and input/register reads with no remaining
- *    users are swept, including lil.write_cust_reg_addr ops whose
- *    register has lost every data write.
+ *  - ops with no remaining users that ir::isRemovableWhenUnused()
+ *    allows (pure computations, input and register reads: the rule
+ *    hir::canonicalize applies too) are swept, and so are
+ *    lil.write_custreg_addr ops whose register has lost every data
+ *    write.
  *
  * customRegsRead/Written are recomputed at the end so the scheduler
  * and the core's hazard logic see the post-DCE interface.
@@ -23,6 +25,7 @@
 
 #include "analysis/dataflow.hh"
 #include "ir/eval.hh"
+#include "ir/iface.hh"
 #include "passes/internal.hh"
 #include "passes/passes.hh"
 
@@ -32,45 +35,6 @@ namespace passes {
 using ir::OpKind;
 
 namespace {
-
-/** Index of the predicate operand of an interface op, or -1. */
-int
-predOperandIndex(const ir::Operation &op)
-{
-    switch (op.kind()) {
-      case OpKind::LilWriteRd:
-      case OpKind::LilWritePC:
-      case OpKind::LilWriteCustRegData:
-        return op.numOperands() == 2 ? 1 : -1;
-      case OpKind::LilWriteMem:
-        return op.numOperands() == 3 ? 2 : -1;
-      case OpKind::LilReadMem:
-        return op.numOperands() == 2 ? 1 : -1;
-      default:
-        return -1;
-    }
-}
-
-/** True for result-producing ops that are removable when unused. */
-bool
-isRemovableWhenUnused(OpKind kind)
-{
-    if (ir::isPureComputation(kind))
-        return true;
-    switch (kind) {
-      // Reading an input or a custom register has no observable
-      // effect in lil::interpret(); lil.read_mem does (mem_read_used)
-      // and must survive.
-      case OpKind::LilInstrWord:
-      case OpKind::LilReadRs1:
-      case OpKind::LilReadRs2:
-      case OpKind::LilReadPC:
-      case OpKind::LilReadCustReg:
-        return true;
-      default:
-        return false;
-    }
-}
 
 unsigned
 dceSweep(ir::Graph &graph)
@@ -83,13 +47,13 @@ dceSweep(ir::Graph &graph)
     // removal below invalidates the op list being walked.
     std::set<const ir::Operation *> disabled_writes;
     for (const auto &op : graph.ops()) {
-        int pi = predOperandIndex(*op);
-        if (pi < 0)
+        const ir::IfaceInfo *iface = ir::ifaceInfo(op->kind());
+        if (!iface || iface->pred < 0)
             continue;
-        auto rit = ranges.find(op->operand(unsigned(pi)));
+        auto rit = ranges.find(op->operand(iface->pred));
         if (rit == ranges.end() || !rit->second.isConstZero())
             continue;
-        if (op->kind() == OpKind::LilReadMem)
+        if (!iface->write)
             op->morphToConstant(ApInt(op->result()->type.width, 0),
                                 true);
         else
@@ -119,7 +83,7 @@ dceSweep(ir::Graph &graph)
         auto used = detail::usedValues(graph);
         unsigned swept = 0;
         graph.removeIf([&](const ir::Operation &o) {
-            if (!isRemovableWhenUnused(o.kind()))
+            if (!ir::isRemovableWhenUnused(o.kind()))
                 return false;
             for (unsigned r = 0; r < o.numResults(); ++r)
                 if (used.count(o.result(r)))
@@ -148,15 +112,7 @@ runDce(lil::LilGraph &graph)
     }
 
     // Keep the cross-layer register interface honest after removals.
-    std::set<std::string> reads, writes;
-    for (const auto &op : graph.graph.ops()) {
-        if (op->kind() == OpKind::LilReadCustReg)
-            reads.insert(op->strAttr("reg"));
-        if (op->kind() == OpKind::LilWriteCustRegData)
-            writes.insert(op->strAttr("reg"));
-    }
-    graph.customRegsRead.assign(reads.begin(), reads.end());
-    graph.customRegsWritten.assign(writes.begin(), writes.end());
+    graph.collectCustomRegs();
     return total;
 }
 

@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "ir/iface.hh"
 #include "lil/interp.hh"
 
 namespace longnail {
@@ -68,18 +69,17 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
             values[op->result()] = b.comb(*op, values);
             continue;
         }
+        // Reads are free variables named by the interface table (the
+        // names TV uses); what each operand means is stated here.
+        auto readVar = [&](const std::string &reg = "") {
+            return ir::ifaceName(ir::ifaceInfo(kind)->tvVar, reg);
+        };
         switch (kind) {
           case OpKind::LilInstrWord:
-            values[op->result()] = b.var("instr_word", rw);
-            break;
           case OpKind::LilReadRs1:
-            values[op->result()] = b.var("rs1", rw);
-            break;
           case OpKind::LilReadRs2:
-            values[op->result()] = b.var("rs2", rw);
-            break;
           case OpKind::LilReadPC:
-            values[op->result()] = b.var("pc", rw);
+            values[op->result()] = b.var(readVar(), rw);
             break;
           case OpKind::LilReadMem: {
             // Memory is a pure function of the address (hashMemWord in
@@ -90,8 +90,8 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
             TermId addr = get(op->operand(0));
             TermId pred = predOf(*op, 1);
             accumulate(sig.memRead, pred, {addr}, {32});
-            TermId data = b.var(
-                "rdmem_data@" + std::to_string(addr), rw);
+            TermId data =
+                b.var(readVar() + "@" + std::to_string(addr), rw);
             values[op->result()] = b.make(
                 TermKind::Mux, rw,
                 {pred, data, b.constant(ApInt(rw, 0))});
@@ -103,8 +103,8 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
             // stays distinct (and falls back to co-simulation).
             TermId index = get(op->operand(0));
             values[op->result()] = b.var(
-                "rdreg_data:" + op->strAttr("reg") + "@" +
-                    std::to_string(index), rw);
+                readVar(op->strAttr("reg")) + "@" + std::to_string(index),
+                rw);
             break;
           }
           case OpKind::LilWriteRd:

@@ -11,6 +11,7 @@
 
 #include "analysis/dataflow.hh"
 #include "ir/comb.hh"
+#include "ir/iface.hh"
 #include "passes/internal.hh"
 #include "passes/passes.hh"
 #include "support/failpoint.hh"
@@ -33,28 +34,17 @@ injectMiscompile(ir::Graph &graph)
 {
     // Snapshot: insertBefore invalidates deque iterators.
     ir::Operation *target = nullptr;
-    unsigned data_index = 0;
+    const ir::IfaceInfo *iface = nullptr;
     for (const auto &op : graph.ops()) {
-        switch (op->kind()) {
-          case OpKind::LilWriteRd:
-          case OpKind::LilWritePC:
-          case OpKind::LilWriteCustRegData:
-            data_index = 0;
-            break;
-          case OpKind::LilWriteMem:
-            data_index = 1;
-            break;
-          default:
-            continue;
-        }
-        if (op->numOperands() > data_index) {
+        iface = ir::ifaceInfo(op->kind());
+        if (iface && iface->data >= 0) {
             target = op.get();
             break;
         }
     }
     if (!target)
         return 0;
-    ir::Value *data = target->operand(data_index);
+    ir::Value *data = target->operand(iface->data);
     unsigned w = data->type.width;
     ir::Operation *one = graph.insertBefore(
         target, OpKind::CombConstant, {}, {ir::WireType(w)});
@@ -62,7 +52,7 @@ injectMiscompile(ir::Graph &graph)
     ir::Operation *flipped = graph.insertBefore(
         target, OpKind::CombXor, {data, one->result()},
         {ir::WireType(w)});
-    target->setOperand(data_index, flipped->result());
+    target->setOperand(iface->data, flipped->result());
     return 1;
 }
 

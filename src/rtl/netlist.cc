@@ -187,6 +187,105 @@ Module::numRegisterBits() const
 }
 
 std::string
+widthRule(const Module &m, const Node &node)
+{
+    auto w = [&](NetId net) { return m.widthOf(net); };
+    unsigned rw = w(node.result);
+    const auto &ops = node.operands;
+    switch (node.kind) {
+      case NodeKind::Add:
+      case NodeKind::Sub:
+      case NodeKind::Mul:
+      case NodeKind::DivU:
+      case NodeKind::DivS:
+      case NodeKind::ModU:
+      case NodeKind::ModS:
+      case NodeKind::And:
+      case NodeKind::Or:
+      case NodeKind::Xor:
+        if (ops.size() != 2)
+            return "expects exactly two operands";
+        if (w(ops[0]) != rw || w(ops[1]) != rw)
+            return "operand widths " + std::to_string(w(ops[0])) +
+                   "/" + std::to_string(w(ops[1])) +
+                   " do not match result width " + std::to_string(rw);
+        break;
+      case NodeKind::Shl:
+      case NodeKind::ShrU:
+      case NodeKind::ShrS:
+        if (ops.size() != 2)
+            return "expects exactly two operands";
+        if (w(ops[0]) != rw)
+            return "shifted value width " + std::to_string(w(ops[0])) +
+                   " does not match result width " + std::to_string(rw);
+        break;
+      case NodeKind::ICmp:
+        if (ops.size() != 2)
+            return "expects exactly two operands";
+        if (rw != 1)
+            return "result must be one bit";
+        if (w(ops[0]) != w(ops[1]))
+            return "compares operands of widths " +
+                   std::to_string(w(ops[0])) + " and " +
+                   std::to_string(w(ops[1]));
+        break;
+      case NodeKind::Mux:
+        if (ops.size() != 3)
+            return "expects select, then, else operands";
+        if (w(ops[0]) != 1)
+            return "select must be one bit";
+        if (w(ops[1]) != rw || w(ops[2]) != rw)
+            return "arm widths " + std::to_string(w(ops[1])) + "/" +
+                   std::to_string(w(ops[2])) +
+                   " do not match result width " + std::to_string(rw);
+        break;
+      case NodeKind::Extract:
+        if (ops.size() != 1)
+            return "expects exactly one operand";
+        if (node.lo + rw > w(ops[0]))
+            return "extracts bits [" + std::to_string(node.lo) + "+:" +
+                   std::to_string(rw) + "] from a " +
+                   std::to_string(w(ops[0])) + "-bit operand";
+        break;
+      case NodeKind::Concat: {
+        if (ops.size() < 2)
+            return "expects at least two operands";
+        unsigned sum = 0;
+        for (NetId op : ops)
+            sum += w(op);
+        if (sum != rw)
+            return "operand widths sum to " + std::to_string(sum) +
+                   ", result is " + std::to_string(rw) + " bits";
+        break;
+      }
+      case NodeKind::Replicate:
+        if (ops.size() != 1 || w(ops[0]) != 1)
+            return "expects a single one-bit operand";
+        break;
+      case NodeKind::Rom:
+        if (ops.size() != 1)
+            return "expects exactly one index operand";
+        break;
+      case NodeKind::Register:
+        if (ops.empty() || ops.size() > 2)
+            return "expects data [, enable] operands";
+        if (w(ops[0]) != rw)
+            return "data width " + std::to_string(w(ops[0])) +
+                   " does not match register width " +
+                   std::to_string(rw);
+        if (ops.size() == 2 && w(ops[1]) != 1)
+            return "enable must be one bit";
+        break;
+      case NodeKind::Input:
+      case NodeKind::Constant:
+        if (!ops.empty())
+            return "expects no operands";
+        break;
+    }
+    return "";
+}
+
+std::string
 Module::verify() const
 {
     std::vector<bool> defined(netWidths_.size(), false);
@@ -198,56 +297,10 @@ Module::verify() const
                 return std::string("net used before definition in ") +
                        nodeKindName(node.kind) + " node";
         }
-        switch (node.kind) {
-          case NodeKind::Add:
-          case NodeKind::Sub:
-          case NodeKind::Mul:
-          case NodeKind::DivU:
-          case NodeKind::DivS:
-          case NodeKind::ModU:
-          case NodeKind::ModS:
-          case NodeKind::And:
-          case NodeKind::Or:
-          case NodeKind::Xor:
-            if (node.operands.size() != 2 ||
-                widthOf(node.operands[0]) != widthOf(node.result) ||
-                widthOf(node.operands[1]) != widthOf(node.result))
-                return std::string("width mismatch in ") +
-                       nodeKindName(node.kind);
-            break;
-          case NodeKind::Mux:
-            if (node.operands.size() != 3 ||
-                widthOf(node.operands[0]) != 1 ||
-                widthOf(node.operands[1]) != widthOf(node.result) ||
-                widthOf(node.operands[2]) != widthOf(node.result))
-                return "malformed mux";
-            break;
-          case NodeKind::ICmp:
-            if (node.operands.size() != 2 ||
-                widthOf(node.operands[0]) != widthOf(node.operands[1]))
-                return "malformed icmp";
-            break;
-          case NodeKind::Extract:
-            if (node.operands.size() != 1 ||
-                node.lo + widthOf(node.result) >
-                    widthOf(node.operands[0]))
-                return "extract out of range";
-            break;
-          case NodeKind::Concat:
-            if (node.operands.size() < 2)
-                return "concat needs at least two operands";
-            break;
-          case NodeKind::Register:
-            if (node.operands.empty() ||
-                widthOf(node.operands[0]) != widthOf(node.result))
-                return "register width mismatch";
-            if (node.operands.size() == 2 &&
-                widthOf(node.operands[1]) != 1)
-                return "register enable must be one bit";
-            break;
-          default:
-            break;
-        }
+        std::string finding = widthRule(*this, node);
+        if (!finding.empty())
+            return std::string(nodeKindName(node.kind)) + " node " +
+                   finding;
         defined[node.result] = true;
     }
     for (const auto &port : outputs_) {

@@ -143,8 +143,8 @@ class Module
     unsigned numRegisterBits() const;
 
     /**
-     * Structural verification: operand nets defined before use, widths
-     * consistent. @return empty string when valid.
+     * Structural verification: operand nets defined before use, every
+     * node within widthRule(). @return empty string when valid.
      */
     std::string verify() const;
 
@@ -158,6 +158,13 @@ class Module
     std::vector<std::pair<std::string, NetId>> inputs_;
     std::vector<OutputPort> outputs_;
 };
+
+/**
+ * The operand and result widths @p node's kind requires, checked over
+ * nets of @p m that exist: empty when @p node keeps them, else what it
+ * breaks. Module::verify() and the netlist lint (LN4602) apply it.
+ */
+std::string widthRule(const Module &m, const Node &node);
 
 } // namespace rtl
 } // namespace longnail

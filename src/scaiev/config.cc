@@ -1,25 +1,28 @@
 #include "scaiev/config.hh"
 
 #include <stdexcept>
+#include <string_view>
 
 #include "support/strings.hh"
 
 namespace longnail {
 namespace scaiev {
 
+namespace {
+
+/** Where a per-register row's Table 1 name holds the register. */
+constexpr std::string_view regPlaceholder = "CustReg";
+
+} // namespace
+
 std::string
 ScheduledUse::displayName() const
 {
-    switch (iface) {
-      case SubInterface::RdCustReg:
-        return "Rd" + reg;
-      case SubInterface::WrCustRegAddr:
-        return "Wr" + reg + ".addr";
-      case SubInterface::WrCustRegData:
-        return "Wr" + reg + ".data";
-      default:
-        return subInterfaceName(iface);
-    }
+    std::string name = subInterfaceName(iface);
+    if (interfaceInfo(iface).perRegister)
+        name.replace(name.find(regPlaceholder), regPlaceholder.size(),
+                     reg);
+    return name;
 }
 
 yaml::Node
@@ -66,39 +69,32 @@ ScaievConfig::toYaml() const
 
 namespace {
 
-/** Inverse of ScheduledUse::displayName(). */
+/** Inverse of ScheduledUse::displayName(): the plain names first,
+ * then the per-register forms in table order. */
 void
 parseInterfaceName(const std::string &text, ScheduledUse &use)
 {
-    static const std::map<std::string, SubInterface> plain = {
-        {"RdInstr", SubInterface::RdInstr},
-        {"RdRS1", SubInterface::RdRS1},
-        {"RdRS2", SubInterface::RdRS2},
-        {"RdPC", SubInterface::RdPC},
-        {"RdMem", SubInterface::RdMem},
-        {"WrRD", SubInterface::WrRD},
-        {"WrPC", SubInterface::WrPC},
-        {"WrMem", SubInterface::WrMem},
-    };
-    auto it = plain.find(text);
-    if (it != plain.end()) {
-        use.iface = it->second;
+    if (auto iface = subInterfaceByName(text);
+        iface && !interfaceInfo(*iface).perRegister) {
+        use.iface = *iface;
         return;
     }
-    if (startsWith(text, "Rd")) {
-        use.iface = SubInterface::RdCustReg;
-        use.reg = text.substr(2);
-        return;
-    }
-    if (startsWith(text, "Wr") && endsWith(text, ".addr")) {
-        use.iface = SubInterface::WrCustRegAddr;
-        use.reg = text.substr(2, text.size() - 7);
-        return;
-    }
-    if (startsWith(text, "Wr") && endsWith(text, ".data")) {
-        use.iface = SubInterface::WrCustRegData;
-        use.reg = text.substr(2, text.size() - 7);
-        return;
+    for (unsigned i = 0; i < ir::numIfaceOps; ++i) {
+        auto iface = SubInterface(i);
+        if (!interfaceInfo(iface).perRegister)
+            continue;
+        std::string form = subInterfaceName(iface);
+        size_t at = form.find(regPlaceholder);
+        std::string prefix = form.substr(0, at);
+        std::string suffix = form.substr(at + regPlaceholder.size());
+        if (text.size() >= prefix.size() + suffix.size() &&
+            startsWith(text, prefix) && endsWith(text, suffix)) {
+            use.iface = iface;
+            use.reg = text.substr(prefix.size(), text.size() -
+                                                     prefix.size() -
+                                                     suffix.size());
+            return;
+        }
     }
     throw std::runtime_error("unknown interface name '" + text + "'");
 }

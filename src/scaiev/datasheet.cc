@@ -42,32 +42,6 @@ Datasheet::toYaml() const
     return root;
 }
 
-namespace {
-
-SubInterface
-subInterfaceByName(const std::string &name)
-{
-    static const std::map<std::string, SubInterface> table = {
-        {"RdInstr", SubInterface::RdInstr},
-        {"RdRS1", SubInterface::RdRS1},
-        {"RdRS2", SubInterface::RdRS2},
-        {"RdCustReg", SubInterface::RdCustReg},
-        {"RdPC", SubInterface::RdPC},
-        {"RdMem", SubInterface::RdMem},
-        {"WrRD", SubInterface::WrRD},
-        {"WrCustReg.addr", SubInterface::WrCustRegAddr},
-        {"WrCustReg.data", SubInterface::WrCustRegData},
-        {"WrPC", SubInterface::WrPC},
-        {"WrMem", SubInterface::WrMem},
-    };
-    auto it = table.find(name);
-    if (it == table.end())
-        throw std::runtime_error("unknown sub-interface '" + name + "'");
-    return it->second;
-}
-
-} // namespace
-
 Datasheet
 Datasheet::fromYaml(const yaml::Node &node)
 {
@@ -86,7 +60,11 @@ Datasheet::fromYaml(const yaml::Node &node)
         t.earliest = int(entry.at("earliest").asInt());
         t.latest = int(entry.at("latest").asInt());
         t.latency = unsigned(entry.at("latency").asInt());
-        sheet.timings[subInterfaceByName(name)] = t;
+        std::optional<SubInterface> iface = subInterfaceByName(name);
+        if (!iface)
+            throw std::runtime_error("unknown sub-interface '" + name +
+                                     "'");
+        sheet.timings[*iface] = t;
     }
     return sheet;
 }

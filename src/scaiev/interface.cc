@@ -3,60 +3,19 @@
 namespace longnail {
 namespace scaiev {
 
-const char *
-subInterfaceName(SubInterface iface)
-{
-    switch (iface) {
-      case SubInterface::RdInstr: return "RdInstr";
-      case SubInterface::RdRS1: return "RdRS1";
-      case SubInterface::RdRS2: return "RdRS2";
-      case SubInterface::RdCustReg: return "RdCustReg";
-      case SubInterface::RdPC: return "RdPC";
-      case SubInterface::RdMem: return "RdMem";
-      case SubInterface::WrRD: return "WrRD";
-      case SubInterface::WrCustRegAddr: return "WrCustReg.addr";
-      case SubInterface::WrCustRegData: return "WrCustReg.data";
-      case SubInterface::WrPC: return "WrPC";
-      case SubInterface::WrMem: return "WrMem";
-    }
-    return "?";
-}
+// The two enums expand the same rows: conversions are offset casts.
+#define LN_IFACE(name, op, ...)                                         \
+    static_assert(opKindFor(SubInterface::name) == ir::OpKind::Lil##op);
+#include "ir/iface.def"
+#undef LN_IFACE
 
 std::optional<SubInterface>
-subInterfaceFor(ir::OpKind kind)
+subInterfaceByName(const std::string &name)
 {
-    using ir::OpKind;
-    switch (kind) {
-      case OpKind::LilInstrWord: return SubInterface::RdInstr;
-      case OpKind::LilReadRs1: return SubInterface::RdRS1;
-      case OpKind::LilReadRs2: return SubInterface::RdRS2;
-      case OpKind::LilReadPC: return SubInterface::RdPC;
-      case OpKind::LilReadMem: return SubInterface::RdMem;
-      case OpKind::LilWriteRd: return SubInterface::WrRD;
-      case OpKind::LilWritePC: return SubInterface::WrPC;
-      case OpKind::LilWriteMem: return SubInterface::WrMem;
-      case OpKind::LilReadCustReg: return SubInterface::RdCustReg;
-      case OpKind::LilWriteCustRegAddr:
-        return SubInterface::WrCustRegAddr;
-      case OpKind::LilWriteCustRegData:
-        return SubInterface::WrCustRegData;
-      default: return std::nullopt;
-    }
-}
-
-bool
-isWriteInterface(SubInterface iface)
-{
-    switch (iface) {
-      case SubInterface::WrRD:
-      case SubInterface::WrCustRegAddr:
-      case SubInterface::WrCustRegData:
-      case SubInterface::WrPC:
-      case SubInterface::WrMem:
-        return true;
-      default:
-        return false;
-    }
+    for (unsigned i = 0; i < ir::numIfaceOps; ++i)
+        if (name == subInterfaceName(SubInterface(i)))
+            return SubInterface(i);
+    return std::nullopt;
 }
 
 const char *
@@ -69,13 +28,6 @@ executionModeName(ExecutionMode mode)
       case ExecutionMode::Always: return "always";
     }
     return "?";
-}
-
-bool
-supportsLateVariants(SubInterface iface)
-{
-    return iface == SubInterface::WrRD || iface == SubInterface::RdMem ||
-           iface == SubInterface::WrMem;
 }
 
 } // namespace scaiev

@@ -10,39 +10,64 @@
 #include <optional>
 #include <string>
 
-#include "ir/ir.hh"
+#include "ir/iface.hh"
 
 namespace longnail {
 namespace scaiev {
 
 /**
  * The sub-interface operations a SCAIE-V-enabled core offers
- * (Table 1). Custom-register interfaces are instantiated per register
- * on demand; stall/flush signals are per-stage and managed by the
- * integration layer, not scheduled by Longnail.
+ * (Table 1), one per row of ir/iface.def, in table order.
+ * Custom-register interfaces are instantiated per register on demand;
+ * stall/flush signals are per-stage and managed by the integration
+ * layer, not scheduled by Longnail.
  */
 enum class SubInterface
 {
-    RdInstr,
-    RdRS1,
-    RdRS2,
-    RdCustReg,
-    RdPC,
-    RdMem,
-    WrRD,
-    WrCustRegAddr,
-    WrCustRegData,
-    WrPC,
-    WrMem,
+#define LN_IFACE(name, ...) name,
+#include "ir/iface.def"
+#undef LN_IFACE
 };
 
-const char *subInterfaceName(SubInterface iface);
+/** The lil.* operation that exercises @p iface. */
+constexpr ir::OpKind
+opKindFor(SubInterface iface)
+{
+    return ir::OpKind(int(iface) + int(ir::OpKind::LilInstrWord));
+}
 
 /** The sub-interface exercised by a lil.* operation, if any. */
-std::optional<SubInterface> subInterfaceFor(ir::OpKind kind);
+inline std::optional<SubInterface>
+subInterfaceFor(ir::OpKind kind)
+{
+    if (!ir::isInterfaceOp(kind))
+        return std::nullopt;
+    return SubInterface(int(kind) - int(ir::OpKind::LilInstrWord));
+}
+
+/** The ir/iface.def row of @p iface. */
+inline const ir::IfaceInfo &
+interfaceInfo(SubInterface iface)
+{
+    return *ir::ifaceInfo(opKindFor(iface));
+}
+
+/** The Table 1 name, also the datasheet YAML key. */
+inline const char *
+subInterfaceName(SubInterface iface)
+{
+    return interfaceInfo(iface).name;
+}
+
+/** Inverse of subInterfaceName(); nullopt for an unknown name. */
+std::optional<SubInterface> subInterfaceByName(const std::string &name);
 
 /** True for the interfaces that update architectural state. */
-bool isWriteInterface(SubInterface iface);
+inline bool
+isWriteInterface(SubInterface iface)
+{
+    return interfaceInfo(iface).write;
+}
 
 /**
  * Execution modes (Sec. 3.2). In-pipeline and always are available for
@@ -60,7 +85,11 @@ enum class ExecutionMode
 const char *executionModeName(ExecutionMode mode);
 
 /** True if @p iface supports the tightly-coupled/decoupled variants. */
-bool supportsLateVariants(SubInterface iface);
+inline bool
+supportsLateVariants(SubInterface iface)
+{
+    return interfaceInfo(iface).lateVariants;
+}
 
 } // namespace scaiev
 } // namespace longnail

@@ -237,3 +237,67 @@ TEST(Verifier, TransformsPreserveValidIr)
     EXPECT_NO_THROW(hir::canonicalize(g));
     EXPECT_TRUE(verifyGraph(g).empty());
 }
+
+// Every interface op has exactly the operands its ir/iface.def row
+// names: lowering always builds them, and lil::interpret, hwgen and TV
+// index them unconditionally, so a form without its predicate or
+// register index is invalid IR (LN4002), not a shorter spelling.
+TEST(Verifier, InterfaceOpsRequireTheirFullOperandForm)
+{
+    struct Form
+    {
+        OpKind kind;
+        unsigned operands; ///< of: 32-bit value, 32-bit value, predicate
+        bool valid;
+    };
+    const Form forms[] = {
+        {OpKind::LilWriteRd, 1, false},
+        {OpKind::LilWriteRd, 2, true},
+        {OpKind::LilWritePC, 1, false},
+        {OpKind::LilWritePC, 2, true},
+        {OpKind::LilWriteCustRegData, 1, false},
+        {OpKind::LilWriteCustRegData, 2, true},
+        {OpKind::LilReadMem, 1, false},
+        {OpKind::LilReadMem, 2, true},
+        {OpKind::LilWriteMem, 2, false},
+        {OpKind::LilWriteMem, 3, true},
+        {OpKind::LilReadCustReg, 0, false},
+        {OpKind::LilReadCustReg, 1, true},
+        {OpKind::LilWriteCustRegAddr, 0, false},
+        {OpKind::LilWriteCustRegAddr, 1, true},
+    };
+    VerifyOptions options;
+    options.requireTerminator = true;
+    for (const Form &form : forms) {
+        SCOPED_TRACE(std::string(opKindName(form.kind)) + " with " +
+                     std::to_string(form.operands) + " operands");
+        Graph g;
+        Value *word = g.append(OpKind::LilReadRs1, {}, {WireType(32)})
+                          ->result();
+        Operation *one = g.append(OpKind::CombConstant, {}, {WireType(1)});
+        one->setAttr("value", ApInt(1, 1));
+        bool reg = form.kind == OpKind::LilReadCustReg ||
+                   form.kind == OpKind::LilWriteCustRegAddr ||
+                   form.kind == OpKind::LilWriteCustRegData;
+        bool indexed = form.kind == OpKind::LilReadCustReg ||
+                       form.kind == OpKind::LilWriteCustRegAddr;
+        // The predicate is last; a register index is the only operand.
+        std::vector<Value *> operands(form.operands, word);
+        if (form.operands && !indexed &&
+            form.operands == (form.kind == OpKind::LilWriteMem ? 3u : 2u))
+            operands.back() = one->result();
+        std::vector<WireType> results;
+        if (form.kind == OpKind::LilReadMem ||
+            form.kind == OpKind::LilReadCustReg)
+            results.push_back(WireType(32));
+        Operation *op = g.append(form.kind, operands, results);
+        if (reg)
+            op->setAttr("reg", std::string("R"));
+        g.append(OpKind::LilSink, {}, {});
+        auto issues = verifyGraph(g, options);
+        if (form.valid)
+            EXPECT_TRUE(issues.empty()) << issues.front().message;
+        else
+            EXPECT_TRUE(hasCode(issues, "LN4002"));
+    }
+}

@@ -16,6 +16,7 @@
 #include "analysis/effects.hh"
 #include "driver/isax_catalog.hh"
 #include "driver/longnail.hh"
+#include "hir/transforms.hh"
 #include "ir/ir.hh"
 #include "passes/passes.hh"
 #include "passes/sigcheck.hh"
@@ -246,6 +247,84 @@ TEST(Dce, KeepsLiveMemReadAndFoldsDisabledOne)
     EXPECT_GT(passes::runDce(lg), 0u);
     EXPECT_EQ(countKind(g, OpKind::LilReadMem), 1u);
     EXPECT_EQ(dead->kind(), OpKind::CombConstant);
+}
+
+// An unused memory read is an effect in both deletion rules (the
+// interface table's removable column): the core still sees the
+// request, as lil::interpret's mem_read_used, the pass signature and
+// TV's RdMem obligations say. An unused register read is not.
+TEST(Dce, UnusedMemReadSurvivesCanonicalizeAndDce)
+{
+    for (bool canonicalize : {true, false}) {
+        SCOPED_TRACE(canonicalize ? "hir::canonicalize" : "dce");
+        lil::LilGraph lg;
+        Graph &g = lg.graph;
+        Value *addr = input(g)->result();
+        Value *yes = combConstant(g, 1, 1)->result();
+        g.append(OpKind::LilReadMem, {addr, yes}, {WireType(32)});
+        g.append(OpKind::LilReadRs2, {}, {WireType(32)});
+        g.append(OpKind::LilSink, {}, {});
+        if (canonicalize)
+            hir::canonicalize(g);
+        else
+            passes::runDce(lg);
+        EXPECT_EQ(countKind(g, OpKind::LilReadMem), 1u);
+        EXPECT_EQ(countKind(g, OpKind::LilReadRs2), 0u);
+    }
+}
+
+TEST(Dce, UnusedMemReadKeepsItsPortAtO0AndO1)
+{
+    const char *unused = R"(
+import "RV32I.core_desc"
+InstructionSet unused_read extends RV32I {
+    instructions {
+        ldrop {
+            encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: rd[4:0]
+                      :: 7'b0101011;
+            behavior: {
+                unsigned<32> a = X[rs1];
+                unsigned<32> t = MEM[a+3:a];
+                X[rd] = a;
+            }
+        }
+    }
+}
+)";
+    // At -O1 simplify folds the mask, leaving the read unused.
+    const char *masked = R"(
+import "RV32I.core_desc"
+InstructionSet masked_read extends RV32I {
+    instructions {
+        lmask {
+            encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: rd[4:0]
+                      :: 7'b0101011;
+            behavior: {
+                unsigned<32> a = X[rs1];
+                unsigned<32> t = MEM[a+3:a] & 32'd0;
+                X[rd] = a | t;
+            }
+        }
+    }
+}
+)";
+    for (const char *source : {unused, masked}) {
+        for (unsigned level : {0u, 1u}) {
+            driver::CompileOptions options;
+            options.optLevel = level;
+            options.validate = true;
+            options.warningsAsErrors = true;
+            driver::CompiledIsax isax = driver::compile(source, "", options);
+            ASSERT_TRUE(isax.ok()) << isax.errors;
+            EXPECT_EQ(isax.diags.str(), "");
+            ASSERT_EQ(isax.units.size(), 1u);
+            const hwgen::InterfacePort *port =
+                isax.units[0].module.findPort(scaiev::SubInterface::RdMem);
+            ASSERT_NE(port, nullptr) << isax.name << " -O" << level;
+            EXPECT_NE(isax.units[0].systemVerilog.find(port->addrPort),
+                      std::string::npos);
+        }
+    }
 }
 
 // --- idempotence over the catalog ------------------------------------------

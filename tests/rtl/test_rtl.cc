@@ -24,13 +24,34 @@ TEST(Netlist, BuildAndVerify)
     EXPECT_EQ(m.numRegisters(), 0u);
 }
 
+// Module::verify(), the gate both simulators and hwgen pass, applies
+// rtl::widthRule, the rule the netlist lint reports as LN4602.
 TEST(Netlist, VerifyCatchesWidthMismatch)
 {
-    Module m("bad");
-    NetId a = m.addInput("a", 8);
-    NetId b = m.addInput("b", 4);
-    m.addNode(NodeKind::Add, 8, {a, b});
-    EXPECT_NE(m.verify(), "");
+    struct Case
+    {
+        const char *what;
+        NodeKind kind;
+        unsigned width;
+        std::vector<unsigned> operands;
+    };
+    const Case cases[] = {
+        {"8-bit add of 8 + 4 bits", NodeKind::Add, 8, {8, 4}},
+        {"8-bit concat of 8 + 4 bits", NodeKind::Concat, 8, {8, 4}},
+        {"8-bit shl of a 4-bit value", NodeKind::Shl, 8, {4, 3}},
+        {"2-bit icmp result", NodeKind::ICmp, 2, {8, 8}},
+        {"replicate of a 2-bit operand", NodeKind::Replicate, 8, {2}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        Module m("bad");
+        std::vector<NetId> operands;
+        for (unsigned w : c.operands)
+            operands.push_back(
+                m.addInput("i" + std::to_string(operands.size()), w));
+        m.addNode(c.kind, c.width, operands);
+        EXPECT_NE(m.verify(), "");
+    }
 }
 
 TEST(Netlist, VerifyCatchesExtractOutOfRange)
