@@ -174,8 +174,7 @@ RangeLattice::transfer(const Operation &op,
         return {};
     unsigned rw = op.result()->type.width;
 
-    if (op.kind() == OpKind::HwConstant ||
-        op.kind() == OpKind::CombConstant)
+    if (ir::isConstantOp(op.kind()))
         return {ValueRange::exact(op.apAttr("value"))};
 
     // All-constant pure computations fold through the shared evaluator.
@@ -467,18 +466,6 @@ lowMask(unsigned width, unsigned k)
     return ApInt::allOnes(k).zext(width);
 }
 
-/** The constant an operand is defined by, if any. */
-const ApInt *
-constantOf(const Value *v)
-{
-    const Operation *def = v->owner;
-    if (def && (def->kind() == OpKind::CombConstant ||
-                def->kind() == OpKind::HwConstant) &&
-        def->hasAttr("value"))
-        return &def->apAttr("value");
-    return nullptr;
-}
-
 } // namespace
 
 DemandedBits
@@ -563,8 +550,8 @@ DemandedBitsLattice::transferBackward(
       case OpKind::CombAnd: {
         if (op.numOperands() != 2)
             return demandAll();
-        const ApInt *c0 = constantOf(op.operand(0));
-        const ApInt *c1 = constantOf(op.operand(1));
+        const ApInt *c0 = ir::definingConstant(op.operand(0));
+        const ApInt *c1 = ir::definingConstant(op.operand(1));
         // Bits masked off by a constant zero are never demanded.
         ApInt d0 = c1 ? (R & *c1) : R;
         ApInt d1 = c0 ? (R & *c0) : R;
@@ -573,8 +560,8 @@ DemandedBitsLattice::transferBackward(
       case OpKind::CombOr: {
         if (op.numOperands() != 2)
             return demandAll();
-        const ApInt *c0 = constantOf(op.operand(0));
-        const ApInt *c1 = constantOf(op.operand(1));
+        const ApInt *c0 = ir::definingConstant(op.operand(0));
+        const ApInt *c1 = ir::definingConstant(op.operand(1));
         // Bits forced to one by a constant hide the other operand.
         ApInt d0 = c1 ? (R & ~*c1) : R;
         ApInt d1 = c0 ? (R & ~*c0) : R;
@@ -590,7 +577,7 @@ DemandedBitsLattice::transferBackward(
             return demandAll();
         unsigned w0 = widthOf(0);
         DemandedBits amount = DemandedBits::all(widthOf(1));
-        if (const ApInt *c = constantOf(op.operand(1))) {
+        if (const ApInt *c = ir::definingConstant(op.operand(1))) {
             // Amounts clamp to the width; an overshift discards all.
             unsigned amt = ir::clampShiftAmount(*c, w0);
             if (amt >= w0)
@@ -606,7 +593,7 @@ DemandedBitsLattice::transferBackward(
             return demandAll();
         unsigned w0 = widthOf(0);
         DemandedBits amount = DemandedBits::all(widthOf(1));
-        if (const ApInt *c = constantOf(op.operand(1))) {
+        if (const ApInt *c = ir::definingConstant(op.operand(1))) {
             unsigned amt = ir::clampShiftAmount(*c, w0);
             if (amt >= w0)
                 return {DemandedBits::none(w0), amount};

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ir/hir.hh"
 #include "ir/iface.hh"
 
 namespace longnail {
@@ -22,36 +23,7 @@ enum class Level { Unknown, Hir, Lil };
 Level
 levelOf(OpKind kind)
 {
-    switch (kind) {
-      case OpKind::CoredslField:
-      case OpKind::CoredslGet:
-      case OpKind::CoredslSet:
-      case OpKind::CoredslGetMem:
-      case OpKind::CoredslSetMem:
-      case OpKind::CoredslCast:
-      case OpKind::CoredslConcat:
-      case OpKind::CoredslExtract:
-      case OpKind::CoredslRom:
-      case OpKind::CoredslSpawn:
-      case OpKind::CoredslEnd:
-      case OpKind::HwConstant:
-      case OpKind::HwAdd:
-      case OpKind::HwSub:
-      case OpKind::HwMul:
-      case OpKind::HwDiv:
-      case OpKind::HwRem:
-      case OpKind::HwShl:
-      case OpKind::HwShr:
-      case OpKind::HwAnd:
-      case OpKind::HwOr:
-      case OpKind::HwXor:
-      case OpKind::HwNot:
-      case OpKind::HwICmp:
-      case OpKind::HwMux:
-        return Level::Hir;
-      default:
-        return Level::Lil;
-    }
+    return ir::hirInfo(kind) ? Level::Hir : Level::Lil;
 }
 
 class GraphVerifier
@@ -357,39 +329,35 @@ class GraphVerifier
             checkInterface(op, *iface);
             return;
         }
+        // A coredsl/hwarith op has its hir.def row's operand range;
+        // the checks below assume it.
+        const ir::HirOpInfo *hir = ir::hirInfo(op.kind());
+        if (hir && !checkArity(op, hir->minOperands, hir->maxOperands,
+                               hir->results))
+            return;
         unsigned rw =
             op.numResults() == 1 ? op.result()->type.width : 0;
         switch (op.kind()) {
             // --- coredsl ---
           case OpKind::CoredslField:
-            checkArity(op, 0, 0, 1);
             requireStrAttr(op, "field");
             break;
           case OpKind::CoredslGet:
-            checkArity(op, 0, 1, 1);
             requireStrAttr(op, "state");
             break;
           case OpKind::CoredslSet:
-            if (checkArity(op, 2, 3, 0)) {
-                unsigned want = op.hasAttr("indexed") ? 3 : 2;
-                if (op.numOperands() != want)
-                    issue(op, "LN4002",
-                          "indexed/value/predicate operand mismatch");
-                checkPred(op, 2);
-            }
+            if (op.numOperands() != (op.hasAttr("indexed") ? 3u : 2u))
+                issue(op, "LN4002",
+                      "indexed/value/predicate operand mismatch");
+            checkPred(op, 2);
             requireStrAttr(op, "state");
             break;
           case OpKind::CoredslGetMem:
-            checkArity(op, 1, 2, 1);
             checkPred(op, 2);
             break;
           case OpKind::CoredslSetMem:
-            checkArity(op, 2, 3, 0);
             checkPred(op, 3);
             requireStrAttr(op, "state");
-            break;
-          case OpKind::CoredslCast:
-            checkArity(op, 1, 1, 1);
             break;
           case OpKind::CoredslConcat:
           case OpKind::CombConcat:
@@ -403,10 +371,6 @@ class GraphVerifier
           case OpKind::CombRom:
             checkRom(op);
             break;
-          case OpKind::CoredslSpawn:
-            checkArity(op, 0, 0, 0);
-            break;
-          case OpKind::CoredslEnd:
           case OpKind::LilSink:
             checkArity(op, 0, 0, 0);
             break;
@@ -416,33 +380,22 @@ class GraphVerifier
           case OpKind::CombConstant:
             checkConstant(op);
             break;
-          case OpKind::HwAdd:
-          case OpKind::HwSub:
-          case OpKind::HwMul:
-          case OpKind::HwDiv:
-          case OpKind::HwRem:
-            // hwarith arithmetic grows/changes widths by the CoreDSL
-            // type rules; only the shape is checked here.
-            checkArity(op, 2, 2, 1);
-            break;
           case OpKind::HwAnd:
           case OpKind::HwOr:
           case OpKind::HwXor:
-            if (checkArity(op, 2, 2, 1)) {
-                checkWidth(op, op.operand(0), rw, "bitwise operand");
-                checkWidth(op, op.operand(1), rw, "bitwise operand");
-            }
+            // The other arithmetic grows or changes widths by the
+            // CoreDSL type rules; bitwise ops keep the result width.
+            checkWidth(op, op.operand(0), rw, "bitwise operand");
+            checkWidth(op, op.operand(1), rw, "bitwise operand");
             break;
           case OpKind::HwShl:
           case OpKind::HwShr:
             // The result keeps the lhs type; the shift amount may have
             // any width.
-            if (checkArity(op, 2, 2, 1))
-                checkWidth(op, op.operand(0), rw, "shift operand");
+            checkWidth(op, op.operand(0), rw, "shift operand");
             break;
           case OpKind::HwNot:
-            if (checkArity(op, 1, 1, 1))
-                checkWidth(op, op.operand(0), rw, "operand");
+            checkWidth(op, op.operand(0), rw, "operand");
             break;
           case OpKind::HwICmp:
           case OpKind::CombICmp:

@@ -18,22 +18,6 @@ using ir::Value;
 
 namespace {
 
-bool
-isConstantOp(OpKind kind)
-{
-    return kind == OpKind::HwConstant || kind == OpKind::CombConstant;
-}
-
-void
-replaceUsesRec(Graph &graph, Value *from, Value *to)
-{
-    for (const auto &op : graph.ops()) {
-        op->replaceUsesOf(from, to);
-        if (op->subgraph())
-            replaceUsesRec(*op->subgraph(), from, to);
-    }
-}
-
 /** One fold/simplify sweep; returns the number of rewrites. */
 unsigned
 foldOnce(Graph &root, Graph &graph,
@@ -45,7 +29,7 @@ foldOnce(Graph &root, Graph &graph,
             changed += foldOnce(root, *op->subgraph(), constants);
             continue;
         }
-        if (isConstantOp(op->kind())) {
+        if (ir::isConstantOp(op->kind())) {
             constants.emplace(op->result(), op->apAttr("value"));
             continue;
         }
@@ -58,12 +42,12 @@ foldOnce(Graph &root, Graph &graph,
             if (it != constants.end()) {
                 Value *chosen = it->second.isZero() ? op->operand(2)
                                                     : op->operand(1);
-                replaceUsesRec(root, op->result(), chosen);
+                ir::replaceAllUses(root, op->result(), chosen);
                 ++changed;
                 continue;
             }
             if (op->operand(1) == op->operand(2)) {
-                replaceUsesRec(root, op->result(), op->operand(1));
+                ir::replaceAllUses(root, op->result(), op->operand(1));
                 ++changed;
                 continue;
             }
@@ -85,10 +69,10 @@ foldOnce(Graph &root, Graph &graph,
                 if (other->type.width != 1)
                     break;
                 if (is_and && bit) { // x & 1 = x
-                    replaceUsesRec(root, op->result(), other);
+                    ir::replaceAllUses(root, op->result(), other);
                     ++changed;
                 } else if (!is_and && !bit) { // x | 0 = x
-                    replaceUsesRec(root, op->result(), other);
+                    ir::replaceAllUses(root, op->result(), other);
                     ++changed;
                 } else { // x & 0 / x | 1
                     op->morphToConstant(ApInt(1, is_and ? 0 : 1),
@@ -99,7 +83,7 @@ foldOnce(Graph &root, Graph &graph,
                 }
                 break;
             }
-            if (isConstantOp(op->kind()))
+            if (ir::isConstantOp(op->kind()))
                 continue;
         }
 
@@ -129,17 +113,6 @@ foldOnce(Graph &root, Graph &graph,
     return changed;
 }
 
-void
-collectUses(const Graph &graph, std::set<const Value *> &used)
-{
-    for (const auto &op : graph.ops()) {
-        for (unsigned i = 0; i < op->numOperands(); ++i)
-            used.insert(op->operand(i));
-        if (op->subgraph())
-            collectUses(*op->subgraph(), used);
-    }
-}
-
 unsigned
 removeDead(Graph &graph, const std::set<const Value *> &used)
 {
@@ -162,20 +135,12 @@ removeDead(Graph &graph, const std::set<const Value *> &used)
 
 } // namespace
 
-void
-replaceAllUses(Graph &graph, Value *from, Value *to)
-{
-    replaceUsesRec(graph, from, to);
-}
-
 unsigned
 eliminateDeadCode(Graph &graph)
 {
     unsigned total = 0;
     while (true) {
-        std::set<const Value *> used;
-        collectUses(graph, used);
-        unsigned removed = removeDead(graph, used);
+        unsigned removed = removeDead(graph, ir::usedValues(graph));
         total += removed;
         if (removed == 0)
             break;

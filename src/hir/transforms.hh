@@ -20,9 +20,6 @@ namespace hir {
  */
 unsigned canonicalize(ir::Graph &graph);
 
-/** Replace every use of @p from with @p to, including subgraphs. */
-void replaceAllUses(ir::Graph &graph, ir::Value *from, ir::Value *to);
-
 /** Remove unused pure operations (one pass, recursive). */
 unsigned eliminateDeadCode(ir::Graph &graph);
 

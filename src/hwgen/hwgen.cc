@@ -113,8 +113,7 @@ class Generator
                 // Constants are timeless wiring (see pipeTo): a
                 // boundary only they cross needs no register, and its
                 // stall gate would be dead logic (LN4604).
-                if (def->kind() == OpKind::CombConstant ||
-                    def->kind() == OpKind::HwConstant)
+                if (ir::isConstantOp(def->kind()))
                     continue;
                 const sched::OperatorType &def_type =
                     built_.problem.operatorTypeOf(built_.problem.operation(

@@ -49,6 +49,18 @@ combAttrs(const Operation &op, CombOp as)
     return attrs;
 }
 
+void
+setCombAttrs(Operation &op, CombOp as, const CombAttrs &attrs)
+{
+    switch (as) {
+      case CombOp::Constant: op.setAttr("value", *attrs.value); break;
+      case CombOp::ICmp: op.setAttr("pred", int64_t(attrs.pred)); break;
+      case CombOp::Extract: op.setAttr("lo", int64_t(attrs.lo)); break;
+      case CombOp::Rom: op.setAttr("values", *attrs.romValues); break;
+      default: break;
+    }
+}
+
 ApInt
 evalComb(CombOp op, unsigned width, CombOperands in,
          const CombAttrs &attrs)

@@ -100,6 +100,9 @@ struct CombAttrs
  * hwarith/coredsl op with the same attribute names). */
 CombAttrs combAttrs(const Operation &op, CombOp as);
 
+/** Set @p attrs on @p op, a new comb.* operation of operator @p as. */
+void setCombAttrs(Operation &op, CombOp as, const CombAttrs &attrs);
+
 /**
  * The operand values of one operator application, wherever the caller
  * keeps them: get(i) returns operand i. Refers to @p get, so it lives

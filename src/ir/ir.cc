@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ir/comb.hh"
+#include "ir/hir.hh"
 #include "ir/iface.hh"
 #include "support/logging.hh"
 
@@ -19,40 +20,13 @@ WireType::str() const
 const char *
 opKindName(OpKind kind)
 {
+    if (const HirOpInfo *hir = hirInfo(kind))
+        return hir->name;
     if (auto comb = combOpOf(kind))
         return combInfo(*comb).irName;
     if (const IfaceInfo *iface = ifaceInfo(kind))
         return iface->irName;
-    switch (kind) {
-      case OpKind::CoredslField: return "coredsl.field";
-      case OpKind::CoredslGet: return "coredsl.get";
-      case OpKind::CoredslSet: return "coredsl.set";
-      case OpKind::CoredslGetMem: return "coredsl.get_mem";
-      case OpKind::CoredslSetMem: return "coredsl.set_mem";
-      case OpKind::CoredslCast: return "coredsl.cast";
-      case OpKind::CoredslConcat: return "coredsl.concat";
-      case OpKind::CoredslExtract: return "coredsl.extract";
-      case OpKind::CoredslRom: return "coredsl.rom";
-      case OpKind::CoredslSpawn: return "coredsl.spawn";
-      case OpKind::CoredslEnd: return "coredsl.end";
-      case OpKind::HwConstant: return "hwarith.constant";
-      case OpKind::HwAdd: return "hwarith.add";
-      case OpKind::HwSub: return "hwarith.sub";
-      case OpKind::HwMul: return "hwarith.mul";
-      case OpKind::HwDiv: return "hwarith.div";
-      case OpKind::HwRem: return "hwarith.rem";
-      case OpKind::HwShl: return "hwarith.shl";
-      case OpKind::HwShr: return "hwarith.shr";
-      case OpKind::HwAnd: return "hwarith.and";
-      case OpKind::HwOr: return "hwarith.or";
-      case OpKind::HwXor: return "hwarith.xor";
-      case OpKind::HwNot: return "hwarith.not";
-      case OpKind::HwICmp: return "hwarith.icmp";
-      case OpKind::HwMux: return "hwarith.mux";
-      case OpKind::LilSink: return "lil.sink";
-      default: break;
-    }
-    return "<invalid>";
+    return kind == OpKind::LilSink ? "lil.sink" : "<invalid>";
 }
 
 const char *
@@ -143,6 +117,47 @@ Operation::morph(OpKind kind, std::vector<Value *> operands)
     operands_ = std::move(operands);
     attrs_.clear();
     subgraph_.reset();
+}
+
+const ApInt *
+definingConstant(const Value *v)
+{
+    const Operation *def = v->owner;
+    if (def && isConstantOp(def->kind()) && def->hasAttr("value"))
+        return &def->apAttr("value");
+    return nullptr;
+}
+
+void
+replaceAllUses(Graph &graph, Value *from, Value *to)
+{
+    for (const auto &op : graph.ops()) {
+        op->replaceUsesOf(from, to);
+        if (op->subgraph())
+            replaceAllUses(*op->subgraph(), from, to);
+    }
+}
+
+namespace {
+
+void
+collectUsed(const Graph &graph, std::set<const Value *> &used)
+{
+    for (const auto &op : graph.ops()) {
+        used.insert(op->operands().begin(), op->operands().end());
+        if (op->subgraph())
+            collectUsed(*op->subgraph(), used);
+    }
+}
+
+} // namespace
+
+std::set<const Value *>
+usedValues(const Graph &graph)
+{
+    std::set<const Value *> used;
+    collectUsed(graph, used);
+    return used;
 }
 
 Operation *

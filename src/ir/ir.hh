@@ -23,6 +23,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -51,34 +52,12 @@ struct WireType
 /** All operation kinds across the four dialects. */
 enum class OpKind
 {
-    // --- coredsl dialect (high-level, Fig. 5b) ---
-    CoredslField,    ///< encoding field value; strAttr=name
-    CoredslGet,      ///< read state; strAttr=state; operands: [index]
-    CoredslSet,      ///< write state; operands: [index,] value [, pred]
-    CoredslGetMem,   ///< read address space; operands: addr [, pred]
-    CoredslSetMem,   ///< write; operands: addr, value [, pred]
-    CoredslCast,     ///< resize/re-sign to the result type
-    CoredslConcat,   ///< lhs(high) :: rhs(low); result unsigned
-    CoredslExtract,  ///< static bit range; intAttr("lo")
-    CoredslRom,      ///< constant-register lookup; operands: index
-    CoredslSpawn,    ///< decoupled block; carries a nested graph
-    CoredslEnd,      ///< behavior terminator
-
-    // --- hwarith dialect (bitwidth-aware) ---
-    HwConstant, ///< apAttr("value"); result type carries signedness
-    HwAdd,
-    HwSub,
-    HwMul,
-    HwDiv,
-    HwRem,
-    HwShl,      ///< result keeps lhs type
-    HwShr,      ///< arithmetic/logical chosen by lhs signedness
-    HwAnd,
-    HwOr,
-    HwXor,
-    HwNot,      ///< bitwise complement, same type
-    HwICmp,     ///< intAttr("pred") = ICmpPred; signedness from operands
-    HwMux,      ///< operands: cond(i1), true, false
+    // --- coredsl and hwarith dialects (Fig. 5b) ---
+    // One enumerator per row of ir/hir.def (CoredslField ... HwMux),
+    // which also states each op's operands and comb-level meaning.
+#define LN_HIR_OP(kind, ...) kind,
+#include "ir/hir.def"
+#undef LN_HIR_OP
 
     // --- lil dialect (SCAIE-V sub-interfaces, Fig. 5c / Table 1) ---
     // One enumerator per row of ir/iface.def (LilInstrWord ...
@@ -275,6 +254,22 @@ class Graph
     // debugging labels only (print/verify/panic messages), never artifacts.
     unsigned nextValueId_ = 0;
 };
+
+/** True for hwarith.constant and comb.constant. */
+inline bool
+isConstantOp(OpKind kind)
+{
+    return kind == OpKind::HwConstant || kind == OpKind::CombConstant;
+}
+
+/** The value of the constant defining @p v; nullptr if it is none. */
+const ApInt *definingConstant(const Value *v);
+
+/** Replace every use of @p from with @p to, subgraphs included. */
+void replaceAllUses(Graph &graph, Value *from, Value *to);
+
+/** Every value used as an operand in @p graph, subgraphs included. */
+std::set<const Value *> usedValues(const Graph &graph);
 
 } // namespace ir
 } // namespace longnail

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "hir/transforms.hh"
+#include "ir/hir.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
 
@@ -306,36 +307,6 @@ class LilLowerer
             markSpawn(write, in_spawn);
             return;
           }
-          case OpKind::CoredslCast: {
-            Value *v = mapped(op.operand(0));
-            mapping_[op.result()] =
-                resizeByType(op.operand(0), v, op.result()->type.width);
-            return;
-          }
-          case OpKind::CoredslConcat: {
-            mapping_[op.result()] = concat(mapped(op.operand(0)),
-                                           mapped(op.operand(1)));
-            return;
-          }
-          case OpKind::CoredslExtract: {
-            mapping_[op.result()] =
-                extract(mapped(op.operand(0)),
-                        unsigned(op.intAttr("lo")),
-                        op.result()->type.width);
-            return;
-          }
-          case OpKind::CoredslRom: {
-            std::vector<Value *> operands;
-            if (op.numOperands())
-                operands.push_back(mapped(op.operand(0)));
-            Operation *rom = out_->append(
-                OpKind::CombRom, std::move(operands),
-                {WireType(op.result()->type.width)});
-            std::vector<ApInt> values = op.romAttr("values");
-            rom->setAttr("values", std::move(values));
-            mapping_[op.result()] = rom->result();
-            return;
-          }
           case OpKind::CoredslSpawn:
             lowerOps(*op.subgraph(), /*in_spawn=*/true);
             return;
@@ -454,124 +425,34 @@ class LilLowerer
         markSpawn(data, in_spawn);
     }
 
+    /** A pure HIR op, by its hir.def recipe (ir::hirRecipe), which
+     * ir::evaluate folds by as well. */
     void
     lowerCompute(const Operation &op)
     {
-        unsigned rw = op.numResults() ? op.result()->type.width : 0;
-        auto lhs = [&] { return op.operand(0); };
-        auto rhs = [&] { return op.operand(1); };
-        bool any_signed =
-            op.numOperands() >= 2 &&
-            (lhs()->type.isSigned || rhs()->type.isSigned);
-
-        switch (op.kind()) {
-          case OpKind::HwConstant:
-            mapping_[op.result()] =
-                combConstant(op.apAttr("value").zextOrTrunc(rw));
-            return;
-          case OpKind::HwAdd:
-          case OpKind::HwSub:
-          case OpKind::HwMul:
-          case OpKind::HwAnd:
-          case OpKind::HwOr:
-          case OpKind::HwXor: {
-            Value *a = resizeByType(lhs(), mapped(lhs()), rw);
-            Value *b = resizeByType(rhs(), mapped(rhs()), rw);
-            OpKind kind;
-            switch (op.kind()) {
-              case OpKind::HwAdd: kind = OpKind::CombAdd; break;
-              case OpKind::HwSub: kind = OpKind::CombSub; break;
-              case OpKind::HwMul: kind = OpKind::CombMul; break;
-              case OpKind::HwAnd: kind = OpKind::CombAnd; break;
-              case OpKind::HwOr: kind = OpKind::CombOr; break;
-              default: kind = OpKind::CombXor; break;
-            }
-            mapping_[op.result()] =
-                out_->append(kind, {a, b}, {WireType(rw)})->result();
-            return;
-          }
-          case OpKind::HwDiv: {
-            Value *a = resizeByType(lhs(), mapped(lhs()), rw);
-            Value *b = resizeByType(rhs(), mapped(rhs()), rw);
-            OpKind kind = any_signed ? OpKind::CombDivS
-                                     : OpKind::CombDivU;
-            mapping_[op.result()] =
-                out_->append(kind, {a, b}, {WireType(rw)})->result();
-            return;
-          }
-          case OpKind::HwRem: {
-            unsigned cw = std::max({rw, lhs()->type.width + 1,
-                                    rhs()->type.width + 1});
-            Value *a = resizeByType(lhs(), mapped(lhs()), cw);
-            Value *b = resizeByType(rhs(), mapped(rhs()), cw);
-            OpKind kind = any_signed ? OpKind::CombModS
-                                     : OpKind::CombModU;
-            Value *rem =
-                out_->append(kind, {a, b}, {WireType(cw)})->result();
-            mapping_[op.result()] = extract(rem, 0, rw);
-            return;
-          }
-          case OpKind::HwShl:
-          case OpKind::HwShr: {
-            Value *v = mapped(lhs());
-            Value *amount = mapped(rhs());
-            OpKind kind = op.kind() == OpKind::HwShl ? OpKind::CombShl
-                          : lhs()->type.isSigned     ? OpKind::CombShrS
-                                                     : OpKind::CombShrU;
-            Value *res = out_->append(kind, {v, amount},
-                                      {WireType(v->type.width)})
-                             ->result();
-            mapping_[op.result()] = resize(res, rw,
-                                           lhs()->type.isSigned);
-            return;
-          }
-          case OpKind::HwNot: {
-            Value *v = mapped(lhs());
-            Value *ones = combConstant(ApInt::allOnes(v->type.width));
-            mapping_[op.result()] =
-                out_->append(OpKind::CombXor, {v, ones},
-                             {WireType(rw)})->result();
-            return;
-          }
-          case OpKind::HwICmp: {
-            unsigned cw = std::max(lhs()->type.width,
-                                   rhs()->type.width) +
-                          (lhs()->type.isSigned !=
-                                   rhs()->type.isSigned
-                               ? 1
-                               : 0);
-            Value *a = resizeByType(lhs(), mapped(lhs()), cw);
-            Value *b = resizeByType(rhs(), mapped(rhs()), cw);
-            Operation *cmp = out_->append(OpKind::CombICmp, {a, b},
-                                          {WireType(1)});
-            auto pred = static_cast<ir::ICmpPred>(op.intAttr("pred"));
-            // Unsigned-vs-signed pairs were widened into the signed
-            // domain; use the signed predicate then.
-            if (lhs()->type.isSigned != rhs()->type.isSigned) {
-                switch (pred) {
-                  case ir::ICmpPred::Ult: pred = ir::ICmpPred::Slt; break;
-                  case ir::ICmpPred::Ule: pred = ir::ICmpPred::Sle; break;
-                  case ir::ICmpPred::Ugt: pred = ir::ICmpPred::Sgt; break;
-                  case ir::ICmpPred::Uge: pred = ir::ICmpPred::Sge; break;
-                  default: break;
-                }
-            }
-            cmp->setAttr("pred", int64_t(pred));
-            mapping_[op.result()] = cmp->result();
-            return;
-          }
-          case OpKind::HwMux: {
-            Value *cond = mapped(op.operand(0));
-            Value *t = mapped(op.operand(1));
-            Value *f = mapped(op.operand(2));
-            mapping_[op.result()] =
-                out_->append(OpKind::CombMux, {cond, t, f},
-                             {WireType(rw)})->result();
-            return;
-          }
-          default:
-            LN_PANIC("cannot lower ", op.name(), " to LIL");
+        const ir::HirRecipe r = ir::hirRecipe(op);
+        std::vector<Value *> in;
+        for (unsigned i = 0; i < op.numOperands(); ++i) {
+            Value *v = mapped(op.operand(i));
+            in.push_back(r.extends(i)
+                             ? resizeByType(op.operand(i), v, r.width)
+                             : v);
         }
+        if (r.onesRhs)
+            in.push_back(combConstant(ApInt::allOnes(r.width)));
+        Value *result = in.empty() ? nullptr : in[0];
+        if (r.comb == ir::CombOp::Extract) {
+            // extract() does not emit an extract of the whole value.
+            result = extract(in[0], r.attrs.lo, r.combWidth);
+        } else if (r.comb) {
+            Operation *c = out_->append(ir::opKindOf(*r.comb),
+                                        std::move(in),
+                                        {WireType(r.combWidth)});
+            ir::setCombAttrs(*c, *r.comb, r.attrs);
+            result = c->result();
+        }
+        mapping_[op.result()] = resize(result, op.result()->type.width,
+                                       op.result()->type.isSigned);
     }
 
     const ElaboratedIsa &isa_;

@@ -4,18 +4,6 @@ namespace longnail {
 namespace passes {
 namespace detail {
 
-using ir::OpKind;
-
-void
-replaceAllUses(ir::Graph &graph, ir::Value *from, ir::Value *to)
-{
-    for (const auto &op : graph.ops()) {
-        op->replaceUsesOf(from, to);
-        if (op->subgraph())
-            replaceAllUses(*op->subgraph(), from, to);
-    }
-}
-
 void
 remapOperands(ir::Operation &op, const ValueMap &map)
 {
@@ -32,41 +20,6 @@ remapUses(ir::Graph &graph, const ValueMap &map)
         if (op->subgraph())
             remapUses(*op->subgraph(), map);
     }
-}
-
-namespace {
-
-void
-collectUsed(const ir::Graph &graph, std::set<const ir::Value *> &used)
-{
-    for (const auto &op : graph.ops()) {
-        for (const ir::Value *v : op->operands())
-            used.insert(v);
-        if (op->subgraph())
-            collectUsed(*op->subgraph(), used);
-    }
-}
-
-} // namespace
-
-std::set<const ir::Value *>
-usedValues(const ir::Graph &graph)
-{
-    std::set<const ir::Value *> used;
-    collectUsed(graph, used);
-    return used;
-}
-
-const ApInt *
-definingConstant(const ir::Value *v)
-{
-    const ir::Operation *def = v->owner;
-    if (def &&
-        (def->kind() == OpKind::CombConstant ||
-         def->kind() == OpKind::HwConstant) &&
-        def->hasAttr("value"))
-        return &def->apAttr("value");
-    return nullptr;
 }
 
 std::optional<unsigned>

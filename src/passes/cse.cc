@@ -75,7 +75,7 @@ runCse(lil::LilGraph &graph)
     // Duplicate -> leader. A leader is never itself a duplicate, so one
     // lookup resolves any value.
     detail::ValueMap replaced;
-    auto used = detail::usedValues(graph.graph);
+    auto used = ir::usedValues(graph.graph);
 
     for (const auto &op : graph.graph.ops()) {
         if (!replaced.empty())

@@ -80,7 +80,7 @@ dceSweep(ir::Graph &graph)
     // Unused pure computations and reads, innermost-first via
     // iteration (removing a user can free its operands' defs).
     for (;;) {
-        auto used = detail::usedValues(graph);
+        auto used = ir::usedValues(graph);
         unsigned swept = 0;
         graph.removeIf([&](const ir::Operation &o) {
             if (!ir::isRemovableWhenUnused(o.kind()))

@@ -62,7 +62,7 @@ simplifySweep(ir::Graph &graph)
 {
     unsigned rewrites = 0;
     auto ranges = analysis::computeRanges(graph);
-    auto used = detail::usedValues(graph);
+    auto used = ir::usedValues(graph);
 
     // Iterate a snapshot: the strength-reduction lambda inserts new
     // ops, and deque insertion invalidates live iterators. Operation
@@ -95,11 +95,11 @@ simplifySweep(ir::Graph &graph)
 
         auto constAt = [&](unsigned i) -> const ApInt * {
             return i < op->numOperands()
-                       ? detail::definingConstant(op->operand(i))
+                       ? ir::definingConstant(op->operand(i))
                        : nullptr;
         };
         auto replaceWith = [&](ir::Value *v) {
-            detail::replaceAllUses(graph, res, v);
+            ir::replaceAllUses(graph, res, v);
             ++rewrites;
         };
         auto toConst = [&](const ApInt &v) {

@@ -24,8 +24,7 @@ operandIsConstant(const Operation &op, unsigned i)
 {
     if (i >= op.numOperands())
         return false;
-    OpKind k = op.operand(i)->owner->kind();
-    return k == OpKind::CombConstant || k == OpKind::HwConstant;
+    return ir::isConstantOp(op.operand(i)->owner->kind());
 }
 
 } // namespace

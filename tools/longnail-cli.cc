@@ -109,7 +109,9 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -210,6 +212,27 @@ usage()
 {
     printUsage();
     throw CliError{exitUsage, ""};
+}
+
+/**
+ * The value of a numeric flag, by one rule for all of them: the whole
+ * token is a finite decimal number >= 0; a count is digits only and at
+ * most 2^32 - 1, which every count's variable and a JSON request carry
+ * exactly. Anything else is a usage error, raised while the command
+ * line is parsed, before any compile or thread starts.
+ */
+double
+parseNumber(const std::string &text, bool count)
+{
+    double value = -1.0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool digits = !text.empty() &&
+                  text.find_first_not_of("0123456789") == std::string::npos;
+    if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+        value < 0.0 || (count && (!digits || value > 4294967295.0)))
+        usage();
+    return value;
 }
 
 /**
@@ -701,18 +724,8 @@ run(int argc, char **argv)
     long deadline_ms = -1, admission_max = -1, idle_timeout_ms = 0;
     long drain_grace_ms = -1, mem_cache = -1, interval_ms = 0;
 
-    auto parseCount = [](const std::string &text) -> unsigned long {
-        try {
-            size_t pos = 0;
-            unsigned long value = std::stoul(text, &pos);
-            if (pos != text.size())
-                usage();
-            return value;
-        } catch (const CliError &) {
-            throw;
-        } catch (const std::exception &) {
-            usage();
-        }
+    auto parseCount = [](const std::string &text) {
+        return uint64_t(parseNumber(text, /*count=*/true));
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -737,17 +750,9 @@ run(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--cycle-time") {
-            try {
-                options.cycleTimeNs = std::stod(next());
-            } catch (const std::exception &) {
-                usage();
-            }
+            options.cycleTimeNs = parseNumber(next(), /*count=*/false);
         } else if (arg == "--max-errors") {
-            try {
-                options.maxErrors = std::stoul(next());
-            } catch (const std::exception &) {
-                usage();
-            }
+            options.maxErrors = parseCount(next());
         } else if (arg == "-o") {
             out_dir = next();
         } else if (arg == "--stdout") {
