@@ -442,7 +442,7 @@ RangeLattice::transfer(const Operation &op,
     return {out};
 }
 
-std::map<const Value *, ValueRange>
+ValueStates<ValueRange>
 computeRanges(const ir::Graph &graph)
 {
     RangeLattice lattice;
@@ -635,7 +635,7 @@ DemandedBitsLattice::transferBackward(
     }
 }
 
-std::map<const Value *, DemandedBits>
+ValueStates<DemandedBits>
 computeDemandedBits(const ir::Graph &graph)
 {
     DemandedBitsLattice lattice;

@@ -29,10 +29,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -99,14 +98,51 @@ class Lattice
     }
 };
 
+template <typename State>
+class SparseDataflow;
+
+/**
+ * The states one SparseDataflow run reached: one entry per value that
+ * got a state, in the run's value numbering, found through the run's
+ * flat value index. find() and end() read like a map's; a value
+ * without an entry kept the lattice's top.
+ */
+template <typename State>
+class ValueStates
+{
+  public:
+    using Entry = std::pair<const ir::Value *, State>;
+    using const_iterator = typename std::vector<Entry>::const_iterator;
+
+    const_iterator
+    find(const ir::Value *v) const
+    {
+        uint32_t n = index_.find(v);
+        if (n == ir::ValueNumbering::none || entryOf_[n] == noEntry)
+            return end();
+        return entries_.begin() + entryOf_[n];
+    }
+    const_iterator end() const { return entries_.end(); }
+
+  private:
+    friend class SparseDataflow<State>;
+    static constexpr uint32_t noEntry = UINT32_MAX;
+
+    ir::ValueNumbering index_;
+    /** Value number -> position in entries_, or noEntry. */
+    std::vector<uint32_t> entryOf_;
+    std::vector<Entry> entries_;
+};
+
 /**
  * Runs a lattice to fixpoint over one graph (including spawn
  * subgraphs) and returns the final per-value states.
  *
  * Each run numbers the values once: results in op order first, then
  * values that are only used (defined outside the collected ops). The
- * states, def-use and use-def edges and the worklist are dense arrays
- * over those numbers. The worklist drains the lowest queued op first
+ * value index, the states, def-use and use-def edges and the worklist
+ * are flat arrays over those numbers, and the result keeps the index
+ * and the states. The worklist drains the lowest queued op first
  * forward and the highest first backward, so evaluation order (and
  * with it every result) is deterministic.
  */
@@ -118,7 +154,7 @@ class SparseDataflow
         : lattice_(lattice), direction_(direction)
     {}
 
-    std::map<const ir::Value *, State>
+    ValueStates<State>
     run(const ir::Graph &graph)
     {
         ops_.clear();
@@ -205,10 +241,11 @@ class SparseDataflow
         values_.clear();
         defOp_.clear();
         resultBegin_.assign(1, 0);
-        std::unordered_map<const ir::Value *, uint32_t> index;
+        index_ = ir::ValueNumbering();
+        index_.reserve(ops_.size());
         for (size_t i = 0; i < ops_.size(); ++i) {
             for (unsigned r = 0; r < ops_[i]->numResults(); ++r) {
-                index.emplace(ops_[i]->result(r), uint32_t(values_.size()));
+                index_.insert(ops_[i]->result(r));
                 values_.push_back(ops_[i]->result(r));
                 defOp_.push_back(uint32_t(i));
             }
@@ -218,13 +255,12 @@ class SparseDataflow
         operandBegin_.assign(1, 0);
         for (const ir::Operation *op : ops_) {
             for (const ir::Value *v : op->operands()) {
-                auto [it, inserted] =
-                    index.emplace(v, uint32_t(values_.size()));
+                auto [n, inserted] = index_.insert(v);
                 if (inserted) {
                     values_.push_back(v);
                     defOp_.push_back(noDef);
                 }
-                operands_.push_back(it->second);
+                operands_.push_back(n);
             }
             operandBegin_.push_back(uint32_t(operands_.size()));
         }
@@ -334,14 +370,20 @@ class SparseDataflow
         }
     }
 
-    /** The computed states keyed by value. */
-    std::map<const ir::Value *, State>
+    /** Hand the value index and the computed states to the caller. */
+    ValueStates<State>
     exportStates()
     {
-        std::map<const ir::Value *, State> out;
-        for (uint32_t v = 0; v < values_.size(); ++v)
-            if (states_[v])
-                out.emplace(values_[v], std::move(*states_[v]));
+        ValueStates<State> out;
+        out.entryOf_.assign(values_.size(), out.noEntry);
+        out.entries_.reserve(values_.size());
+        for (uint32_t v = 0; v < values_.size(); ++v) {
+            if (!states_[v])
+                continue;
+            out.entryOf_[v] = uint32_t(out.entries_.size());
+            out.entries_.emplace_back(values_[v], std::move(*states_[v]));
+        }
+        out.index_ = std::move(index_);
         return out;
     }
 
@@ -358,6 +400,8 @@ class SparseDataflow
     const Lattice<State> &lattice_;
     Direction direction_;
     std::vector<const ir::Operation *> ops_;
+    /** Value -> value number. */
+    ir::ValueNumbering index_;
     /** Value number -> value; results first, in op order. */
     std::vector<const ir::Value *> values_;
     /** Value number -> defining op index, or noDef. */
@@ -439,8 +483,7 @@ class RangeLattice : public Lattice<ValueRange>
 };
 
 /** Convenience: solve the range lattice over @p graph. */
-std::map<const ir::Value *, ValueRange>
-computeRanges(const ir::Graph &graph);
+ValueStates<ValueRange> computeRanges(const ir::Graph &graph);
 
 /**
  * Decide an icmp given operand ranges: returns the comparison outcome
@@ -500,8 +543,7 @@ class DemandedBitsLattice : public Lattice<DemandedBits>
 };
 
 /** Convenience: solve the demanded-bits lattice over @p graph. */
-std::map<const ir::Value *, DemandedBits>
-computeDemandedBits(const ir::Graph &graph);
+ValueStates<DemandedBits> computeDemandedBits(const ir::Graph &graph);
 
 // --------------------------------------------------------------------
 // Definite-initialization lattice

@@ -37,8 +37,9 @@ evalLilSide(const lil::LilGraph &graph,
             std::vector<Obligation> &obligations,
             std::vector<std::string> &structural)
 {
-    std::map<const ir::Value *, TermId> values;
-    auto get = [&](const ir::Value *v) { return values.at(v); };
+    // Indexed by Value::id: a LIL graph is flat.
+    std::vector<TermId> values(graph.graph.valueIdBound(), invalidTerm);
+    auto get = [&](const ir::Value *v) { return values.at(v->id); };
     auto oblige = [&](const std::string &port, const ir::Value *v) {
         obligations.push_back({port, get(v), invalidTerm});
     };
@@ -56,12 +57,12 @@ evalLilSide(const lil::LilGraph &graph,
                     "netlist has no port for interface op '" +
                     std::string(op->name()) + "'");
                 if (op->numResults())
-                    values[op->result()] = builder.opaque(rw);
+                    values[op->result()->id] = builder.opaque(rw);
                 continue;
             }
         }
         if (ir::isComb(kind)) {
-            values[op->result()] = builder.comb(*op, values);
+            values[op->result()->id] = builder.comb(*op, values);
             continue;
         }
         // A read is a free variable shared with the netlist side; only
@@ -74,7 +75,7 @@ evalLilSide(const lil::LilGraph &graph,
           case OpKind::LilReadRs1:
           case OpKind::LilReadRs2:
           case OpKind::LilReadPC:
-            values[op->result()] = builder.var(readVar(), rw);
+            values[op->result()->id] = builder.var(readVar(), rw);
             break;
           case OpKind::LilReadMem:
             // The environment drives the data port with the same value
@@ -83,12 +84,12 @@ evalLilSide(const lil::LilGraph &graph,
             // matching the interpreter's predicated-off result).
             oblige(port->addrPort, op->operand(0));
             oblige(port->validPort, op->operand(1));
-            values[op->result()] = builder.var(readVar(), rw);
+            values[op->result()->id] = builder.var(readVar(), rw);
             break;
           case OpKind::LilReadCustReg:
             if (!port->addrPort.empty())
                 oblige(port->addrPort, op->operand(0));
-            values[op->result()] = builder.var(readVar(), rw);
+            values[op->result()->id] = builder.var(readVar(), rw);
             break;
           case OpKind::LilWriteRd:
           case OpKind::LilWritePC:
@@ -112,7 +113,7 @@ evalLilSide(const lil::LilGraph &graph,
             break;
           default:
             if (op->numResults())
-                values[op->result()] = builder.opaque(rw);
+                values[op->result()->id] = builder.opaque(rw);
             break;
         }
     }

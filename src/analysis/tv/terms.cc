@@ -446,14 +446,15 @@ TermBuilder::comb(ir::CombOp op, unsigned width,
 
 TermId
 TermBuilder::comb(const ir::Operation &op,
-                  const std::map<const ir::Value *, TermId> &values)
+                  const std::vector<TermId> &values)
 {
     auto c = ir::combOpOf(op.kind());
     if (!c)
         return invalidTerm;
     std::vector<TermId> operands;
+    operands.reserve(op.numOperands());
     for (const ir::Value *v : op.operands())
-        operands.push_back(values.at(v));
+        operands.push_back(values.at(v->id));
     return comb(*c, op.result()->type.width, std::move(operands),
                 ir::combAttrs(op, *c));
 }

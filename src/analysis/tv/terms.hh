@@ -117,10 +117,11 @@ class TermBuilder
      * icmp(), extract(), rom() or make() as @p op requires. */
     TermId comb(ir::CombOp op, unsigned width,
                 std::vector<TermId> operands, const ir::CombAttrs &attrs);
-    /** LIL comb operation @p op over the operand terms in @p values;
-     * invalidTerm when @p op is not a comb operation. */
+    /** LIL comb operation @p op over the operand terms in @p values,
+     * indexed by Value::id; invalidTerm when @p op is not a comb
+     * operation. */
     TermId comb(const ir::Operation &op,
-                const std::map<const ir::Value *, TermId> &values);
+                const std::vector<TermId> &values);
 
     const Term &term(TermId id) const { return terms_.at(id); }
     size_t size() const { return terms_.size(); }

@@ -1,7 +1,6 @@
 #include "hir/transforms.hh"
 
 #include <map>
-#include <set>
 
 #include "analysis/verifier.hh"
 #include "ir/comb.hh"
@@ -114,7 +113,7 @@ foldOnce(Graph &root, Graph &graph,
 }
 
 unsigned
-removeDead(Graph &graph, const std::set<const Value *> &used)
+removeDead(Graph &graph, const ir::ValueNumbering &used)
 {
     unsigned removed = 0;
     // Recurse first so nested removals are counted.

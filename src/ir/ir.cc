@@ -1,7 +1,8 @@
 #include "ir/ir.hh"
 
+#include <algorithm>
 #include <set>
-#include <sstream>
+#include <utility>
 
 #include "ir/comb.hh"
 #include "ir/hir.hh"
@@ -140,11 +141,22 @@ replaceAllUses(Graph &graph, Value *from, Value *to)
 
 namespace {
 
+/** Fibonacci hashing of @p v's address into a table of @p mask + 1
+ * slots. */
+size_t
+slotOf(const Value *v, size_t mask)
+{
+    uint64_t h = uint64_t(reinterpret_cast<uintptr_t>(v)) *
+                 0x9e3779b97f4a7c15ull;
+    return size_t(h >> 32) & mask;
+}
+
 void
-collectUsed(const Graph &graph, std::set<const Value *> &used)
+collectUsed(const Graph &graph, ValueNumbering &used)
 {
     for (const auto &op : graph.ops()) {
-        used.insert(op->operands().begin(), op->operands().end());
+        for (const Value *v : op->operands())
+            used.insert(v);
         if (op->subgraph())
             collectUsed(*op->subgraph(), used);
     }
@@ -152,10 +164,68 @@ collectUsed(const Graph &graph, std::set<const Value *> &used)
 
 } // namespace
 
-std::set<const Value *>
+void
+ValueNumbering::reserve(size_t count)
+{
+    size_t capacity = 16;
+    while (capacity < 2 * count)
+        capacity *= 2;
+    if (capacity > slots_.size())
+        rehash(capacity);
+}
+
+void
+ValueNumbering::rehash(size_t capacity)
+{
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    size_t mask = capacity - 1;
+    for (const Slot &s : old) {
+        if (!s.key)
+            continue;
+        size_t i = slotOf(s.key, mask);
+        while (slots_[i].key)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+    }
+}
+
+std::pair<uint32_t, bool>
+ValueNumbering::insert(const Value *v)
+{
+    if (2 * (size_t(size_) + 1) > slots_.size())
+        rehash(std::max<size_t>(16, 2 * slots_.size()));
+    size_t mask = slots_.size() - 1;
+    for (size_t i = slotOf(v, mask);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (s.key == v)
+            return {s.number, false};
+        if (!s.key) {
+            s = {v, size_};
+            return {size_++, true};
+        }
+    }
+}
+
+uint32_t
+ValueNumbering::find(const Value *v) const
+{
+    if (slots_.empty())
+        return none;
+    size_t mask = slots_.size() - 1;
+    for (size_t i = slotOf(v, mask);; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (s.key == v)
+            return s.number;
+        if (!s.key)
+            return none;
+    }
+}
+
+ValueNumbering
 usedValues(const Graph &graph)
 {
-    std::set<const Value *> used;
+    ValueNumbering used;
+    used.reserve(graph.size());
     collectUsed(graph, used);
     return used;
 }
@@ -307,6 +377,8 @@ Graph::verifyInner(const Graph *outer) const
                 defined.insert(op->result(i));
         }
     }
+    // Ids key per-value tables (Value::id): unique and below the bound.
+    std::vector<bool> id_taken(nextValueId_);
 
     for (const auto &op : ops_) {
         for (unsigned i = 0; i < op->numOperands(); ++i) {
@@ -321,6 +393,13 @@ Graph::verifyInner(const Graph *outer) const
             const Value *v = op->result(i);
             if (v->type.width == 0)
                 return std::string("zero-width result on ") + op->name();
+            if (v->id >= nextValueId_ || id_taken[v->id])
+                return std::string("result %") + std::to_string(v->id) +
+                       " of " + op->name() +
+                       (v->id >= nextValueId_ ? " has an id past the "
+                                                "graph's counter"
+                                              : " reuses an id");
+            id_taken[v->id] = true;
             defined.insert(v);
         }
         if (op->subgraph()) {

@@ -20,11 +20,12 @@
 #ifndef LONGNAIL_IR_IR_HH
 #define LONGNAIL_IR_IR_HH
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -98,7 +99,13 @@ struct Value
     Operation *owner = nullptr;
     unsigned resultIndex = 0;
     WireType type;
-    /** Printer/debugging id, assigned on creation. */
+    /**
+     * Assigned on creation from the creating graph's counter: unique
+     * among that graph's values and below Graph::valueIdBound(). A
+     * spawn subgraph has its own counter, so ids repeat across the
+     * graphs of one HIR behavior; LIL graphs are flat, so there an id
+     * names one value of the whole graph. Graph::verify() checks both.
+     */
     unsigned id = 0;
 };
 
@@ -235,8 +242,13 @@ class Graph
         });
     }
 
+    /** Every value created by this graph (not its subgraphs) has an
+     * id below this bound. */
+    unsigned valueIdBound() const { return nextValueId_; }
+
     /**
-     * Verify def-before-use and per-op structural invariants.
+     * Verify def-before-use, unique value ids below valueIdBound() and
+     * per-op structural invariants.
      * @return an empty string when valid, else a description.
      */
     std::string verify() const;
@@ -250,9 +262,47 @@ class Graph
 
     std::deque<std::unique_ptr<Operation>> ops_;
     SourceLoc defaultLoc_;
-    // Per-graph so concurrent compiles never share mutable state; ids are
-    // debugging labels only (print/verify/panic messages), never artifacts.
+    // Per-graph so concurrent compiles never share mutable state. Ids
+    // key per-value tables and CSE (see Value::id); they are never
+    // printed into artifacts.
     unsigned nextValueId_ = 0;
+};
+
+/**
+ * Values numbered 0, 1, 2, ... in insertion order, looked up through
+ * one flat open-addressed table (no node per value). The analyses and
+ * passes keep their per-value data in vectors over these numbers
+ * where Value::id cannot serve, e.g. across the spawn subgraphs of a
+ * HIR behavior.
+ */
+class ValueNumbering
+{
+  public:
+    static constexpr uint32_t none = UINT32_MAX;
+
+    /** Size the table for @p count values without rehashing. */
+    void reserve(size_t count);
+
+    /** Give @p v the next number unless it has one.
+     * @return its number, and whether it was new. */
+    std::pair<uint32_t, bool> insert(const Value *v);
+
+    /** @p v's number, or none. */
+    uint32_t find(const Value *v) const;
+    bool count(const Value *v) const { return find(v) != none; }
+    uint32_t size() const { return size_; }
+
+  private:
+    struct Slot
+    {
+        const Value *key = nullptr;
+        uint32_t number = none;
+    };
+
+    void rehash(size_t capacity);
+
+    std::vector<Slot> slots_; ///< power-of-two size, at most half full
+    uint32_t size_ = 0;
 };
 
 /** True for hwarith.constant and comb.constant. */
@@ -268,8 +318,9 @@ const ApInt *definingConstant(const Value *v);
 /** Replace every use of @p from with @p to, subgraphs included. */
 void replaceAllUses(Graph &graph, Value *from, Value *to);
 
-/** Every value used as an operand in @p graph, subgraphs included. */
-std::set<const Value *> usedValues(const Graph &graph);
+/** Every value used as an operand in @p graph, subgraphs included
+ * (test membership with count()). */
+ValueNumbering usedValues(const Graph &graph);
 
 } // namespace ir
 } // namespace longnail

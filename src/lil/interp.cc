@@ -1,6 +1,8 @@
 #include "lil/interp.hh"
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "ir/eval.hh"
 #include "obs/metrics.hh"
@@ -22,29 +24,29 @@ interpret(const LilGraph &graph, const InterpInput &input)
     // always-block evaluation) in the golden model.
     obs::count("interp.graphs_executed");
     obs::count("interp.ops_evaluated", graph.graph.ops().size());
-    std::map<const Value *, ApInt> values;
+    // Indexed by Value::id: a LIL graph is flat.
+    std::vector<std::optional<ApInt>> values(graph.graph.valueIdBound());
     std::map<std::string, ApInt> pending_cust_index;
 
     auto get = [&](const Value *v) -> const ApInt & {
-        auto it = values.find(v);
-        if (it == values.end())
+        if (v->id >= values.size() || !values[v->id])
             LN_PANIC("interpreter: value %", v->id, " not computed");
-        return it->second;
+        return *values[v->id];
     };
 
     for (const auto &op : graph.graph.ops()) {
         switch (op->kind()) {
           case OpKind::LilInstrWord:
-            values[op->result()] = input.instrWord;
+            values[op->result()->id] = input.instrWord;
             break;
           case OpKind::LilReadRs1:
-            values[op->result()] = input.rs1;
+            values[op->result()->id] = input.rs1;
             break;
           case OpKind::LilReadRs2:
-            values[op->result()] = input.rs2;
+            values[op->result()->id] = input.rs2;
             break;
           case OpKind::LilReadPC:
-            values[op->result()] = input.pc;
+            values[op->result()->id] = input.pc;
             break;
           case OpKind::LilReadMem: {
             const ApInt &addr = get(op->operand(0));
@@ -58,7 +60,7 @@ interpret(const LilGraph &graph, const InterpInput &input)
                              "callback provided");
                 word = input.readMem(addr).zextOrTrunc(32);
             }
-            values[op->result()] = word;
+            values[op->result()->id] = word;
             break;
           }
           case OpKind::LilReadCustReg: {
@@ -72,7 +74,7 @@ interpret(const LilGraph &graph, const InterpInput &input)
             ApInt v = i < it->second.size()
                           ? it->second[i]
                           : ApInt(op->result()->type.width, 0);
-            values[op->result()] =
+            values[op->result()->id] =
                 v.zextOrTrunc(op->result()->type.width);
             break;
           }
@@ -132,11 +134,11 @@ interpret(const LilGraph &graph, const InterpInput &input)
                 // Division by zero and friends: hardware produces an
                 // unspecified value; the interpreter defines it as 0.
                 if (op->numResults())
-                    values[op->result()] =
+                    values[op->result()->id] =
                         ApInt(op->result()->type.width, 0);
                 break;
             }
-            values[op->result()] = *v;
+            values[op->result()->id] = *v;
             break;
           }
         }

@@ -8,8 +8,8 @@ void
 remapOperands(ir::Operation &op, const ValueMap &map)
 {
     for (unsigned i = 0; i < op.numOperands(); ++i)
-        if (auto it = map.find(op.operand(i)); it != map.end())
-            op.setOperand(i, it->second);
+        if (ir::Value *to = map.find(op.operand(i)))
+            op.setOperand(i, to);
 }
 
 void

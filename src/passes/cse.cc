@@ -13,9 +13,9 @@
  */
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/comb.hh"
@@ -27,42 +27,61 @@ namespace passes {
 
 namespace {
 
+/** Append the bytes of @p value to @p key. */
+template <typename T>
 void
-appendAttr(std::ostringstream &os, const std::string &key,
-           const ir::Attr &attr)
+appendRaw(std::string &key, T value)
 {
-    os << '|' << key << '=';
-    if (const auto *i = std::get_if<int64_t>(&attr)) {
-        os << 'i' << *i;
-    } else if (const auto *s = std::get_if<std::string>(&attr)) {
-        os << 's' << *s;
-    } else if (const auto *a = std::get_if<ApInt>(&attr)) {
-        os << 'a' << a->width() << ':' << a->toStringUnsigned(16);
-    } else if (const auto *v = std::get_if<std::vector<ApInt>>(&attr)) {
-        os << 'v';
-        for (const ApInt &e : *v)
-            os << e.width() << ':' << e.toStringUnsigned(16) << ',';
-    }
+    key.append(reinterpret_cast<const char *>(&value), sizeof value);
 }
 
-std::string
-structuralKey(const ir::Operation &op)
+void
+appendApInt(std::string &key, const ApInt &value)
 {
-    std::ostringstream os;
-    os << op.name() << '#' << op.result()->type.width;
-    for (const auto &[key, attr] : op.attrs())
-        appendAttr(os, key, attr);
-    std::vector<unsigned> ids;
-    ids.reserve(op.numOperands());
+    appendRaw(key, uint32_t(value.width()));
+    for (size_t i = 0; i < value.numWords(); ++i)
+        appendRaw(key, value.word(i));
+}
+
+/**
+ * The structural key of @p op into @p key, as bytes: every field has a
+ * fixed size or a length in front, so equal keys mean equal kind,
+ * result width, attributes and (sorted, when commutative) operand ids.
+ * @p ids is scratch space.
+ */
+void
+structuralKey(const ir::Operation &op, std::string &key,
+              std::vector<uint32_t> &ids)
+{
+    key.clear();
+    appendRaw(key, uint32_t(op.kind()));
+    appendRaw(key, uint32_t(op.result()->type.width));
+    appendRaw(key, uint32_t(op.attrs().size()));
+    for (const auto &[name, attr] : op.attrs()) {
+        appendRaw(key, uint32_t(name.size()));
+        key += name;
+        appendRaw(key, uint32_t(attr.index()));
+        if (const auto *i = std::get_if<int64_t>(&attr)) {
+            appendRaw(key, *i);
+        } else if (const auto *str = std::get_if<std::string>(&attr)) {
+            appendRaw(key, uint32_t(str->size()));
+            key += *str;
+        } else if (const auto *a = std::get_if<ApInt>(&attr)) {
+            appendApInt(key, *a);
+        } else if (const auto *v = std::get_if<std::vector<ApInt>>(&attr)) {
+            appendRaw(key, uint32_t(v->size()));
+            for (const ApInt &e : *v)
+                appendApInt(key, e);
+        }
+    }
+    ids.clear();
     for (const ir::Value *v : op.operands())
         ids.push_back(v->id);
     auto comb = ir::combOpOf(op.kind());
     if (comb && ir::combInfo(*comb).commutative)
         std::sort(ids.begin(), ids.end());
-    os << '@';
-    for (unsigned id : ids)
-        os << id << ',';
-    return os.str();
+    for (uint32_t id : ids)
+        appendRaw(key, id);
 }
 
 } // namespace
@@ -71,10 +90,13 @@ unsigned
 runCse(lil::LilGraph &graph)
 {
     unsigned rewrites = 0;
-    std::map<std::string, ir::Value *> leaders;
+    std::unordered_map<std::string, ir::Value *> leaders;
+    leaders.reserve(graph.graph.size());
+    std::string key;
+    std::vector<uint32_t> ids;
     // Duplicate -> leader. A leader is never itself a duplicate, so one
     // lookup resolves any value.
-    detail::ValueMap replaced;
+    detail::ValueMap replaced(graph.graph);
     auto used = ir::usedValues(graph.graph);
 
     for (const auto &op : graph.graph.ops()) {
@@ -89,13 +111,13 @@ runCse(lil::LilGraph &graph)
         // snapshot taken above stays conservative.
         if (!used.count(op->result()))
             continue;
-        std::string key = structuralKey(*op);
+        structuralKey(*op, key, ids);
         auto [it, inserted] = leaders.emplace(key, op->result());
         if (inserted)
             continue;
         // Later ops keying on this result see the leader's id once the
         // sweep remaps them, so chains collapse in one sweep.
-        replaced.emplace(op->result(), it->second);
+        replaced.set(op->result(), it->second);
         ++rewrites;
     }
     // Top-level uses follow their defs, so the sweep remapped them all;

@@ -38,8 +38,9 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
     };
 
     Signature sig;
-    std::map<const ir::Value *, TermId> values;
-    auto get = [&](const ir::Value *v) { return values.at(v); };
+    // Indexed by Value::id: a LIL graph is flat.
+    std::vector<TermId> values(graph.graph.valueIdBound(), invalidTerm);
+    auto get = [&](const ir::Value *v) { return values.at(v->id); };
     auto predOf = [&](const ir::Operation &op, unsigned idx) {
         return op.numOperands() > idx ? get(op.operand(idx)) : one1;
     };
@@ -66,7 +67,7 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
         unsigned rw = op->numResults() ? op->result()->type.width : 1;
         OpKind kind = op->kind();
         if (ir::isComb(kind)) {
-            values[op->result()] = b.comb(*op, values);
+            values[op->result()->id] = b.comb(*op, values);
             continue;
         }
         // Reads are free variables named by the interface table (the
@@ -79,7 +80,7 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
           case OpKind::LilReadRs1:
           case OpKind::LilReadRs2:
           case OpKind::LilReadPC:
-            values[op->result()] = b.var(readVar(), rw);
+            values[op->result()->id] = b.var(readVar(), rw);
             break;
           case OpKind::LilReadMem: {
             // Memory is a pure function of the address (hashMemWord in
@@ -92,7 +93,7 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
             accumulate(sig.memRead, pred, {addr}, {32});
             TermId data =
                 b.var(readVar() + "@" + std::to_string(addr), rw);
-            values[op->result()] = b.make(
+            values[op->result()->id] = b.make(
                 TermKind::Mux, rw,
                 {pred, data, b.constant(ApInt(rw, 0))});
             break;
@@ -102,7 +103,7 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
             // provably equal indices share a symbol, anything else
             // stays distinct (and falls back to co-simulation).
             TermId index = get(op->operand(0));
-            values[op->result()] = b.var(
+            values[op->result()->id] = b.var(
                 readVar(op->strAttr("reg")) + "@" + std::to_string(index),
                 rw);
             break;
@@ -142,7 +143,7 @@ SignatureChecker::buildSignature(const lil::LilGraph &graph)
                 // Unmodeled: a fresh opaque can never prove equal, so
                 // the check degrades to co-simulation, never to a
                 // false proof.
-                values[op->result()] = b.opaque(rw);
+                values[op->result()->id] = b.opaque(rw);
             }
             break;
         }

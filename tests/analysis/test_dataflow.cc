@@ -197,3 +197,33 @@ TEST(RangeLatticeTest, TruncationEvidenceSurvivesCast)
     EXPECT_GE(it->second.umin, 256u);
     EXPECT_GT(it->second.umin, ValueRange::maxFor(8));
 }
+
+TEST(RangeLatticeTest, SpawnValuesWithRepeatedIdsKeepTheirOwnStates)
+{
+    // A spawn subgraph counts value ids from 0 again, so the engine
+    // numbers values itself: the inner constant shares its id with the
+    // outer one but not its state.
+    Graph g;
+    Operation *outer = hwConstant(g, 8, 5);
+    Operation *spawn = g.appendWithSubgraph(OpKind::CoredslSpawn);
+    Operation *inner = hwConstant(*spawn->subgraph(), 8, 7);
+    Operation *sum = spawn->subgraph()->append(
+        OpKind::HwAdd, {outer->result(), inner->result()}, {WireType(9)});
+    ASSERT_EQ(outer->result()->id, inner->result()->id);
+
+    auto ranges = computeRanges(g);
+    auto o = ranges.find(outer->result());
+    auto i = ranges.find(inner->result());
+    auto s = ranges.find(sum->result());
+    ASSERT_NE(o, ranges.end());
+    ASSERT_NE(i, ranges.end());
+    ASSERT_NE(s, ranges.end());
+    EXPECT_EQ(o->first, outer->result());
+    EXPECT_EQ(o->second.umax, 5u);
+    EXPECT_EQ(i->second.umax, 7u);
+    ASSERT_TRUE(s->second.constant.has_value());
+    EXPECT_EQ(s->second.constant->toUint64(), 12u);
+
+    Value foreign;
+    EXPECT_EQ(ranges.find(&foreign), ranges.end());
+}

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ir/eval.hh"
 #include "ir/ir.hh"
 
@@ -44,6 +48,63 @@ TEST(Ir, SubgraphSeesOuterValues)
     spawn->subgraph()->append(OpKind::HwNot, {c->result()},
                               {WireType(8)});
     EXPECT_EQ(g.verify(), "");
+}
+
+TEST(Ir, ValueIdsAreUniqueBelowTheGraphCounter)
+{
+    Graph g;
+    Operation *a = g.append(OpKind::HwConstant, {}, {WireType(8)});
+    a->setAttr("value", ApInt(8, 1));
+    Operation *b = g.append(OpKind::HwConstant, {}, {WireType(8)});
+    b->setAttr("value", ApInt(8, 2));
+    EXPECT_EQ(a->result()->id, 0u);
+    EXPECT_EQ(b->result()->id, 1u);
+    EXPECT_EQ(g.valueIdBound(), 2u);
+    // A spawn subgraph counts from 0 again; that is no duplicate.
+    Operation *spawn = g.appendWithSubgraph(OpKind::CoredslSpawn);
+    Operation *inner = spawn->subgraph()->append(
+        OpKind::HwNot, {a->result()}, {WireType(8)});
+    EXPECT_EQ(inner->result()->id, 0u);
+    EXPECT_EQ(g.verify(), "");
+
+    b->result()->id = 0;
+    EXPECT_NE(g.verify().find("reuses an id"), std::string::npos)
+        << g.verify();
+    b->result()->id = 2;
+    EXPECT_NE(g.verify().find("past the graph's counter"),
+              std::string::npos)
+        << g.verify();
+}
+
+TEST(Ir, ValueNumberingNumbersInInsertionOrder)
+{
+    Graph g;
+    std::vector<Value *> values;
+    for (unsigned i = 0; i < 100; ++i)
+        values.push_back(
+            g.append(OpKind::LilReadRs1, {}, {WireType(32)})->result());
+    ValueNumbering numbers;
+    for (unsigned i = 0; i < 100; ++i) {
+        auto [n, inserted] = numbers.insert(values[99 - i]);
+        EXPECT_EQ(n, i);
+        EXPECT_TRUE(inserted);
+    }
+    EXPECT_EQ(numbers.insert(values[99]), std::make_pair(0u, false));
+    EXPECT_EQ(numbers.size(), 100u);
+    for (unsigned i = 0; i < 100; ++i)
+        EXPECT_EQ(numbers.find(values[i]), 99 - i);
+    Value outside;
+    EXPECT_EQ(numbers.find(&outside), ValueNumbering::none);
+    EXPECT_FALSE(numbers.count(&outside));
+    EXPECT_EQ(ValueNumbering().find(values[0]), ValueNumbering::none);
+
+    // Only operands count as used.
+    g.append(OpKind::CombAdd, {values[3], values[7]}, {WireType(32)});
+    ValueNumbering used = usedValues(g);
+    EXPECT_EQ(used.size(), 2u);
+    EXPECT_TRUE(used.count(values[3]));
+    EXPECT_TRUE(used.count(values[7]));
+    EXPECT_FALSE(used.count(values[4]));
 }
 
 TEST(Ir, MorphToConstantKeepsUsers)

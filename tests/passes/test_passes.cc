@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/dataflow.hh"
 #include "analysis/effects.hh"
@@ -18,8 +21,11 @@
 #include "driver/longnail.hh"
 #include "hir/transforms.hh"
 #include "ir/ir.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "passes/passes.hh"
 #include "passes/sigcheck.hh"
+#include "scaiev/datasheet.hh"
 #include "support/failpoint.hh"
 
 using namespace longnail;
@@ -435,6 +441,147 @@ TEST(Verified, O1ShrinksTheCatalogLilModules)
         after += compiled.report.lilOpsOptimized;
     }
     EXPECT_LT(after, before);
+}
+
+// --- what the pipeline decides, per unit -----------------------------------
+
+/** The pipeline's decisions on one catalog unit at -O1 --validate. */
+struct PassTally
+{
+    const char *isax;
+    const char *core;
+    uint64_t rewrites;
+    uint64_t simplify, cse, narrow, dce; ///< passes.<name>.rewrites
+    unsigned proved;
+    unsigned cosimAgreed;
+    size_t lilOpsOptimized;
+
+    bool operator==(const PassTally &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const PassTally &t)
+{
+    return os << "{\"" << t.isax << "\", \"" << t.core << "\", "
+              << t.rewrites << ", " << t.simplify << ", " << t.cse
+              << ", " << t.narrow << ", " << t.dce << ", " << t.proved
+              << ", " << t.cosimAgreed << ", " << t.lilOpsOptimized
+              << "},";
+}
+
+PassTally
+tallyUnit(const char *isax, const char *core)
+{
+    obs::ScopedEnable on;
+    auto counter = [](const char *pass) {
+        return obs::Registry::instance().counter(
+            std::string("passes.") + pass + ".rewrites");
+    };
+    const char *names[] = {"simplify", "cse", "narrow", "dce"};
+    uint64_t before[4];
+    for (int i = 0; i < 4; ++i)
+        before[i] = counter(names[i]);
+    driver::CompileOptions options;
+    options.coreName = core;
+    options.optLevel = 1;
+    options.validate = true;
+    driver::CompiledIsax compiled =
+        driver::compileCatalogIsax(isax, options);
+    EXPECT_TRUE(compiled.ok()) << isax << " on " << core << ": "
+                               << compiled.errors;
+    const driver::PhaseReport &r = compiled.report;
+    return {isax,
+            core,
+            r.passRewrites,
+            counter(names[0]) - before[0],
+            counter(names[1]) - before[1],
+            counter(names[2]) - before[2],
+            counter(names[3]) - before[3],
+            r.passProved,
+            r.passCosimAgreed,
+            r.lilOpsOptimized};
+}
+
+// Rewrites (total, then simplify, cse, narrow, dce), applications
+// proved and co-simulation-agreed, and the optimized LIL op count of
+// every catalog unit at -O1 --validate. The artifact and dataflow
+// digests pin what the pipeline emits; this pins what it decided, so
+// a lost fact that turns a proof into a co-simulation shows here.
+const PassTally pinnedTallies[] = {
+    {"autoinc", "ORCA", 24, 2, 9, 2, 11, 12, 0, 34},
+    {"autoinc", "Piccolo", 24, 2, 9, 2, 11, 12, 0, 34},
+    {"autoinc", "PicoRV32", 24, 2, 9, 2, 11, 12, 0, 34},
+    {"autoinc", "VexRiscv", 24, 2, 9, 2, 11, 12, 0, 34},
+    {"dotp", "ORCA", 16, 4, 2, 3, 7, 5, 0, 76},
+    {"dotp", "Piccolo", 16, 4, 2, 3, 7, 5, 0, 76},
+    {"dotp", "PicoRV32", 16, 4, 2, 3, 7, 5, 0, 76},
+    {"dotp", "VexRiscv", 16, 4, 2, 3, 7, 5, 0, 76},
+    {"ijmp", "ORCA", 2, 0, 1, 0, 1, 2, 0, 5},
+    {"ijmp", "Piccolo", 2, 0, 1, 0, 1, 2, 0, 5},
+    {"ijmp", "PicoRV32", 2, 0, 1, 0, 1, 2, 0, 5},
+    {"ijmp", "VexRiscv", 2, 0, 1, 0, 1, 2, 0, 5},
+    {"sbox", "ORCA", 0, 0, 0, 0, 0, 0, 0, 8},
+    {"sbox", "Piccolo", 0, 0, 0, 0, 0, 0, 0, 8},
+    {"sbox", "PicoRV32", 0, 0, 0, 0, 0, 0, 0, 8},
+    {"sbox", "VexRiscv", 0, 0, 0, 0, 0, 0, 0, 8},
+    {"sparkle", "ORCA", 78, 0, 35, 8, 35, 10, 0, 140},
+    {"sparkle", "Piccolo", 78, 0, 35, 8, 35, 10, 0, 140},
+    {"sparkle", "PicoRV32", 78, 0, 35, 8, 35, 10, 0, 140},
+    {"sparkle", "VexRiscv", 78, 0, 35, 8, 35, 10, 0, 140},
+    {"sqrt_tightly", "ORCA", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_tightly", "Piccolo", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_tightly", "PicoRV32", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_tightly", "VexRiscv", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_decoupled", "ORCA", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_decoupled", "Piccolo", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_decoupled", "PicoRV32", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"sqrt_decoupled", "VexRiscv", 1451, 35, 643, 125, 648, 6, 1, 892},
+    {"zol", "ORCA", 39, 2, 16, 3, 18, 12, 0, 47},
+    {"zol", "Piccolo", 39, 2, 16, 3, 18, 12, 0, 47},
+    {"zol", "PicoRV32", 39, 2, 16, 3, 18, 12, 0, 47},
+    {"zol", "VexRiscv", 39, 2, 16, 3, 18, 12, 0, 47},
+    {"autoinc_zol", "ORCA", 63, 4, 25, 5, 29, 24, 0, 81},
+    {"autoinc_zol", "Piccolo", 63, 4, 25, 5, 29, 24, 0, 81},
+    {"autoinc_zol", "PicoRV32", 63, 4, 25, 5, 29, 24, 0, 81},
+    {"autoinc_zol", "VexRiscv", 63, 4, 25, 5, 29, 24, 0, 81},
+    {"bitmanip", "ORCA", 344, 1, 155, 31, 157, 5, 1, 379},
+    {"bitmanip", "Piccolo", 344, 1, 155, 31, 157, 5, 1, 379},
+    {"bitmanip", "PicoRV32", 344, 1, 155, 31, 157, 5, 1, 379},
+    {"bitmanip", "VexRiscv", 344, 1, 155, 31, 157, 5, 1, 379},
+    {"ringbuf", "ORCA", 11, 1, 4, 1, 5, 6, 0, 22},
+    {"ringbuf", "Piccolo", 11, 1, 4, 1, 5, 6, 0, 22},
+    {"ringbuf", "PicoRV32", 11, 1, 4, 1, 5, 6, 0, 22},
+    {"ringbuf", "VexRiscv", 11, 1, 4, 1, 5, 6, 0, 22},
+};
+
+TEST(Verified, CatalogPassDecisionsArePinned)
+{
+    std::vector<std::string> cores = scaiev::Datasheet::knownCores();
+    ASSERT_EQ(std::size(pinnedTallies),
+              catalog::allIsaxes().size() * cores.size());
+    PassTally total{"all", "all", 0, 0, 0, 0, 0, 0, 0, 0};
+    size_t row = 0;
+    for (const auto &entry : catalog::allIsaxes()) {
+        for (const std::string &core : cores) {
+            const PassTally &want = pinnedTallies[row++];
+            ASSERT_EQ(std::string(want.isax), entry.name);
+            ASSERT_EQ(std::string(want.core), core);
+            PassTally got = tallyUnit(want.isax, want.core);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(got.rewrites,
+                      got.simplify + got.cse + got.narrow + got.dce)
+                << got;
+            total.rewrites += got.rewrites;
+            total.proved += got.proved;
+            total.cosimAgreed += got.cosimAgreed;
+            total.lilOpsOptimized += got.lilOpsOptimized;
+        }
+    }
+    EXPECT_EQ(total.rewrites, 13916u);
+    EXPECT_EQ(total.proved, 352u);
+    // One check on each of the 8 sqrt graphs and the 4 bitop graphs.
+    EXPECT_EQ(total.cosimAgreed, 12u);
+    EXPECT_EQ(total.lilOpsOptimized, 10304u);
 }
 
 // --- carried validation baseline -------------------------------------------
