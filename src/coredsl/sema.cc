@@ -62,6 +62,8 @@ adjustTo(const TypedConst &c, Type target)
     return c.value.zextOrTrunc(target.width);
 }
 
+} // namespace
+
 std::optional<TypedConst>
 evalBinary(BinOp op, const TypedConst &lhs, const TypedConst &rhs)
 {
@@ -151,8 +153,6 @@ evalBinary(BinOp op, const TypedConst &lhs, const TypedConst &rhs)
     }
     return out;
 }
-
-} // namespace
 
 std::optional<TypedConst>
 evalConst(const Expr &expr, const std::map<std::string, TypedConst> &env)

@@ -74,6 +74,13 @@ class Sema
 std::optional<TypedConst>
 evalConst(const Expr &expr, const std::map<std::string, TypedConst> &env);
 
+/**
+ * `lhs op rhs` in the constant evaluator's semantics, typed by the
+ * operator's result type. Returns nullopt for a zero divisor.
+ */
+std::optional<TypedConst> evalBinary(BinOp op, const TypedConst &lhs,
+                                     const TypedConst &rhs);
+
 } // namespace coredsl
 } // namespace longnail
 

@@ -383,7 +383,7 @@ compilerVersion()
     // Bump on every change that can alter artifacts for unchanged
     // inputs (scheduler tweaks, codegen changes, diagnostics wording),
     // the entry format or the key's encoding.
-    return "longnail-json2";
+    return "longnail-json3";
 }
 
 std::string

@@ -667,7 +667,7 @@ class Lowerer
             frame_.consts.erase(decl.name);
     }
 
-    /** Interpret i += c, i -= c, ++i, i++, --i, i--, i = expr. */
+    /** Interpret i OP= expr, ++i, i++, --i, i--, i = expr. */
     TypedConst
     evalStep(const Expr &step, const std::string &name, TypedConst iv)
     {
@@ -683,16 +683,17 @@ class Lowerer
             if (!rhs)
                 error(step.loc, "loop step is not compile-time "
                                 "evaluable");
+            if (assign.compoundOp) {
+                // iv OP= rhs is iv = iv OP rhs wrapped to iv's type, in
+                // the constant evaluator's semantics.
+                rhs = coredsl::evalBinary(*assign.compoundOp, iv, *rhs);
+                if (!rhs)
+                    error(step.loc, "loop step is not compile-time "
+                                    "evaluable");
+            }
             TypedConst next;
             next.type = iv.type;
-            if (assign.compoundOp) {
-                // Compound steps: compute iv op rhs, wrapped to iv.type.
-                next.value = applyBinOp(*assign.compoundOp, iv, *rhs);
-            } else {
-                next.value = rhs->type.isSigned
-                                 ? rhs->value.sextOrTrunc(iv.type.width)
-                                 : rhs->value.zextOrTrunc(iv.type.width);
-            }
+            next.value = adjustTo(*rhs, iv.type);
             return next;
         }
         if (step.kind == Expr::Kind::Unary) {
@@ -713,31 +714,6 @@ class Lowerer
             }
         }
         error(step.loc, "unsupported loop step expression");
-    }
-
-    /** iv op rhs, wrapped back to iv's type (compound semantics). */
-    ApInt
-    applyBinOp(BinOp op, const TypedConst &iv, const TypedConst &rhs)
-    {
-        unsigned w = std::max(iv.type.width, rhs.type.width) + 2;
-        ApInt a = iv.type.isSigned ? iv.value.sextOrTrunc(w)
-                                   : iv.value.zextOrTrunc(w);
-        ApInt b = rhs.type.isSigned ? rhs.value.sextOrTrunc(w)
-                                    : rhs.value.zextOrTrunc(w);
-        ApInt r(w);
-        switch (op) {
-          case BinOp::Add: r = a + b; break;
-          case BinOp::Sub: r = a - b; break;
-          case BinOp::Mul: r = a * b; break;
-          case BinOp::Shl: r = a.shl(unsigned(b.toUint64())); break;
-          case BinOp::Shr:
-            r = iv.type.isSigned ? a.ashr(unsigned(b.toUint64()))
-                                 : a.lshr(unsigned(b.toUint64()));
-            break;
-          default:
-            LN_PANIC("unsupported compound step operator");
-        }
-        return r.trunc(iv.type.width);
     }
 
     static ApInt

@@ -91,7 +91,7 @@ class Generator
         for (const auto &op : graph_.graph.ops()) {
             int t = stageOf(op.get());
             const sched::OperatorType &type = built_.problem.operatorTypeOf(
-                built_.problem.operation(built_.indexOf.at(op.get())));
+                built_.problem.operation(built_.indexOf(op.get())));
             first_ = std::min(first_, t);
             last_ = std::max(last_, t + int(type.latency));
         }
@@ -117,7 +117,7 @@ class Generator
                     continue;
                 const sched::OperatorType &def_type =
                     built_.problem.operatorTypeOf(built_.problem.operation(
-                        built_.indexOf.at(def)));
+                        built_.indexOf(def)));
                 int avail = stageOf(def) + int(def_type.latency);
                 for (int s = avail; s < use_at; ++s)
                     boundaries.insert(s);
@@ -276,7 +276,7 @@ class Generator
         if (iface.delayedData)
             port.latency = built_.problem
                                .operatorTypeOf(built_.problem.operation(
-                                   built_.indexOf.at(&op)))
+                                   built_.indexOf(&op)))
                                .latency;
         int data_at = t + int(port.latency);
         auto name = [&](const char *spelling, int stage) {

@@ -141,12 +141,12 @@ replaceAllUses(Graph &graph, Value *from, Value *to)
 
 namespace {
 
-/** Fibonacci hashing of @p v's address into a table of @p mask + 1
+/** Fibonacci hashing of @p key's address into a table of @p mask + 1
  * slots. */
 size_t
-slotOf(const Value *v, size_t mask)
+slotOf(const void *key, size_t mask)
 {
-    uint64_t h = uint64_t(reinterpret_cast<uintptr_t>(v)) *
+    uint64_t h = uint64_t(reinterpret_cast<uintptr_t>(key)) *
                  0x9e3779b97f4a7c15ull;
     return size_t(h >> 32) & mask;
 }
@@ -164,8 +164,9 @@ collectUsed(const Graph &graph, ValueNumbering &used)
 
 } // namespace
 
+template <typename T>
 void
-ValueNumbering::reserve(size_t count)
+PointerNumbering<T>::reserve(size_t count)
 {
     size_t capacity = 16;
     while (capacity < 2 * count)
@@ -174,8 +175,9 @@ ValueNumbering::reserve(size_t count)
         rehash(capacity);
 }
 
+template <typename T>
 void
-ValueNumbering::rehash(size_t capacity)
+PointerNumbering<T>::rehash(size_t capacity)
 {
     std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
     size_t mask = capacity - 1;
@@ -189,37 +191,42 @@ ValueNumbering::rehash(size_t capacity)
     }
 }
 
+template <typename T>
 std::pair<uint32_t, bool>
-ValueNumbering::insert(const Value *v)
+PointerNumbering<T>::insert(const T *key)
 {
     if (2 * (size_t(size_) + 1) > slots_.size())
         rehash(std::max<size_t>(16, 2 * slots_.size()));
     size_t mask = slots_.size() - 1;
-    for (size_t i = slotOf(v, mask);; i = (i + 1) & mask) {
+    for (size_t i = slotOf(key, mask);; i = (i + 1) & mask) {
         Slot &s = slots_[i];
-        if (s.key == v)
+        if (s.key == key)
             return {s.number, false};
         if (!s.key) {
-            s = {v, size_};
+            s = {key, size_};
             return {size_++, true};
         }
     }
 }
 
+template <typename T>
 uint32_t
-ValueNumbering::find(const Value *v) const
+PointerNumbering<T>::find(const T *key) const
 {
     if (slots_.empty())
         return none;
     size_t mask = slots_.size() - 1;
-    for (size_t i = slotOf(v, mask);; i = (i + 1) & mask) {
+    for (size_t i = slotOf(key, mask);; i = (i + 1) & mask) {
         const Slot &s = slots_[i];
-        if (s.key == v)
+        if (s.key == key)
             return s.number;
         if (!s.key)
             return none;
     }
 }
+
+template class PointerNumbering<Value>;
+template class PointerNumbering<Operation>;
 
 ValueNumbering
 usedValues(const Graph &graph)

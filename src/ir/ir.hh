@@ -269,33 +269,35 @@ class Graph
 };
 
 /**
- * Values numbered 0, 1, 2, ... in insertion order, looked up through
- * one flat open-addressed table (no node per value). The analyses and
- * passes keep their per-value data in vectors over these numbers
+ * Keys numbered 0, 1, 2, ... in insertion order, looked up through
+ * one flat open-addressed table (no node per key). The analyses and
+ * passes keep their per-value data in vectors over value numbers
  * where Value::id cannot serve, e.g. across the spawn subgraphs of a
- * HIR behavior.
+ * HIR behavior; the scheduler numbers a LIL graph's operations in
+ * graph order, which is their scheduling-problem index.
  */
-class ValueNumbering
+template <typename T>
+class PointerNumbering
 {
   public:
     static constexpr uint32_t none = UINT32_MAX;
 
-    /** Size the table for @p count values without rehashing. */
+    /** Size the table for @p count keys without rehashing. */
     void reserve(size_t count);
 
-    /** Give @p v the next number unless it has one.
+    /** Give @p key the next number unless it has one.
      * @return its number, and whether it was new. */
-    std::pair<uint32_t, bool> insert(const Value *v);
+    std::pair<uint32_t, bool> insert(const T *key);
 
-    /** @p v's number, or none. */
-    uint32_t find(const Value *v) const;
-    bool count(const Value *v) const { return find(v) != none; }
+    /** @p key's number, or none. */
+    uint32_t find(const T *key) const;
+    bool count(const T *key) const { return find(key) != none; }
     uint32_t size() const { return size_; }
 
   private:
     struct Slot
     {
-        const Value *key = nullptr;
+        const T *key = nullptr;
         uint32_t number = none;
     };
 
@@ -304,6 +306,9 @@ class ValueNumbering
     std::vector<Slot> slots_; ///< power-of-two size, at most half full
     uint32_t size_ = 0;
 };
+
+using ValueNumbering = PointerNumbering<Value>;
+using OperationNumbering = PointerNumbering<Operation>;
 
 /** True for hwarith.constant and comb.constant. */
 inline bool

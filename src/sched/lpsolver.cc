@@ -3,326 +3,394 @@
 #include <algorithm>
 #include <functional>
 #include <queue>
-#include <tuple>
+#include <utility>
 
 namespace longnail {
 namespace sched {
 
 namespace {
 
-constexpr int64_t infCapacity = int64_t(1) << 50;
-constexpr int64_t infDistance = int64_t(1) << 60;
+constexpr unsigned none = ~0u;
 
 /** Binary min-heap of (key, node) pairs. */
 using MinHeap = std::priority_queue<std::pair<int64_t, unsigned>,
                                     std::vector<std::pair<int64_t, unsigned>>,
                                     std::greater<>>;
 
-/** Min-cost-flow network with explicit reverse edges. */
-class FlowNetwork
-{
-  public:
-    explicit FlowNetwork(unsigned num_nodes) : adj_(num_nodes) {}
-
-    struct Edge
-    {
-        unsigned to;
-        int64_t residual;
-        int64_t cost;
-    };
-
-    void
-    addEdge(unsigned from, unsigned to, int64_t capacity, int64_t cost)
-    {
-        unsigned id = edges_.size();
-        edges_.push_back({to, capacity, cost});
-        edges_.push_back({from, 0, -cost});
-        adj_[from].push_back(id);
-        adj_[to].push_back(id + 1);
-    }
-
-    void
-    push(unsigned e, int64_t amount)
-    {
-        edges_[e].residual -= amount;
-        edges_[e ^ 1].residual += amount;
-    }
-
-    const Edge &edge(unsigned e) const { return edges_[e]; }
-    unsigned tail(unsigned e) const { return edges_[e ^ 1].to; }
-    const std::vector<unsigned> &outEdges(unsigned node) const
-    {
-        return adj_[node];
-    }
-    unsigned numNodes() const { return adj_.size(); }
-    unsigned numEdges() const { return edges_.size(); }
-
-  private:
-    std::vector<Edge> edges_;
-    std::vector<std::vector<unsigned>> adj_;
-};
+/**
+ * Arcs priced per block: the most negative reduced cost of the first
+ * block holding one enters the basis. Scheduling networks admit many
+ * improving arcs at once, so small blocks pivot soonest: on one `-O0`
+ * catalog batch, blocks of 1, 4 and 16 arcs spent 0.48, 0.49 and
+ * 0.86 M work units and blocks of sqrt(arcs) 1.48 M (EXPERIMENTS.md).
+ */
+constexpr unsigned pricingBlock = 4;
 
 /**
- * Monotone priority queue for Dijkstra over non-negative integer keys:
- * a bucket per key below bucketLimit, a binary heap above it. Reduced
- * distances in scheduling LPs span a few stages, so every operation is
- * a bucket access in practice; the heap keeps arbitrary LPs correct.
- * Keys pushed must not be below the last key popped.
+ * Primal network simplex over the uncapacitated dual network of a
+ * DifferenceLP (see lpsolver.hh). Nodes 0..n-1 are the variables, n is
+ * `ref` and n + 1 the artificial root. Every arc has a lower bound of
+ * zero and no upper bound, so a non-tree arc carries no flow and
+ * enters the basis when its reduced cost
+ * `cost + pi[tail] - pi[head]` is negative; tree arcs have reduced
+ * cost zero.
+ *
+ * The tree stays strongly feasible: every tree arc without flow points
+ * toward the root. The initial tree of artificial arcs is strongly
+ * feasible, and Cunningham's rule -- leave by the last blocking arc met
+ * when walking the pivot cycle in its direction from the apex -- keeps
+ * it so, which rules out cycling under degenerate pivots.
  */
-class MonotoneQueue
+class NetworkSimplex
 {
   public:
-    static constexpr int64_t bucketLimit = 1024;
+    explicit NetworkSimplex(const DifferenceLP &lp);
 
-    void
-    push(int64_t key, unsigned node)
-    {
-        if (key >= bucketLimit) {
-            heap_.push({key, node});
-            return;
-        }
-        if (size_t(key) >= buckets_.size())
-            buckets_.resize(key + 1);
-        buckets_[key].push_back(node);
-    }
+    /**
+     * Pivot until no arc prices out (Optimal), an entering arc's cycle
+     * has no blocking arc (Infeasible: a negative constraint cycle), or
+     * @p work exceeds @p work_limit (BudgetExhausted; 0 = no limit).
+     */
+    LPResult::Status run(uint64_t work_limit, uint64_t &work);
 
-    /** @return false when empty. */
-    bool
-    pop(int64_t &key, unsigned &node)
-    {
-        for (; current_ < buckets_.size(); ++current_) {
-            if (!buckets_[current_].empty()) {
-                key = int64_t(current_);
-                node = buckets_[current_].back();
-                buckets_[current_].pop_back();
-                return true;
-            }
-        }
-        if (heap_.empty())
-            return false;
-        std::tie(key, node) = heap_.top();
-        heap_.pop();
-        return true;
-    }
+    /** True if an artificial arc still carries flow. */
+    bool artificialFlowLeft() const;
 
-    void
-    clear()
-    {
-        for (auto &bucket : buckets_)
-            bucket.clear();
-        current_ = 0;
-        heap_ = {};
-    }
+    /**
+     * Shortest distances from a virtual root, joined to every node by a
+     * zero-cost edge, over the residual structural arcs of the optimal
+     * flow (canonical over all optimal flows; see lpsolver.hh).
+     */
+    std::vector<int64_t> residualDistances() const;
 
   private:
-    std::vector<std::vector<unsigned>> buckets_;
-    size_t current_ = 0;
-    MinHeap heap_;
-};
-
-/**
- * Primal-dual min-cost flow over a FlowNetwork whose potentials keep
- * every residual reduced cost `cost(u,v) + pi[u] - pi[v]` non-negative.
- * Each phase raises the potentials by one Dijkstra so that the
- * shortest source-sink paths become zero-reduced-cost ("admissible"),
- * then saturates admissible paths by depth-first search.
- */
-class PrimalDual
-{
-  public:
-    PrimalDual(FlowNetwork &net, std::vector<int64_t> potential,
-               uint64_t &work)
-        : net_(net), pi_(std::move(potential)), work_(work),
-          zeroBegin_(net.numNodes() + 1)
-    {}
-
-    int64_t reducedCost(unsigned e) const
-    {
-        const FlowNetwork::Edge &edge = net_.edge(e);
-        return edge.cost + pi_[net_.tail(e)] - pi_[edge.to];
-    }
-
-    const std::vector<int64_t> &potential() const { return pi_; }
-
-    /**
-     * Dijkstra on reduced costs from @p source, stopped once @p sink
-     * is settled; then pi[v] += min(dist[v], dist[sink]). Adds one work
-     * unit per settled node.
-     * @return false if @p sink is unreachable.
-     */
-    bool
-    raisePotentials(unsigned source, unsigned sink)
-    {
-        unsigned n = net_.numNodes();
-        dist_.assign(n, infDistance);
-        settled_.assign(n, false);
-        dist_[source] = 0;
-        queue_.clear();
-        queue_.push(0, source);
-        int64_t d;
-        unsigned u;
-        while (queue_.pop(d, u)) {
-            if (settled_[u])
-                continue;
-            settled_[u] = true;
-            ++work_;
-            if (u == sink)
-                break;
-            for (unsigned e : net_.outEdges(u)) {
-                unsigned v = net_.edge(e).to;
-                if (net_.edge(e).residual <= 0 || settled_[v])
-                    continue;
-                int64_t nd = d + reducedCost(e);
-                if (nd < dist_[v]) {
-                    dist_[v] = nd;
-                    queue_.push(nd, v);
-                }
-            }
-        }
-        if (!settled_[sink])
-            return false;
-        // Unsettled nodes lie at least dist[sink] away.
-        for (unsigned v = 0; v < n; ++v)
-            pi_[v] += settled_[v] ? dist_[v] : dist_[sink];
-        // Reduced costs change only with the potentials, so the arcs
-        // augment() may use are fixed until the next call: collect the
-        // zero-reduced-cost ones once (one work unit per arc).
-        zeroArcs_.clear();
-        for (unsigned v = 0; v < n; ++v) {
-            zeroBegin_[v] = zeroArcs_.size();
-            for (unsigned e : net_.outEdges(v)) {
-                ++work_;
-                if (reducedCost(e) == 0)
-                    zeroArcs_.push_back(e);
-            }
-        }
-        zeroBegin_[n] = zeroArcs_.size();
-        return true;
-    }
-
-    /**
-     * Augment along admissible paths from @p source to @p sink until
-     * the depth-first search finds none. A node whose admissible arcs
-     * are exhausted stays dead for the rest of the call, even if a
-     * later augmentation opens a reverse arc out of it; callers repeat
-     * the call until it pushes nothing, which proves that no admissible
-     * path is left. Adds one work unit per arc scanned.
-     * @return the amount of flow pushed.
-     */
     int64_t
-    augment(unsigned source, unsigned sink)
+    reducedCost(unsigned e) const
     {
-        unsigned n = net_.numNodes();
-        dead_.assign(n, false);
-        onPath_.assign(n, false);
-        nextArc_.assign(zeroBegin_.begin(), zeroBegin_.end() - 1);
-        path_.clear();
-        int64_t pushed = 0;
-        unsigned u = source;
-        onPath_[source] = true;
-        while (true) {
-            if (u == sink) {
-                int64_t bottleneck = infCapacity;
-                for (unsigned e : path_)
-                    bottleneck =
-                        std::min(bottleneck, net_.edge(e).residual);
-                for (unsigned e : path_)
-                    net_.push(e, bottleneck);
-                pushed += bottleneck;
-                // Resume from the tail of the first saturated arc.
-                size_t k = 0;
-                while (net_.edge(path_[k]).residual > 0)
-                    ++k;
-                for (size_t i = k; i < path_.size(); ++i)
-                    onPath_[net_.edge(path_[i]).to] = false;
-                u = net_.tail(path_[k]);
-                path_.resize(k);
-                continue;
-            }
-            bool advanced = false;
-            for (; nextArc_[u] < zeroBegin_[u + 1]; ++nextArc_[u]) {
-                unsigned e = zeroArcs_[nextArc_[u]];
-                unsigned v = net_.edge(e).to;
-                ++work_;
-                if (net_.edge(e).residual > 0 && !dead_[v] &&
-                    !onPath_[v]) {
-                    path_.push_back(e);
-                    onPath_[v] = true;
-                    u = v;
-                    advanced = true;
-                    break;
-                }
-            }
-            if (advanced)
-                continue;
-            dead_[u] = true;
-            onPath_[u] = false;
-            if (u == source)
-                return pushed;
-            u = net_.tail(path_.back());
-            path_.pop_back();
-            ++nextArc_[u];
-        }
+        return cost_[e] + pi_[tail_[e]] - pi_[head_[e]];
     }
 
-  private:
-    FlowNetwork &net_;
+    unsigned findEntering(uint64_t &work);
+    bool pivot(unsigned entering, uint64_t &work);
+    void detach(unsigned v);
+    void attach(unsigned v, unsigned parent);
+
+    unsigned numNodes_ = 0;      ///< variables and ref; root = numNodes_
+    unsigned numStructural_ = 0; ///< arcs below it; then artificial ones
+    unsigned cursor_ = 0;        ///< where pricing resumes
+
+    std::vector<unsigned> tail_, head_;
+    std::vector<int64_t> cost_, flow_;
+
+    // The spanning tree: each node's parent, the arc joining them and
+    // whether that arc points from the node to its parent; depths find
+    // a cycle's apex. Children are doubly linked sibling lists.
+    std::vector<unsigned> parent_, pred_, depth_;
+    std::vector<char> up_;
+    std::vector<unsigned> firstChild_, nextSibling_, prevSibling_;
     std::vector<int64_t> pi_;
-    uint64_t &work_;
-    /** Zero-reduced-cost arcs of the current phase, grouped by tail:
-     * node v's are zeroArcs_[zeroBegin_[v] .. zeroBegin_[v + 1]). */
-    std::vector<unsigned> zeroBegin_;
-    std::vector<unsigned> zeroArcs_;
-    // Per-phase scratch, kept to reuse allocations.
-    std::vector<int64_t> dist_;
-    std::vector<bool> settled_;
-    MonotoneQueue queue_;
-    std::vector<bool> dead_;
-    std::vector<bool> onPath_;
-    std::vector<unsigned> nextArc_;
-    std::vector<unsigned> path_;
 };
 
-/**
- * Detect primal infeasibility: contradictory difference constraints
- * form a negative cycle in the shortest-path formulation. When the
- * check converges (no cycle), the final distances double as a feasible
- * point -- t_i = dist[i] - dist[ref] meets every constraint and bound
- * -- which is written to @p feasible and seeds the potentials.
- */
-bool
-hasNegativeCycle(const DifferenceLP &lp, uint64_t &work,
-                 std::vector<int> &feasible)
+NetworkSimplex::NetworkSimplex(const DifferenceLP &lp)
 {
     unsigned n = lp.numVars();
     unsigned ref = n;
-    // Edges (u -> v, weight) meaning d_v <= d_u + weight.
-    std::vector<std::tuple<unsigned, unsigned, int64_t>> edges;
+    numNodes_ = n + 1;
+    unsigned root = numNodes_;
+
+    auto add_arc = [&](unsigned from, unsigned to, int64_t cost) {
+        tail_.push_back(from);
+        head_.push_back(to);
+        cost_.push_back(cost);
+    };
+    // A primal constraint t_j - t_i >= c is a flow arc i -> j of cost
+    // -c (the dual maximizes sum c*y).
+    size_t reserve = lp.constraints.size() + 2 * size_t(n) + n + 1;
+    tail_.reserve(reserve);
+    head_.reserve(reserve);
+    cost_.reserve(reserve);
     for (const auto &c : lp.constraints)
-        edges.emplace_back(c.j, c.i, -int64_t(c.c));
+        add_arc(c.i, c.j, -int64_t(c.c));
     for (unsigned i = 0; i < n; ++i) {
-        edges.emplace_back(i, ref, -int64_t(lp.lower[i]));
+        add_arc(ref, i, -int64_t(lp.lower[i]));
         if (lp.upper[i] != DifferenceLP::unbounded)
-            edges.emplace_back(ref, i, int64_t(lp.upper[i]));
+            add_arc(i, ref, int64_t(lp.upper[i]));
     }
-    std::vector<int64_t> dist(n + 1, 0); // virtual source to all
-    for (unsigned iter = 0; iter <= n + 1; ++iter) {
-        bool changed = false;
+    numStructural_ = tail_.size();
+    flow_.assign(numStructural_, 0);
+
+    // Big-M cost of routing demand through the root: above the cost of
+    // any simple structural path, so artificial flow is left at the
+    // optimum only when no feasible flow exists, and a cycle through
+    // the root never prices out negative.
+    int64_t max_cost = 0;
+    for (int64_t c : cost_)
+        max_cost = std::max(max_cost, c < 0 ? -c : c);
+    int64_t artificial_cost = (max_cost + 1) * (int64_t(numNodes_) + 1);
+
+    // Node supplies: inflow - outflow must equal the objective weight,
+    // so a variable supplies -w and ref supplies the sum of weights.
+    unsigned num_all = numNodes_ + 1;
+    parent_.assign(num_all, none);
+    pred_.assign(num_all, none);
+    depth_.assign(num_all, 0);
+    up_.assign(num_all, 0);
+    firstChild_.assign(num_all, none);
+    nextSibling_.assign(num_all, none);
+    prevSibling_.assign(num_all, none);
+    pi_.assign(num_all, 0);
+    int64_t ref_supply = 0;
+    for (unsigned v = 0; v < numNodes_; ++v) {
+        int64_t supply = v == ref ? ref_supply : -lp.weights[v];
+        if (v != ref)
+            ref_supply += lp.weights[v];
+        // Supplies drain into the root for free; demands are met from
+        // it at the Big-M cost. Zero-flow arcs point to the root.
+        unsigned arc = tail_.size();
+        if (supply >= 0) {
+            add_arc(v, root, 0);
+            flow_.push_back(supply);
+            up_[v] = 1;
+        } else {
+            add_arc(root, v, artificial_cost);
+            flow_.push_back(-supply);
+            pi_[v] = artificial_cost;
+        }
+        parent_[v] = root;
+        pred_[v] = arc;
+        depth_[v] = 1;
+        attach(v, root);
+    }
+}
+
+void
+NetworkSimplex::detach(unsigned v)
+{
+    unsigned prev = prevSibling_[v], next = nextSibling_[v];
+    if (prev != none)
+        nextSibling_[prev] = next;
+    else
+        firstChild_[parent_[v]] = next;
+    if (next != none)
+        prevSibling_[next] = prev;
+}
+
+void
+NetworkSimplex::attach(unsigned v, unsigned parent)
+{
+    unsigned next = firstChild_[parent];
+    prevSibling_[v] = none;
+    nextSibling_[v] = next;
+    if (next != none)
+        prevSibling_[next] = v;
+    firstChild_[parent] = v;
+}
+
+/**
+ * Block search from the cursor over the structural arcs (artificial
+ * arcs never re-enter). One work unit per arc priced.
+ * @return the entering arc, or none when every reduced cost is
+ * non-negative.
+ */
+unsigned
+NetworkSimplex::findEntering(uint64_t &work)
+{
+    unsigned m = numStructural_;
+    unsigned entering = none;
+    int64_t best = 0;
+    unsigned e = cursor_;
+    for (unsigned priced = 1; priced <= m; ++priced) {
+        int64_t rc = reducedCost(e);
+        if (rc < best) {
+            best = rc;
+            entering = e;
+        }
+        if (++e == m)
+            e = 0;
+        if (entering != none && (priced % pricingBlock == 0 || priced == m)) {
+            work += priced;
+            cursor_ = e;
+            return entering;
+        }
+    }
+    work += m;
+    return none;
+}
+
+/**
+ * Push flow around the cycle that @p entering closes in the tree and
+ * exchange it for the leaving arc. One work unit per tree arc on the
+ * cycle and one per node whose potential the exchange moves.
+ * @return false if no arc on the cycle blocks: the cycle is negative
+ * and unbounded.
+ */
+bool
+NetworkSimplex::pivot(unsigned entering, uint64_t &work)
+{
+    // Flow runs first -> second along the entering arc, up the tree
+    // from second to the apex and down from the apex to first.
+    unsigned first = tail_[entering], second = head_[entering];
+    unsigned u = first, v = second;
+    while (u != v) {
+        if (depth_[u] >= depth_[v]) {
+            u = parent_[u];
+            ++work;
+        }
+        if (depth_[v] > depth_[u]) {
+            v = parent_[v];
+            ++work;
+        }
+    }
+    unsigned apex = u;
+
+    // Cunningham's rule: of the arcs that bound the push, leave by the
+    // last one the cycle meets from the apex. On first's side the walk
+    // below runs against the cycle (keep the first minimum), on
+    // second's side with it (keep the last), and second's side comes
+    // later.
+    int64_t delta = 0;
+    unsigned leaving = none;
+    bool first_side = false;
+    for (unsigned x = first; x != apex; x = parent_[x]) {
+        // Flow runs parent -> x: an arc pointing up loses flow.
+        if (up_[x] && (leaving == none || flow_[pred_[x]] < delta)) {
+            delta = flow_[pred_[x]];
+            leaving = x;
+            first_side = true;
+        }
+    }
+    for (unsigned x = second; x != apex; x = parent_[x]) {
+        // Flow runs x -> parent: an arc pointing down loses flow.
+        if (!up_[x] && (leaving == none || flow_[pred_[x]] <= delta)) {
+            delta = flow_[pred_[x]];
+            leaving = x;
+            first_side = false;
+        }
+    }
+    if (leaving == none)
+        return false;
+
+    if (delta > 0) {
+        flow_[entering] += delta;
+        for (unsigned x = first; x != apex; x = parent_[x])
+            flow_[pred_[x]] += up_[x] ? -delta : delta;
+        for (unsigned x = second; x != apex; x = parent_[x])
+            flow_[pred_[x]] += up_[x] ? delta : -delta;
+    }
+
+    // The subtree below the leaving arc hangs from the entering arc
+    // now: reverse the tree path from the entering arc's end inside it
+    // (u_in) up to the leaving arc's lower end.
+    unsigned u_in = first_side ? first : second;
+    unsigned v_in = first_side ? second : first;
+    int64_t shift = u_in == second ? reducedCost(entering)
+                                   : -reducedCost(entering);
+    unsigned new_parent = v_in, arc = entering;
+    bool arc_up = tail_[entering] == u_in;
+    for (unsigned x = u_in;;) {
+        unsigned old_parent = parent_[x], old_arc = pred_[x];
+        bool old_up = up_[x];
+        detach(x);
+        parent_[x] = new_parent;
+        pred_[x] = arc;
+        up_[x] = arc_up;
+        attach(x, new_parent);
+        if (x == leaving)
+            break;
+        new_parent = x;
+        arc = old_arc;
+        arc_up = !old_up;
+        x = old_parent;
+    }
+
+    // Preorder over the moved subtree: the entering arc's reduced cost
+    // becomes zero, and depths follow the new parents.
+    for (unsigned x = u_in; x != none;) {
+        pi_[x] += shift;
+        depth_[x] = depth_[parent_[x]] + 1;
         ++work;
-        for (const auto &[u, v, w] : edges) {
-            if (dist[u] + w < dist[v]) {
-                dist[v] = dist[u] + w;
-                changed = true;
-            }
+        if (firstChild_[x] != none) {
+            x = firstChild_[x];
+            continue;
         }
-        if (!changed) {
-            feasible.resize(n);
-            for (unsigned i = 0; i < n; ++i)
-                feasible[i] = int(dist[i] - dist[ref]);
-            return false;
-        }
+        while (x != u_in && nextSibling_[x] == none)
+            x = parent_[x];
+        x = x == u_in ? none : nextSibling_[x];
     }
     return true;
+}
+
+LPResult::Status
+NetworkSimplex::run(uint64_t work_limit, uint64_t &work)
+{
+    while (true) {
+        unsigned entering = findEntering(work);
+        // The last pricing round counts too: a limit below the full
+        // solve's work never yields a result.
+        if (work_limit != 0 && work > work_limit)
+            return LPResult::Status::BudgetExhausted;
+        if (entering == none)
+            return LPResult::Status::Optimal;
+        if (!pivot(entering, work))
+            return LPResult::Status::Infeasible;
+    }
+}
+
+bool
+NetworkSimplex::artificialFlowLeft() const
+{
+    for (size_t e = numStructural_; e < flow_.size(); ++e)
+        if (flow_[e] != 0)
+            return true;
+    return false;
+}
+
+std::vector<int64_t>
+NetworkSimplex::residualDistances() const
+{
+    // Residual structural arcs, grouped by tail: every arc forward
+    // (none has an upper bound), and backward those carrying flow.
+    unsigned n = numNodes_;
+    std::vector<unsigned> begin(n + 1, 0);
+    for (unsigned e = 0; e < numStructural_; ++e) {
+        ++begin[tail_[e]];
+        if (flow_[e] > 0)
+            ++begin[head_[e]];
+    }
+    for (unsigned v = 0, sum = 0; v <= n; ++v)
+        sum += std::exchange(begin[v], sum);
+    std::vector<std::pair<unsigned, int64_t>> out(begin[n]);
+    std::vector<unsigned> fill(begin.begin(), begin.end() - 1);
+    for (unsigned e = 0; e < numStructural_; ++e) {
+        out[fill[tail_[e]]++] = {head_[e], cost_[e]};
+        if (flow_[e] > 0)
+            out[fill[head_[e]]++] = {tail_[e], -cost_[e]};
+    }
+
+    // The optimal potentials keep every residual reduced cost
+    // non-negative, so this is one Dijkstra keyed by dist[v] - pi[v]
+    // with all nodes as sources.
+    std::vector<int64_t> dist(n, 0);
+    std::vector<bool> settled(n, false);
+    MinHeap heap;
+    for (unsigned v = 0; v < n; ++v)
+        heap.push({-pi_[v], v});
+    while (!heap.empty()) {
+        unsigned u = heap.top().second;
+        heap.pop();
+        if (settled[u])
+            continue;
+        settled[u] = true;
+        for (unsigned k = begin[u]; k < begin[u + 1]; ++k) {
+            auto [to, cost] = out[k];
+            int64_t nd = dist[u] + cost;
+            if (!settled[to] && nd < dist[to]) {
+                dist[to] = nd;
+                heap.push({nd - pi_[to], to});
+            }
+        }
+    }
+    return dist;
 }
 
 } // namespace
@@ -331,116 +399,17 @@ LPResult
 solveDifferenceLP(const DifferenceLP &lp, uint64_t work_limit)
 {
     LPResult result;
-    auto over_budget = [&]() {
-        return work_limit != 0 && result.workUnits > work_limit;
-    };
-    std::vector<int> feasible;
-    if (hasNegativeCycle(lp, result.workUnits, feasible)) {
-        result.status = LPResult::Status::Infeasible;
+    NetworkSimplex simplex(lp);
+    result.status = simplex.run(work_limit, result.workUnits);
+    if (result.status == LPResult::Status::Optimal &&
+        simplex.artificialFlowLeft())
+        result.status = LPResult::Status::Unbounded;
+    if (result.status != LPResult::Status::Optimal)
         return result;
-    }
-    if (over_budget()) {
-        result.status = LPResult::Status::BudgetExhausted;
-        return result;
-    }
 
+    std::vector<int64_t> dist = simplex.residualDistances();
     unsigned n = lp.numVars();
     unsigned ref = n;
-    unsigned source = n + 1;
-    unsigned sink = n + 2;
-    FlowNetwork net(n + 3);
-
-    // Dual flow edges. A primal constraint t_j - t_i >= c becomes a
-    // flow edge i -> j with cost -c (we maximize sum c*y).
-    for (const auto &c : lp.constraints)
-        net.addEdge(c.i, c.j, infCapacity, -int64_t(c.c));
-    for (unsigned i = 0; i < n; ++i) {
-        net.addEdge(ref, i, infCapacity, -int64_t(lp.lower[i]));
-        if (lp.upper[i] != DifferenceLP::unbounded)
-            net.addEdge(i, ref, infCapacity, int64_t(lp.upper[i]));
-    }
-    unsigned num_structural = net.numEdges();
-
-    // Node balances: inflow - outflow must equal the objective weight.
-    int64_t ref_weight = 0;
-    for (unsigned i = 0; i < n; ++i)
-        ref_weight -= lp.weights[i];
-    int64_t total_supply = 0;
-    auto add_balance = [&](unsigned node, int64_t w) {
-        if (w > 0) {
-            net.addEdge(node, sink, w, 0);
-        } else if (w < 0) {
-            net.addEdge(source, node, -w, 0);
-            total_supply += -w;
-        }
-    };
-    for (unsigned i = 0; i < n; ++i)
-        add_balance(i, lp.weights[i]);
-    add_balance(ref, ref_weight);
-
-    // Initial potentials pi = -t from the feasible point: every
-    // structural reduced cost is then a constraint or bound slack, and
-    // the zero-cost source/sink edges are covered by pi[source] = max
-    // and pi[sink] = min.
-    std::vector<int64_t> pi(n + 3, 0);
-    for (unsigned i = 0; i < n; ++i)
-        pi[i] = -int64_t(feasible[i]);
-    pi[source] = *std::max_element(pi.begin(), pi.begin() + n + 1);
-    pi[sink] = *std::min_element(pi.begin(), pi.begin() + n + 1);
-
-    PrimalDual flow(net, std::move(pi), result.workUnits);
-    int64_t routed = 0;
-    while (routed < total_supply) {
-        if (!flow.raisePotentials(source, sink)) {
-            result.status = LPResult::Status::Unbounded;
-            return result;
-        }
-        // Drain the admissible subgraph: a pass from fresh dead marks
-        // that pushes nothing proves no zero-cost path remains.
-        while (routed < total_supply) {
-            int64_t pushed = flow.augment(source, sink);
-            if (pushed == 0)
-                break;
-            routed += pushed;
-        }
-        if (over_budget()) {
-            result.status = LPResult::Status::BudgetExhausted;
-            return result;
-        }
-    }
-
-    // Recover the primal solution: shortest distances over the residual
-    // structural edges from a virtual root joined to every node by a
-    // zero-cost edge. Every optimal flow leaves the same set of feasible
-    // residual potentials, so these greatest ones are canonical. The
-    // final potentials keep reduced costs non-negative, so this is one
-    // Dijkstra keyed by dist[v] - pi[v] with all nodes as sources.
-    const std::vector<int64_t> &potential = flow.potential();
-    std::vector<int64_t> dist(n + 1, 0);
-    std::vector<bool> settled(n + 1, false);
-    MinHeap heap;
-    for (unsigned v = 0; v <= n; ++v)
-        heap.push({-potential[v], v});
-    while (!heap.empty()) {
-        unsigned u = heap.top().second;
-        heap.pop();
-        if (settled[u])
-            continue;
-        settled[u] = true;
-        for (unsigned e : net.outEdges(u)) {
-            const FlowNetwork::Edge &edge = net.edge(e);
-            if (e >= num_structural || edge.residual <= 0 ||
-                settled[edge.to])
-                continue;
-            int64_t nd = dist[u] + edge.cost;
-            if (nd < dist[edge.to]) {
-                dist[edge.to] = nd;
-                heap.push({nd - potential[edge.to], edge.to});
-            }
-        }
-    }
-
-    result.status = LPResult::Status::Optimal;
     result.values.resize(n);
     result.objective = 0;
     for (unsigned i = 0; i < n; ++i) {

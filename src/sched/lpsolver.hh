@@ -13,24 +13,29 @@
  * same optima CBC would for the ILP (see DESIGN.md).
  *
  * Implementation: LP duality turns the problem into an uncapacitated
- * min-cost flow with node supplies, solved by the primal-dual method:
+ * min-cost flow with node supplies -- a node per variable plus `ref`
+ * (t_ref = 0); an arc i -> j of cost -c per constraint, ref -> i of
+ * cost -lo_i per lower bound and i -> ref of cost hi_i per finite upper
+ * bound; node i must take in w_i more than it sends out -- solved by
+ * the primal network simplex:
  *
- *  1. The Bellman-Ford feasibility check yields a feasible point t;
- *     the node potentials pi = -t make every reduced cost non-negative
- *     from the start.
- *  2. Each phase runs one Dijkstra over the reduced costs (a bucket
- *     queue: they span a few stages) and raises the potentials by the
- *     distances, capped at the sink's, so every shortest source-sink
- *     path consists of zero-reduced-cost arcs.
- *  3. Depth-first search pushes flow along those admissible arcs until
- *     none leads to the sink; then the next phase starts. There is one
- *     phase per distinct shortest-path cost, not one per augmentation.
+ *  1. An artificial root joins every node by one arc, carrying its
+ *     supply to the root for free or its demand from the root at a
+ *     Big-M cost; these arcs form the first spanning tree.
+ *  2. Block-search pricing picks an arc of negative reduced cost; the
+ *     flow pushed around the cycle it closes in the tree saturates a
+ *     leaving arc chosen by Cunningham's rule, which keeps the tree
+ *     strongly feasible and so guarantees termination under
+ *     degenerate pivots.
+ *  3. An entering arc whose cycle no arc blocks is a negative cycle of
+ *     the constraints: the LP is infeasible. Artificial flow left at
+ *     the optimum means no feasible flow exists: the LP is unbounded.
  *
  * The optimal primal values are recovered as shortest distances over
  * the final residual network from a virtual root. Every optimal flow
  * leaves the same set of feasible residual potentials (complementary
- * slackness), so the values do not depend on which optimal flow, or
- * which order of constraints, the search happened to take.
+ * slackness), so the values do not depend on which optimal basis, or
+ * which order of constraints, the pivots happened to reach.
  */
 
 #ifndef LONGNAIL_SCHED_LPSOLVER_HH
@@ -83,20 +88,24 @@ struct LPResult
     std::vector<int> values;
     int64_t objective = 0;
     /**
-     * Deterministic work units spent: one per Bellman-Ford feasibility
-     * round, one per node settled by a phase's Dijkstra, and one per
-     * arc scanned while augmenting.
+     * Deterministic work units spent by the network simplex: one per
+     * arc priced, one per tree arc walked to find a pivot cycle's apex
+     * and one per node a pivot re-hangs (its potential and depth
+     * updated). The primal recovery is not counted.
      */
     uint64_t workUnits = 0;
 };
 
 /**
  * Solve @p lp exactly. @p work_limit bounds the solver's deterministic
- * work counter (0 = unlimited), checked after the feasibility check
- * and after every phase; when the limit is exceeded the result status
- * is BudgetExhausted and no values are produced, letting callers fall
- * back to a heuristic scheduler instead of waiting on a pathological
- * instance.
+ * work counter (0 = unlimited), checked after every pricing round, the
+ * last one included, and so before a solve is declared optimal: a
+ * limit below the full solve's work units always gives
+ * BudgetExhausted and no values, letting callers fall back to a
+ * heuristic scheduler instead of waiting on a pathological instance.
+ * Infeasibility shows only in a pivot, after its pricing round: under
+ * a limit that round exceeds, an infeasible LP reports
+ * BudgetExhausted, not Infeasible.
  */
 LPResult solveDifferenceLP(const DifferenceLP &lp,
                            uint64_t work_limit = 0);

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -16,13 +15,19 @@ namespace sched {
 using ir::OpKind;
 using scaiev::SubInterface;
 
+unsigned
+BuiltProblem::indexOf(const ir::Operation *op) const
+{
+    uint32_t index = numbering.find(op);
+    if (index == ir::OperationNumbering::none)
+        LN_PANIC("operation not part of the scheduling problem");
+    return index;
+}
+
 int
 BuiltProblem::startTimeOf(const ir::Operation *op) const
 {
-    auto it = indexOf.find(op);
-    if (it == indexOf.end())
-        LN_PANIC("operation not part of the scheduling problem");
-    return problem.operation(it->second).startTime.value_or(-1);
+    return problem.operation(indexOf(op)).startTime.value_or(-1);
 }
 
 BuiltProblem
@@ -33,6 +38,8 @@ buildProblem(const lil::LilGraph &graph, const scaiev::Datasheet &core,
     LongnailProblem &problem = built.problem;
     problem.setCycleTime(cycle_time_ns > 0.0 ? cycle_time_ns
                                              : core.cycleTimeNs());
+    built.irOps.reserve(graph.graph.size());
+    built.numbering.reserve(graph.graph.size());
 
     for (const auto &op : graph.graph.ops()) {
         OperatorType type;
@@ -59,27 +66,30 @@ buildProblem(const lil::LilGraph &graph, const scaiev::Datasheet &core,
             type.latency = std::max(type.latency, t.latency);
         }
 
-        unsigned type_id = problem.addOperatorType(type);
         sched::Operation sop;
-        sop.name = std::string(op->name()) + "#" +
-                   std::to_string(problem.numOperations());
-        sop.linkedOperatorType = type_id;
-        unsigned index = problem.addOperation(sop);
+        sop.linkedOperatorType = problem.addOperatorType(std::move(type));
+        sop.name = op->name();
+        sop.name += '#';
+        sop.name += std::to_string(problem.numOperations());
+        problem.addOperation(std::move(sop));
         built.irOps.push_back(op.get());
-        built.indexOf[op.get()] = index;
+        built.numbering.insert(op.get());
     }
 
-    // Dependences (deduplicated per (from, to) pair).
-    std::set<std::pair<unsigned, unsigned>> seen;
-    for (const auto &op : graph.graph.ops()) {
-        unsigned to = built.indexOf.at(op.get());
-        for (unsigned i = 0; i < op->numOperands(); ++i) {
-            const ir::Operation *def = op->operand(i)->owner;
-            auto it = built.indexOf.find(def);
-            if (it == built.indexOf.end())
+    // Dependences, one per (from, to) pair: a user's operands are few,
+    // so only its own dependences added so far can repeat one.
+    for (unsigned to = 0; to < built.irOps.size(); ++to) {
+        size_t first = problem.numDependences();
+        for (const ir::Value *operand : built.irOps[to]->operands()) {
+            uint32_t from = built.numbering.find(operand->owner);
+            if (from == ir::OperationNumbering::none)
                 LN_PANIC("operand defined outside the graph");
-            if (seen.emplace(it->second, to).second)
-                problem.addDependence(it->second, to);
+            const std::vector<Dependence> &deps = problem.dependences();
+            if (std::none_of(deps.begin() + first, deps.end(),
+                             [&](const Dependence &d) {
+                                 return d.from == from;
+                             }))
+                problem.addDependence(from, to);
         }
     }
     return built;
@@ -196,9 +206,9 @@ buildScheduleLP(const LongnailProblem &problem, bool with_chain_breakers)
 void
 countLPSolve(const LPResult &result)
 {
-    // LP "iterations" are the solver's deterministic work units
-    // (Bellman-Ford rounds, Dijkstra pops, arcs scanned while
-    // augmenting); see LPResult::workUnits in src/sched/lpsolver.hh.
+    // LP "iterations" are the solver's deterministic work units (arcs
+    // priced, pivot-cycle arcs walked, nodes re-hung); see
+    // LPResult::workUnits in src/sched/lpsolver.hh.
     obs::count("sched.lp_solves");
     obs::count("sched.lp_iterations", result.workUnits);
     obs::observe("sched.lp_iterations_per_solve",

@@ -15,7 +15,6 @@
 #define LONGNAIL_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,12 @@ struct BuiltProblem
     LongnailProblem problem;
     /** IR op per problem operation (index-aligned); may be null. */
     std::vector<const ir::Operation *> irOps;
-    std::map<const ir::Operation *, unsigned> indexOf;
+    /** The inverse of irOps: every op's number is its problem index. */
+    ir::OperationNumbering numbering;
+
+    /** Problem index of an IR op; panics for an op outside the
+     * problem. */
+    unsigned indexOf(const ir::Operation *op) const;
 
     /** Scheduled start time of an IR op; ops are scheduled after
      * solving. */

@@ -219,7 +219,7 @@ TEST(TvSchedCheck, LatencyViolationIsLN4402)
             if (scaiev::subInterfaceFor(def->kind()))
                 continue;
             int use = u.built.startTimeOf(op.get());
-            u.built.problem.operation(u.built.indexOf.at(def))
+            u.built.problem.operation(u.built.indexOf(def))
                 .startTime = use + 1;
             seeded = true;
         }
@@ -245,7 +245,7 @@ TEST(TvSchedCheck, WindowViolationIsLN4403)
         auto iface = scaiev::subInterfaceFor(op->kind());
         if (!iface || sheet.timing(*iface).earliest <= 0)
             continue;
-        u.built.problem.operation(u.built.indexOf.at(op.get()))
+        u.built.problem.operation(u.built.indexOf(op.get()))
             .startTime = 0;
         seeded = true;
         break;

@@ -127,10 +127,10 @@ TEST_F(FailsoftTest, LpBudgetExhaustionFallsBackToAsap)
 
 TEST_F(FailsoftTest, LpBudgetExhaustedAfterFeasibilityFallsBackToAsap)
 {
-    // A limit one unit short of a unit's full solve: the feasibility
-    // check fits, the min-cost-flow phases do not. The fallback is the
-    // list scheduler's ASAP schedule, the same one a failed optimal
-    // attempt falls back to.
+    // A limit one unit short of a unit's full solve: every pivot fits,
+    // the last pricing round, which would declare the solve optimal,
+    // does not. The fallback is the list scheduler's ASAP schedule,
+    // the same one a failed optimal attempt falls back to.
     for (const char *isax : {"dotp", "sqrt_tightly", "autoinc"}) {
         for (const std::string &core : scaiev::Datasheet::knownCores()) {
             CompileOptions options;

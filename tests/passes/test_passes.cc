@@ -87,9 +87,11 @@ TEST(Simplify, FoldsAddZeroAndConstants)
 
     EXPECT_GT(passes::runSimplify(lg), 0u);
     // The write's data operand now bypasses the add.
-    for (const auto &op : g.ops())
-        if (op->kind() == OpKind::LilWriteRd)
+    for (const auto &op : g.ops()) {
+        if (op->kind() == OpKind::LilWriteRd) {
             EXPECT_EQ(op->operand(0), x);
+        }
+    }
 }
 
 TEST(Simplify, StrengthReducesMulByPowerOfTwo)

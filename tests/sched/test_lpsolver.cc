@@ -217,6 +217,28 @@ schedulerShapedLP(unsigned n, std::mt19937 &rng)
     return lp;
 }
 
+/**
+ * Solve @p lp and check the work limit's boundary on it: a limit of
+ * exactly the full solve's work units gives the same optimum, one unit
+ * less gives BudgetExhausted and no values.
+ */
+LPResult
+solveCheckingBudget(const DifferenceLP &lp)
+{
+    LPResult full = solveDifferenceLP(lp);
+    if (full.status != LPResult::Status::Optimal)
+        return full;
+    EXPECT_GT(full.workUnits, 1u); // a limit of 0 would mean none
+    LPResult at_limit = solveDifferenceLP(lp, full.workUnits);
+    EXPECT_EQ(at_limit.status, LPResult::Status::Optimal);
+    EXPECT_EQ(at_limit.values, full.values);
+    EXPECT_EQ(at_limit.workUnits, full.workUnits);
+    LPResult below = solveDifferenceLP(lp, full.workUnits - 1);
+    EXPECT_EQ(below.status, LPResult::Status::BudgetExhausted);
+    EXPECT_TRUE(below.values.empty());
+    return full;
+}
+
 } // namespace
 
 TEST(LpSolver, SingleVariableBounds)
@@ -277,6 +299,39 @@ TEST(LpSolver, InfeasibleWindowDetected)
     lp.addConstraint(0, 1, 5);
     EXPECT_EQ(solveDifferenceLP(lp).status,
               LPResult::Status::Infeasible);
+}
+
+TEST(LpSolver, InfeasibleEvenWhereTheObjectiveIsUnbounded)
+{
+    // t1 - t0 >= 3 contradicts t1 - t0 <= 2; were it not for that, the
+    // weight on the open-ended t2 would make the LP unbounded.
+    DifferenceLP lp(3);
+    lp.weights = {0, 0, -1};
+    lp.addConstraint(0, 1, 3);
+    lp.addConstraint(1, 0, -2);
+    lp.addConstraint(0, 2, 0);
+    EXPECT_EQ(solveDifferenceLP(lp).status,
+              LPResult::Status::Infeasible);
+}
+
+TEST(LpSolver, InfeasibleUnderAWorkLimit)
+{
+    // Infeasibility shows only in a pivot, after its pricing round: a
+    // limit that round exceeds reports BudgetExhausted, a limit of the
+    // full solve's work reports Infeasible.
+    DifferenceLP lp(2);
+    lp.weights = {1, 1};
+    lp.lower = {3, 0};
+    lp.upper = {DifferenceLP::unbounded, 6};
+    lp.addConstraint(0, 1, 5);
+    LPResult full = solveDifferenceLP(lp);
+    ASSERT_EQ(full.status, LPResult::Status::Infeasible);
+    ASSERT_GT(full.workUnits, 1u);
+    EXPECT_EQ(solveDifferenceLP(lp, full.workUnits).status,
+              LPResult::Status::Infeasible);
+    LPResult limited = solveDifferenceLP(lp, 1);
+    EXPECT_EQ(limited.status, LPResult::Status::BudgetExhausted);
+    EXPECT_TRUE(limited.values.empty());
 }
 
 TEST(LpSolver, EqualityViaTwoInequalities)
@@ -374,7 +429,7 @@ TEST_P(LpSchedulerShaped, ValuesMatchReferenceSolver)
     for (int instance = 0; instance < 8; ++instance) {
         unsigned n = 50 + rng() % 251; // 50..300 operations
         DifferenceLP lp = schedulerShapedLP(n, rng);
-        LPResult got = solveDifferenceLP(lp);
+        LPResult got = solveCheckingBudget(lp);
         LPResult want = successiveShortestPaths(lp);
         ASSERT_EQ(want.status, LPResult::Status::Optimal);
         ASSERT_EQ(got.status, LPResult::Status::Optimal)
@@ -390,9 +445,9 @@ TEST_P(LpSchedulerShaped, ValuesIndependentOfConstraintOrder)
     std::mt19937 rng(9000 + GetParam());
     for (int instance = 0; instance < 8; ++instance) {
         DifferenceLP lp = schedulerShapedLP(50 + rng() % 251, rng);
-        LPResult first = solveDifferenceLP(lp);
+        LPResult first = solveCheckingBudget(lp);
         std::shuffle(lp.constraints.begin(), lp.constraints.end(), rng);
-        LPResult shuffled = solveDifferenceLP(lp);
+        LPResult shuffled = solveCheckingBudget(lp);
         ASSERT_EQ(first.status, LPResult::Status::Optimal);
         ASSERT_EQ(shuffled.status, LPResult::Status::Optimal);
         EXPECT_EQ(first.values, shuffled.values) << "instance " << instance;
@@ -402,12 +457,12 @@ TEST_P(LpSchedulerShaped, ValuesIndependentOfConstraintOrder)
 TEST_P(LpSchedulerShaped, ValuesScaleWithConstants)
 {
     // Scaling every constant of a difference system scales its
-    // canonical optimum; the scaled reduced costs run far past the
-    // small-key buckets of the solver's priority queue.
+    // canonical optimum; the scaled costs also scale the solver's
+    // Big-M cost of the artificial arcs.
     constexpr int scale = 3000;
     std::mt19937 rng(11000 + GetParam());
     DifferenceLP lp = schedulerShapedLP(50 + rng() % 100, rng);
-    LPResult base = solveDifferenceLP(lp);
+    LPResult base = solveCheckingBudget(lp);
     for (auto &c : lp.constraints)
         c.c *= scale;
     for (unsigned i = 0; i < lp.numVars(); ++i) {
@@ -415,7 +470,7 @@ TEST_P(LpSchedulerShaped, ValuesScaleWithConstants)
         if (lp.upper[i] != DifferenceLP::unbounded)
             lp.upper[i] *= scale;
     }
-    LPResult scaled = solveDifferenceLP(lp);
+    LPResult scaled = solveCheckingBudget(lp);
     ASSERT_EQ(base.status, LPResult::Status::Optimal);
     ASSERT_EQ(scaled.status, LPResult::Status::Optimal);
     for (int &v : base.values)
@@ -434,7 +489,7 @@ TEST_P(LpSchedulerShaped, AllOnesObjectiveGivesTheLeastFeasiblePoint)
     std::mt19937 rng(13000 + GetParam());
     for (int instance = 0; instance < 8; ++instance) {
         DifferenceLP lp = schedulerShapedLP(50 + rng() % 251, rng);
-        LPResult fig7 = solveDifferenceLP(lp);
+        LPResult fig7 = solveCheckingBudget(lp);
         ASSERT_EQ(fig7.status, LPResult::Status::Optimal);
 
         unsigned n = lp.numVars();
@@ -449,7 +504,7 @@ TEST_P(LpSchedulerShaped, AllOnesObjectiveGivesTheLeastFeasiblePoint)
         }
 
         lp.weights.assign(n, 1);
-        LPResult asap = solveDifferenceLP(lp);
+        LPResult asap = solveCheckingBudget(lp);
         ASSERT_EQ(asap.status, LPResult::Status::Optimal)
             << "instance " << instance;
         EXPECT_EQ(asap.values, least) << "instance " << instance;

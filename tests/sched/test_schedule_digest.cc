@@ -88,7 +88,8 @@ struct PinnedDigest
 };
 
 // Generated from the successive-shortest-paths solver that preceded the
-// primal-dual one; both must agree on every schedule.
+// primal-dual one and the network simplex; all must agree on every
+// schedule.
 const PinnedDigest pinned[] = {
     {"autoinc", 0xae94201ae27725c5ull, 0xe23d050f6074df23ull},
     {"dotp", 0x31dd5a170b3ec405ull, 0x83166bb5d65b4467ull},
